@@ -11,14 +11,12 @@ import numpy as np
 from specsense import (
     ChannelSpec,
     NoisePrior,
-    Observation,
     RngStream,
     ScenarioConfig,
     SignalSpec,
     ThresholdSpec,
     draw_noise_power,
     generate_bins,
-    glrd2_decide,
     map_noise_power,
     mu_glrd1,
     phi_statistic,
@@ -75,15 +73,14 @@ def main():
           f"observed excess-bin mean {np.mean(y):7.2f}   "
           f"true bin-scale power {n * alpha:7.2f}")
 
-    obs = Observation.from_bins(x, y)
     for hyp in ("h0", "h1"):
-        est = map_noise_power(obs, prior, spec.snr_linear, hyp)
+        est = map_noise_power(prior, spec.snr_linear, hyp, x=x, y=y)
         print(f"MAP bin-scale noise power assuming {hyp}: {est:7.2f}")
 
-    verdict = glrd2_decide(x, y, prior, ThresholdSpec(eta1=5.0, eta2=50.0))
+    stat = t_alrd2(x, y, prior)
+    occupied = ThresholdSpec(eta1=5.0, eta2=50.0).decide(stat)
     print(f"\nband rule on the ratio statistic: statistic "
-          f"{verdict.statistic:.3f} -> "
-          f"{'occupied' if verdict.decided_h1 else 'idle'}")
+          f"{stat:.3f} -> {'occupied' if occupied else 'idle'}")
 
 
 if __name__ == "__main__":

@@ -10,32 +10,25 @@ closed-form performance and a reproducible Monte Carlo harness.
 from .analysis import (
     AveragedProbability,
     MomentPair,
-    PerfPoint,
     PosteriorPrecision,
     ProposedMoments,
     average_over_prior,
     map_noise_power,
     pd_alrd1,
     pd_alrd2_clt,
-    pd_glrd1,
     pd_opt,
     pfa_alrd1,
     pfa_alrd2_clt,
     pfa_alrd2_exact,
-    pfa_glrd1,
     pfa_opt,
     posterior_update,
     proposed_statistic_moments,
-    statistic_moments,
     traditional_statistic_moments,
 )
 from .detectors import (
     DETECTORS,
-    DetectorVerdict,
     ThresholdSpec,
     detector_statistic,
-    glrd1_decide,
-    glrd2_decide,
     lr_glrd1_value,
     lr_glrd2_value,
     mu_glrd1,
@@ -48,15 +41,11 @@ from .detectors import (
 from .errors import ConfigError, NumericFailure
 from .montecarlo import (
     EmpiricalCdf,
-    EstimatedRate,
     RocPoint,
     calibrate_threshold,
     calibrate_two_sided,
     empirical_cdf,
-    roc_sweep,
     roc_sweep_multi,
-    run_trials,
-    statistic_samples,
     wilson_interval,
 )
 from .numerics import (
@@ -70,7 +59,6 @@ from .numerics import (
 )
 from .observation import (
     BandGeometry,
-    Observation,
     band_geometry,
     split_bands,
     spectrum_bins,

@@ -33,7 +33,6 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .numerics import as_generator, complex_gaussian, q_function, reg_upper_gamma
-from .observation import Observation
 from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
 
 
@@ -69,22 +68,22 @@ def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> Posteri
                               rate=prior.theta + p_excess * float(y_mean))
 
 
-def map_noise_power(obs: Observation, prior: NoisePrior, snr: float,
-                    hypothesis: str) -> float:
+def map_noise_power(prior: NoisePrior, snr: float, hypothesis: str, *,
+                    r: np.ndarray | None = None, x: np.ndarray | None = None,
+                    y: np.ndarray | None = None) -> float:
     """MAP estimate of the noise power under the given hypothesis.
 
-    Time-domain observations give (theta + sum(r)/(1+snr under H1)) /
-    (N + k); frequency-domain observations give
+    Time-domain envelopes r give (theta + sum(r)/(1+snr under H1)) /
+    (N + k); in-band and excess-band bins x, y give
     (theta + sum(y) + sum(x)/(1+snr under H1)) / (L + k + P).
     """
     gain = 1.0 + snr if hypothesis == "h1" else 1.0
-    if obs.r is not None:
-        n = obs.r.size
-        return (prior.theta + n * obs.r_mean / gain) / (n + prior.k)
-    if obs.x is None or obs.y is None:
-        raise ValueError("observation carries neither time samples nor bins")
-    l, p = obs.x.size, obs.y.size
-    return (prior.theta + p * obs.y_mean + l * obs.x_mean / gain) / (l + prior.k + p)
+    if r is not None:
+        return (prior.theta + float(np.sum(r)) / gain) / (np.size(r) + prior.k)
+    if x is None or y is None:
+        raise ValueError("need time samples r or bins x and y")
+    return ((prior.theta + float(np.sum(y)) + float(np.sum(x)) / gain)
+            / (np.size(x) + prior.k + np.size(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +112,6 @@ def pfa_alrd1(n_samples: int, alpha: float, prior: NoisePrior, eta: float) -> fl
 def pd_alrd1(n_samples: int, alpha: float, prior: NoisePrior, snr: float,
              eta: float) -> float:
     return reg_upper_gamma(n_samples, eta * prior.theta / (alpha * (1.0 + snr)))
-
-
-def pfa_glrd1(n_samples: int, alpha: float, prior: NoisePrior, eta1: float) -> float:
-    """One-sided GLRD1 false-alarm probability (upper threshold treated
-    as infinite; the mass beyond the likelihood maximum is negligible)."""
-    return pfa_alrd1(n_samples, alpha, prior, eta1)
-
-
-def pd_glrd1(n_samples: int, alpha: float, prior: NoisePrior, snr: float,
-             eta1: float) -> float:
-    return pd_alrd1(n_samples, alpha, prior, snr, eta1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +266,3 @@ def proposed_statistic_moments(l_inband: int, p_excess: int, n_samples: int,
         * (2.0 * snr + 0.5 + p_excess * eta**2 / 2.0),
     )
     return ProposedMoments(derived=derived, printed=printed)
-
-
-def statistic_moments(method: str, **params):
-    """Dispatch on detector family: "traditional" or "proposed"."""
-    if method == "traditional":
-        return traditional_statistic_moments(**params)
-    if method == "proposed":
-        return proposed_statistic_moments(**params)
-    raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class PerfPoint:
-    """One point on a closed-form performance curve."""
-
-    pfa: float
-    pd: float
-    threshold: float
-    conditioning: str = "conditional"
-
-    def __post_init__(self):
-        if not (0.0 <= self.pfa <= 1.0 and 0.0 <= self.pd <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")

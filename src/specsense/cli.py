@@ -17,12 +17,12 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, analysis, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
-from .detectors import detector_def
 from .errors import ConfigError, NumericFailure
 from .signals import H0, NAKAGAMI, ChannelSpec
 from .validation import DEFAULT_SEED, run_validation
@@ -47,11 +47,11 @@ def _channel_label(ch: ChannelSpec) -> str:
     return ch.kind
 
 
-def _manifest(command: str, exp: ExperimentConfig, seed: int) -> tuple[dict, str]:
+def _manifest(command: str, exp: ExperimentConfig) -> tuple[dict, str]:
     stable = {
         "command": command,
         "config": exp.echo,
-        "master_seed": seed,
+        "master_seed": exp.master_seed,
         "notes": list(_CONVENTION_NOTES),
         "tool_version": __version__,
     }
@@ -67,12 +67,6 @@ def _write_csv(path: Path, digest: str, header: list[str],
     lines = [f"# manifest: {digest}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _finish(manifest: dict, out_dir: Path, stem: str, started: float) -> None:
-    manifest["duration_seconds"] = round(time.perf_counter() - started, 3)
-    (out_dir / f"{stem}_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load(args) -> ExperimentConfig:
@@ -94,156 +88,160 @@ def _check_finite(*values: float) -> None:
             raise NumericFailure("non-finite value in command output")
 
 
+def _run(args, command: str, header: list[str],
+         rows: Callable[[ExperimentConfig], tuple[list[list[str]], list]],
+         check: Callable[[ExperimentConfig], None] | None = None,
+         plot: tuple[str, str, str] | None = None) -> int:
+    """Run one file-emitting command.
+
+    `check(exp)` rejects the experiment before anything is written;
+    `rows(exp)` returns the CSV rows and the (label, xs, ys) series that
+    `--svg` draws with the `plot` x label, y label and title.
+    """
+    started = time.perf_counter()
+    exp = _load(args)
+    if check is not None:
+        check(exp)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config_stem = Path(args.config).stem
+    stem = f"{config_stem}_{command}"
+    manifest, digest = _manifest(command, exp)
+
+    table, series = rows(exp)
+    csv_path = out_dir / f"{stem}.csv"
+    _write_csv(csv_path, digest, header, table)
+    if args.svg and plot is not None:
+        xlabel, ylabel, title = plot
+        svgplot.write_line_plot(out_dir / f"{stem}.svg", series, xlabel, ylabel,
+                                f"{title} ({config_stem})",
+                                comment=f"manifest: {digest}")
+    manifest["duration_seconds"] = round(time.perf_counter() - started, 3)
+    (out_dir / f"{stem}_manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {csv_path} ({len(table)} rows)")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_roc(args) -> int:
-    started = time.perf_counter()
-    exp = _load(args)
-    if not exp.pfa_targets:
-        raise ConfigError("roc requires pfa_targets")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
-    manifest, digest = _manifest("roc", exp, exp.master_seed)
+    def check(exp):
+        if not exp.pfa_targets:
+            raise ConfigError("roc requires pfa_targets")
 
-    header = ["detector", "n_samples", "snr_db", "channel", "pfa_target",
-              "pfa_emp", "pd_emp", "pd_ci_low", "pd_ci_high", "threshold"]
-    rows: list[list[str]] = []
-    series = []
-    for n, ch in exp.legs():
-        cfg = exp.scenario(n, ch)
-        points = montecarlo.roc_sweep_multi(cfg, exp.detectors, exp.pfa_targets)
-        for name in exp.detectors:
-            pts = points[name]
-            for pt in pts:
-                _check_finite(pt.pfa_empirical, pt.pd_empirical, pt.threshold)
-                rows.append([name, str(n), _fmt(exp.snr_db), _channel_label(ch),
-                             _fmt(pt.pfa_target), _fmt(pt.pfa_empirical),
-                             _fmt(pt.pd_empirical), _fmt(pt.pd_ci_low),
-                             _fmt(pt.pd_ci_high), _fmt(pt.threshold)])
-            series.append((f"{name} N={n} {_channel_label(ch)}",
-                           [pt.pfa_empirical for pt in pts],
-                           [pt.pd_empirical for pt in pts]))
-    _write_csv(out_dir / f"{stem}_roc.csv", digest, header, rows)
-    if args.svg:
-        svgplot.write_line_plot(out_dir / f"{stem}_roc.svg", series,
-                                "false-alarm probability",
-                                "detection probability", f"ROC ({stem})",
-                                comment=f"manifest: {digest}")
-    _finish(manifest, out_dir, f"{stem}_roc", started)
-    print(f"wrote {out_dir / (stem + '_roc.csv')} ({len(rows)} rows)")
-    return 0
+    def rows(exp):
+        table, series = [], []
+        for n, ch in exp.legs():
+            points = montecarlo.roc_sweep_multi(exp.scenario(n, ch), exp.detectors,
+                                                exp.pfa_targets)
+            for name in exp.detectors:
+                pts = points[name]
+                for pt in pts:
+                    _check_finite(pt.pfa_empirical, pt.pd_empirical, pt.threshold)
+                    table.append([name, str(n), _fmt(exp.snr_db), _channel_label(ch),
+                                  _fmt(pt.pfa_target), _fmt(pt.pfa_empirical),
+                                  _fmt(pt.pd_empirical), _fmt(pt.pd_ci_low),
+                                  _fmt(pt.pd_ci_high), _fmt(pt.threshold)])
+                series.append((f"{name} N={n} {_channel_label(ch)}",
+                               [pt.pfa_empirical for pt in pts],
+                               [pt.pd_empirical for pt in pts]))
+        return table, series
+
+    return _run(args, "roc",
+                ["detector", "n_samples", "snr_db", "channel", "pfa_target",
+                 "pfa_emp", "pd_emp", "pd_ci_low", "pd_ci_high", "threshold"],
+                rows, check,
+                ("false-alarm probability", "detection probability", "ROC"))
 
 
 def cmd_cdf(args) -> int:
-    started = time.perf_counter()
-    exp = _load(args)
-    if len(exp.n_samples) != 1 or len(exp.channels) != 1:
-        raise ConfigError("cdf expects a single n_samples value and channel")
-    n_points = max(200, exp.cdf_points)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
-    manifest, digest = _manifest("cdf", exp, exp.master_seed)
+    def check(exp):
+        if len(exp.n_samples) != 1 or len(exp.channels) != 1:
+            raise ConfigError("cdf expects a single n_samples value and channel")
 
-    cfg = exp.scenario(exp.n_samples[0], exp.channels[0], hypothesis=H0)
-    header = ["detector", "statistic_value", "cdf"]
-    rows: list[list[str]] = []
-    series = []
-    for name in exp.detectors:
-        cdf = montecarlo.empirical_cdf(cfg, name)
-        lo, hi = float(cdf.values[0]), float(cdf.values[-1])
-        grid = np.linspace(lo, hi, n_points)
-        vals = [cdf.evaluate(t) for t in grid]
-        for t, c in zip(grid, vals):
-            _check_finite(t, c)
-            rows.append([name, _fmt(t), _fmt(c)])
-        series.append((name, list(grid), vals))
-    _write_csv(out_dir / f"{stem}_cdf.csv", digest, header, rows)
-    if args.svg:
-        svgplot.write_line_plot(out_dir / f"{stem}_cdf.svg", series,
-                                "statistic value", "cdf",
-                                f"H0 statistic CDF ({stem})",
-                                comment=f"manifest: {digest}")
-    _finish(manifest, out_dir, f"{stem}_cdf", started)
-    print(f"wrote {out_dir / (stem + '_cdf.csv')} ({len(rows)} rows)")
-    return 0
+    def rows(exp):
+        cfg = exp.scenario(exp.n_samples[0], exp.channels[0], hypothesis=H0)
+        table, series = [], []
+        for name in exp.detectors:
+            cdf = montecarlo.empirical_cdf(cfg, name)
+            grid = np.linspace(float(cdf.values[0]), float(cdf.values[-1]),
+                               exp.cdf_points)
+            vals = [cdf.evaluate(t) for t in grid]
+            for t, c in zip(grid, vals):
+                _check_finite(t, c)
+                table.append([name, _fmt(t), _fmt(c)])
+            series.append((name, list(grid), vals))
+        return table, series
+
+    return _run(args, "cdf", ["detector", "statistic_value", "cdf"], rows, check,
+                ("statistic value", "cdf", "H0 statistic CDF"))
 
 
 def cmd_curves(args) -> int:
-    started = time.perf_counter()
-    exp = _load(args)
-    if len(exp.n_samples) != 1:
-        raise ConfigError("curves expects a single n_samples value")
-    if exp.threshold_grid is None:
-        raise ConfigError("curves requires threshold_min/threshold_max/threshold_points")
-    n = exp.n_samples[0]
-    geom = exp.scenario(n, exp.channels[0]).geometry
-    alpha = exp.noise_power if exp.noise_power is not None else exp.prior.mean_noise_power
-    snr = exp.snr_linear
-    h = exp.pinned_channel if exp.pinned_channel is not None else 1.0 + 0.0j
-    s = (exp.pinned_signal if exp.pinned_signal is not None
-         else complex(math.sqrt(n * alpha * snr)))
+    def geometry(exp):
+        return exp.scenario(exp.n_samples[0], exp.channels[0]).geometry
 
-    lo, hi, count = exp.threshold_grid
-    grid = np.linspace(lo, hi, count)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
-    manifest, digest = _manifest("curves", exp, exp.master_seed)
+    def check(exp):
+        if len(exp.n_samples) != 1:
+            raise ConfigError("curves expects a single n_samples value")
+        if exp.threshold_grid is None:
+            raise ConfigError(
+                "curves requires threshold_min/threshold_max/threshold_points")
+        geometry(exp)
 
-    header = ["detector", "threshold", "pfa_cf", "pd_cf"]
-    rows: list[list[str]] = []
-    for name in exp.detectors:
-        detector_def(name)
-        for thr in grid:
-            thr = float(thr)
-            if name == "optimal":
-                pfa = analysis.pfa_opt(n, 1.0, thr)
-                pd = analysis.pd_opt(n, 1.0, snr, thr)
-            elif name in ("alrd1", "glrd1"):
-                pfa = analysis.pfa_alrd1(n, alpha, exp.prior, thr)
-                pd = analysis.pd_alrd1(n, alpha, exp.prior, snr, thr)
-            else:
-                pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                             alpha, exp.prior.theta, thr)
-                pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                           alpha, exp.prior.theta, thr, h, s)
-            _check_finite(pfa, pd)
-            point = analysis.PerfPoint(pfa=pfa, pd=pd, threshold=thr,
-                                       conditioning=f"alpha={alpha:g}")
-            rows.append([name, _fmt(point.threshold), _fmt(point.pfa),
-                         _fmt(point.pd)])
-    _write_csv(out_dir / f"{stem}_curves.csv", digest, header, rows)
-    _finish(manifest, out_dir, f"{stem}_curves", started)
-    print(f"wrote {out_dir / (stem + '_curves.csv')} ({len(rows)} rows)")
-    return 0
+    def rows(exp):
+        n = exp.n_samples[0]
+        geom = geometry(exp)
+        alpha = (exp.noise_power if exp.noise_power is not None
+                 else exp.prior.mean_noise_power)
+        snr = exp.snr_linear
+        h = exp.pinned_channel if exp.pinned_channel is not None else 1.0 + 0.0j
+        s = (exp.pinned_signal if exp.pinned_signal is not None
+             else complex(math.sqrt(n * alpha * snr)))
+        grid = np.linspace(*exp.threshold_grid)
+        table = []
+        for name in exp.detectors:
+            for thr in grid:
+                thr = float(thr)
+                if name == "optimal":
+                    pfa = analysis.pfa_opt(n, 1.0, thr)
+                    pd = analysis.pd_opt(n, 1.0, snr, thr)
+                elif name in ("alrd1", "glrd1"):
+                    pfa = analysis.pfa_alrd1(n, alpha, exp.prior, thr)
+                    pd = analysis.pd_alrd1(n, alpha, exp.prior, snr, thr)
+                else:
+                    pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
+                                                 alpha, exp.prior.theta, thr)
+                    pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
+                                               alpha, exp.prior.theta, thr, h, s)
+                _check_finite(pfa, pd)
+                table.append([name, _fmt(thr), _fmt(pfa), _fmt(pd)])
+        return table, []
+
+    return _run(args, "curves", ["detector", "threshold", "pfa_cf", "pd_cf"],
+                rows, check)
 
 
 def cmd_calibrate(args) -> int:
-    started = time.perf_counter()
-    exp = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
-    manifest, digest = _manifest("calibrate", exp, exp.master_seed)
+    def rows(exp):
+        table = []
+        for n, ch in exp.legs():
+            cfg = exp.scenario(n, ch, hypothesis=H0)
+            for name in exp.detectors:
+                thr = montecarlo.calibrate_threshold(cfg, name, args.pfa)
+                _check_finite(thr)
+                table.append([name, str(n), _channel_label(ch),
+                              _fmt(args.pfa), _fmt(thr)])
+                print(f"{name} N={n} {_channel_label(ch)}: "
+                      f"threshold {thr:.6g} at target pfa {args.pfa:g}")
+        return table, []
 
-    header = ["detector", "n_samples", "channel", "pfa_target", "threshold"]
-    rows: list[list[str]] = []
-    for n, ch in exp.legs():
-        cfg = exp.scenario(n, ch, hypothesis=H0)
-        for name in exp.detectors:
-            thr = montecarlo.calibrate_threshold(cfg, name, args.pfa)
-            _check_finite(thr)
-            rows.append([name, str(n), _channel_label(ch),
-                         _fmt(args.pfa), _fmt(thr)])
-            print(f"{name} N={n} {_channel_label(ch)}: "
-                  f"threshold {thr:.6g} at target pfa {args.pfa:g}")
-    _write_csv(out_dir / f"{stem}_calibrate.csv", digest, header, rows)
-    _finish(manifest, out_dir, f"{stem}_calibrate", started)
-    return 0
+    return _run(args, "calibrate",
+                ["detector", "n_samples", "channel", "pfa_target", "threshold"],
+                rows)
 
 
 def cmd_validate(args) -> int:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .detectors import detector_def
 from .errors import ConfigError
 from .signals import (
     AWGN,
@@ -171,6 +172,10 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     detectors = tuple(_parse_list(raw["detectors"]))
     if not detectors:
         raise ConfigError("detector list is empty")
+    for name in detectors:
+        detector_def(name)
+    if len(set(detectors)) < len(detectors):
+        raise ConfigError(f"duplicate detector names in {raw['detectors']!r}")
     n_samples = tuple(_parse_int(v, "n_samples") for v in _parse_list(raw["n_samples"]))
     if not n_samples:
         raise ConfigError("n_samples list is empty")
@@ -184,6 +189,8 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
                      for name in _parse_list(raw["channels"]))
     if not channels:
         raise ConfigError("channel list is empty")
+    if nakagami_m is not None and all(ch.kind != NAKAGAMI for ch in channels):
+        raise ConfigError("nakagami_m is set but no channel is nakagami")
 
     pfa_targets = tuple(_parse_float(v, "pfa_targets")
                         for v in _parse_list(raw.get("pfa_targets", "")))
@@ -217,6 +224,12 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     source = raw.get("source", MODEL).lower()
     if source not in (MODEL, WAVEFORM):
         raise ConfigError(f"source must be {MODEL!r} or {WAVEFORM!r}")
+    if pinned_signal is not None and source == WAVEFORM:
+        raise ConfigError("pinned_signal_re/_im apply to the model source only")
+
+    cdf_points = _parse_int(raw.get("cdf_points", "200"), "cdf_points")
+    if cdf_points < 200:
+        raise ConfigError(f"cdf_points must be at least 200, got {cdf_points}")
 
     return ExperimentConfig(
         detectors=detectors,
@@ -238,7 +251,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         source=source,
         glr_two_sided=_parse_bool(raw.get("glr_two_sided", "false"), "glr_two_sided"),
         threshold_grid=threshold_grid,
-        cdf_points=_parse_int(raw.get("cdf_points", "200"), "cdf_points"),
+        cdf_points=cdf_points,
         echo=dict(sorted(raw.items())),
     )
 

@@ -45,23 +45,8 @@ class ThresholdSpec:
         if not self.eta1 < self.eta2:
             raise ValueError(f"need eta1 < eta2, got ({self.eta1}, {self.eta2})")
 
-    @classmethod
-    def single(cls, eta: float) -> "ThresholdSpec":
-        return cls(eta1=float(eta))
-
-    @property
-    def eta(self) -> float:
-        return self.eta1
-
     def decide(self, statistic: float) -> bool:
         return self.eta1 < statistic < self.eta2
-
-
-@dataclass(frozen=True)
-class DetectorVerdict:
-    detector_name: str
-    statistic: float
-    decided_h1: bool
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +125,6 @@ def lr_glrd2_value(t: float, l_inband: int, p_excess: int, k: int, snr: float) -
     ratio = (1.0 + t) / (1.0 + g + t)
     return ratio**l * math.exp(
         g * (l + k + p_excess) * t / ((1.0 + t) * (1.0 + g + t)))
-
-
-# ---------------------------------------------------------------------------
-# Decision rules
-# ---------------------------------------------------------------------------
-
-def glrd1_decide(r: np.ndarray, prior: NoisePrior,
-                 thresholds: ThresholdSpec) -> DetectorVerdict:
-    """Two-sided rule on sum(r)/theta: H1 inside (eta1, eta2)."""
-    stat = t_alrd1(r, prior)
-    return DetectorVerdict("glrd1", stat, thresholds.decide(stat))
-
-
-def glrd2_decide(x: np.ndarray, y: np.ndarray, prior: NoisePrior,
-                 thresholds: ThresholdSpec) -> DetectorVerdict:
-    """Two-sided rule on sum(x)/(theta + sum(y)): H1 inside (eta1, eta2)."""
-    stat = t_alrd2(x, y, prior)
-    return DetectorVerdict("glrd2", stat, thresholds.decide(stat))
 
 
 # ---------------------------------------------------------------------------

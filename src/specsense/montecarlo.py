@@ -26,6 +26,9 @@ PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
 PHASE_EVAL_H1 = 3
 
+# share of a band rule's false-alarm budget placed above its upper edge
+_UPPER_SHARE = 0.1
+
 _TRIAL_BITS = 48
 
 
@@ -118,14 +121,6 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     return out
 
 
-def statistic_samples(cfg: sig.ScenarioConfig, detector: str,
-                      phase: int | None = None) -> np.ndarray:
-    """Statistic samples for one detector (phase defaults by hypothesis)."""
-    if phase is None:
-        phase = PHASE_EVAL_H1 if cfg.hypothesis == sig.H1 else PHASE_EVAL_H0
-    return trial_statistics(cfg, [detector], phase)[detector]
-
-
 # ---------------------------------------------------------------------------
 # Empirical CDF and calibration
 # ---------------------------------------------------------------------------
@@ -153,33 +148,30 @@ class EmpiricalCdf:
         return float(self.values[idx])
 
 
-@dataclass(frozen=True)
-class EstimatedRate:
-    """A decision rate (Pfa or Pd) with its 95% Wilson interval."""
-
-    rate: float
-    ci_low: float
-    ci_high: float
-    trials: int
-
-
-def run_trials(cfg: sig.ScenarioConfig, detector: str,
-               thresholds: det.ThresholdSpec) -> EstimatedRate:
-    """Fraction of H1 verdicts over cfg.trials independent trials."""
-    stats = statistic_samples(cfg, detector)
-    decided = (stats > thresholds.eta1) & (stats < thresholds.eta2)
-    k = int(np.sum(decided))
-    lo, hi = wilson_interval(k, cfg.trials)
-    return EstimatedRate(rate=k / cfg.trials, ci_low=lo, ci_high=hi,
-                         trials=cfg.trials)
-
-
 def empirical_cdf(cfg: sig.ScenarioConfig, detector: str) -> EmpiricalCdf:
     """H0 distribution of the decision statistic."""
     if cfg.hypothesis != sig.H0:
         raise ConfigError("empirical_cdf expects an H0 scenario")
     return EmpiricalCdf.from_samples(
         trial_statistics(cfg, [detector], PHASE_CALIBRATION)[detector])
+
+
+def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
+    """Thresholds with H0 decision mass p, read off the calibration CDF.
+
+    One-sided: P(stat > eta1 | H0) = p.  Banded: the upper tail gets
+    `_UPPER_SHARE` of the budget, P(stat > eta2 | H0) = _UPPER_SHARE * p
+    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p.
+    """
+    if not banded:
+        return det.ThresholdSpec(eta1=cdf.quantile(1.0 - p))
+    p_lo = (1.0 + _UPPER_SHARE) * p
+    if p_lo >= 1.0:
+        raise ConfigError(
+            f"target false-alarm probability {p:g} too large for a band rule "
+            f"(need below {1.0 / (1.0 + _UPPER_SHARE):.4g})")
+    return det.ThresholdSpec(eta1=cdf.quantile(1.0 - p_lo),
+                             eta2=cdf.quantile(1.0 - _UPPER_SHARE * p))
 
 
 def calibrate_threshold(cfg: sig.ScenarioConfig, detector: str,
@@ -191,34 +183,18 @@ def calibrate_threshold(cfg: sig.ScenarioConfig, detector: str,
         raise ConfigError(
             f"need target_pfa * trials >= 100 for a stable quantile "
             f"(got {target_pfa * cfg.trials:.0f})")
-    h0 = replace(cfg, hypothesis=sig.H0)
-    cdf = EmpiricalCdf.from_samples(
-        trial_statistics(h0, [detector], PHASE_CALIBRATION)[detector])
-    return cdf.quantile(1.0 - target_pfa)
+    cdf = empirical_cdf(replace(cfg, hypothesis=sig.H0), detector)
+    return _thresholds(cdf, target_pfa, banded=False).eta1
 
 
 def calibrate_two_sided(cfg: sig.ScenarioConfig, detector: str,
-                        target_pfa: float, upper_share: float = 0.1
-                        ) -> det.ThresholdSpec:
-    """Two-sided thresholds with total H0 band mass target_pfa.
-
-    The upper tail gets `upper_share` of the budget:
-    P(stat > eta2 | H0) = upper_share * target_pfa and
-    P(stat > eta1 | H0) = (1 + upper_share) * target_pfa.
-    """
-    if not (0.0 < upper_share < 1.0):
-        raise ConfigError("upper_share must lie in (0, 1)")
-    p_hi = upper_share * target_pfa
-    p_lo = (1.0 + upper_share) * target_pfa
-    if p_lo >= 1.0:
-        raise ConfigError("target false-alarm probability too large for a band rule")
-    if p_hi * cfg.trials < 100:
+                        target_pfa: float) -> det.ThresholdSpec:
+    """Two-sided thresholds with total H0 band mass target_pfa (see
+    `_thresholds` for how the budget splits between the two tails)."""
+    if _UPPER_SHARE * target_pfa * cfg.trials < 100:
         raise ConfigError("not enough trials to place the upper threshold")
-    h0 = replace(cfg, hypothesis=sig.H0)
-    cdf = EmpiricalCdf.from_samples(
-        trial_statistics(h0, [detector], PHASE_CALIBRATION)[detector])
-    thresholds = det.ThresholdSpec(eta1=cdf.quantile(1.0 - p_lo),
-                                   eta2=cdf.quantile(1.0 - p_hi))
+    cdf = empirical_cdf(replace(cfg, hypothesis=sig.H0), detector)
+    thresholds = _thresholds(cdf, target_pfa, banded=True)
     extremum = _glr_extremum(cfg, detector)
     if extremum is not None and not (thresholds.eta1 < extremum < thresholds.eta2):
         warnings.warn(
@@ -264,8 +240,8 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     three phases use disjoint random streams.
 
     GLR detectors use the one-sided rule unless cfg.glr_two_sided is
-    set, in which case the band rule is calibrated with a 10% upper tail
-    share and the reported threshold is the lower edge.
+    set, in which case the band rule of `_thresholds` is calibrated and
+    the reported threshold is the lower edge.
     """
     grid = [float(p) for p in pfa_grid]
     if any(not (0.0 < p < 1.0) for p in grid):
@@ -276,23 +252,21 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
         raise ConfigError("not enough trials for the smallest pfa target")
 
     h0 = replace(cfg, hypothesis=sig.H0)
-    h1 = replace(cfg, hypothesis=sig.H1)
     cal = trial_statistics(h0, detector_names, PHASE_CALIBRATION)
-    s0 = trial_statistics(h0, detector_names, PHASE_EVAL_H0)
-    s1 = trial_statistics(h1, detector_names, PHASE_EVAL_H1)
-
-    out: dict[str, list[RocPoint]] = {}
+    specs = {}
     for name in detector_names:
         banded = cfg.glr_two_sided and det.detector_def(name).two_sided_capable
         cdf = EmpiricalCdf.from_samples(cal[name])
+        specs[name] = [_thresholds(cdf, p, banded) for p in grid]
+    s0 = trial_statistics(h0, detector_names, PHASE_EVAL_H0)
+    s1 = trial_statistics(replace(cfg, hypothesis=sig.H1), detector_names,
+                          PHASE_EVAL_H1)
+
+    out: dict[str, list[RocPoint]] = {}
+    for name in detector_names:
         points = []
-        for p in grid:
-            if banded:
-                thr = cdf.quantile(1.0 - 1.1 * p)
-                upper = cdf.quantile(1.0 - 0.1 * p)
-            else:
-                thr = cdf.quantile(1.0 - p)
-                upper = math.inf
+        for p, spec in zip(grid, specs[name]):
+            thr, upper = spec.eta1, spec.eta2
             pfa_emp = float(np.mean((s0[name] > thr) & (s0[name] < upper)))
             k = int(np.sum((s1[name] > thr) & (s1[name] < upper)))
             lo, hi = wilson_interval(k, cfg.trials)
@@ -301,9 +275,3 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                                    pd_ci_low=lo, pd_ci_high=hi, threshold=thr))
         out[name] = points
     return out
-
-
-def roc_sweep(cfg: sig.ScenarioConfig, detector: str,
-              pfa_grid: Iterable[float]) -> list[RocPoint]:
-    """Single-detector ROC sweep (see `roc_sweep_multi`)."""
-    return list(roc_sweep_multi(cfg, [detector], pfa_grid)[detector])

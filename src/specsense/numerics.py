@@ -14,60 +14,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
-
-_MAX_ITER = 600
-_EPS = 1e-16
-_TINY = 1e-300
+from scipy.special import erfc, erfcinv, gammainc, gammaincc
 
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma by power series, for x < s + 1."""
-    term = 1.0 / s
-    total = term
-    a = s
-    for _ in range(_MAX_ITER):
-        a += 1.0
-        term *= x / a
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _upper_continued_fraction(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma by Lentz continued fraction, x >= s + 1."""
-    b = x + 1.0 - s
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
+def _gamma_args(s: float, x: float) -> tuple[float, float]:
+    s = float(s)
+    x = float(x)
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"shape must be finite and positive, got {s}")
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"integration limit must be finite and >= 0, got {x}")
+    return s, x
 
 
 def reg_upper_gamma(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
 
-    Series expansion for x < s + 1 and a continued fraction otherwise,
-    accurate to roughly 1e-12 relative error.  Monotone nonincreasing in
-    x with Q(s, 0) = 1.
+    Evaluated by `scipy.special.gammaincc`.  Monotone nonincreasing in x
+    with Q(s, 0) = 1.
 
     Parameters
     ----------
@@ -78,32 +46,12 @@ def reg_upper_gamma(s: float, x: float) -> float:
     ------
     ValueError : on non-finite input, s <= 0 or x < 0
     """
-    s = float(s)
-    x = float(x)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"shape must be finite and positive, got {s}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"integration limit must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(s, x)))
-    return min(1.0, max(0.0, _upper_continued_fraction(s, x)))
+    return float(gammaincc(*_gamma_args(s, x)))
 
 
 def reg_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = 1 - Q(s, x)."""
-    s = float(s)
-    x = float(x)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"shape must be finite and positive, got {s}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"integration limit must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return min(1.0, max(0.0, _lower_series(s, x)))
-    return min(1.0, max(0.0, 1.0 - _upper_continued_fraction(s, x)))
+    return float(gammainc(*_gamma_args(s, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +95,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 1 << 128:
+            raise ValueError("master_seed must lie in [0, 2**128): the Philox "
+                             "key is its 128 low bits, so other seeds alias")
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 

@@ -1,4 +1,4 @@
-"""Observation forms: squared envelopes and split frequency bins.
+"""Squared envelopes and split frequency bins of a sensing block.
 
 A sensing block of N complex samples is reduced to either the
 time-domain squared envelopes r, or the magnitude-squared DFT bins
@@ -10,7 +10,7 @@ exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +34,6 @@ class BandGeometry:
             raise ConfigError(
                 "excess band is empty; the excess-band detectors are undefined"
             )
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One trial's data, in time form (r) or frequency form (x, y).
-
-    Means are computed once at construction and cached.
-    """
-
-    r: np.ndarray | None = None
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    r_mean: float = field(default=float("nan"))
-    x_mean: float = field(default=float("nan"))
-    y_mean: float = field(default=float("nan"))
-
-    @classmethod
-    def from_time(cls, r: np.ndarray) -> "Observation":
-        r = np.asarray(r, dtype=float)
-        return cls(r=r, r_mean=float(np.mean(r)))
-
-    @classmethod
-    def from_bins(cls, x: np.ndarray, y: np.ndarray) -> "Observation":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return cls(x=x, y=y, x_mean=float(np.mean(x)), y_mean=float(np.mean(y)))
 
 
 def squared_envelope(z: np.ndarray) -> np.ndarray:

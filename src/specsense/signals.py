@@ -131,6 +131,8 @@ class ScenarioConfig:
             raise ConfigError(f"hypothesis must be {H0!r} or {H1!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if not 0 <= self.master_seed < 1 << 128:
+            raise ConfigError("master seed must lie in [0, 2**128)")
         if self.source not in (MODEL, WAVEFORM):
             raise ConfigError(f"unknown observation source {self.source!r}")
         if self.noise_power is not None and self.noise_power <= 0:

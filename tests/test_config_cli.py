@@ -66,6 +66,33 @@ class TestParsing:
         with pytest.raises(ConfigError, match="nakagami_m"):
             experiment_from_mapping(raw)
 
+    def test_nakagami_m_requires_nakagami_channel(self):
+        raw = parse_config_text(MINIMAL + "nakagami_m = 2\n")
+        with pytest.raises(ConfigError, match="nakagami_m"):
+            experiment_from_mapping(raw)
+
+    def test_pinned_signal_rejected_for_waveform(self):
+        raw = parse_config_text(MINIMAL + "source = waveform\npinned_signal_re = 1\n")
+        with pytest.raises(ConfigError, match="pinned_signal"):
+            experiment_from_mapping(raw)
+
+    def test_duplicate_detector(self):
+        raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
+                                                "detectors = alrd1, alrd1"))
+        with pytest.raises(ConfigError, match="duplicate detector"):
+            experiment_from_mapping(raw)
+
+    def test_unknown_detector(self):
+        raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
+                                                "detectors = alrd1, alrd3"))
+        with pytest.raises(ConfigError, match="unknown detector"):
+            experiment_from_mapping(raw)
+
+    def test_cdf_points_below_200_rejected(self):
+        raw = parse_config_text(MINIMAL + "cdf_points = 50\n")
+        with pytest.raises(ConfigError, match="cdf_points"):
+            experiment_from_mapping(raw)
+
     def test_empty_detectors(self):
         with pytest.raises(ConfigError):
             parse_config_text("detectors = ")
@@ -144,6 +171,17 @@ class TestCliRoc:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["roc", str(tmp_path / "nope.conf")]) == 1
 
+    def test_band_rule_target_too_large_exit_code(self, tmp_path):
+        conf = write_config(tmp_path, ROC_CONF.replace(
+            "detectors = alrd1, alrd2", "detectors = glrd1").replace(
+            "pfa_targets = 0.05, 0.1, 0.3", "pfa_targets = 0.1, 0.95")
+            + "glr_two_sided = true\n")
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 1
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["roc", str(conf), "--out", str(tmp_path), "--seed", "-1"]) == 1
+
     def test_missing_targets_exit_code(self, tmp_path):
         conf = write_config(tmp_path, ROC_CONF.replace(
             "pfa_targets = 0.05, 0.1, 0.3", ""))
@@ -216,6 +254,17 @@ class TestCliCurves:
                 assert pfas[0] == 1.0
             assert all(a >= b - 1e-12 for a, b in zip(pfas, pfas[1:]))
 
+    def test_glrd1_uses_the_alrd1_forms(self, tmp_path):
+        # the one-sided GLRD1 rule shares the ALRD1 statistic and closed forms
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "detectors = optimal, alrd1, alrd2", "detectors = alrd1, glrd1"))
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "exp_curves.csv").read_text().splitlines()[2:]]
+        alrd1 = [r[1:] for r in rows if r[0] == "alrd1"]
+        assert alrd1 == [r[1:] for r in rows if r[0] == "glrd1"]
+        assert len(alrd1) == 81
+
     def test_requires_grid(self, tmp_path):
         conf = write_config(tmp_path, CURVES_CONF.replace(
             "threshold_min = 0\n", "").replace(
@@ -234,6 +283,7 @@ class TestCliCalibrate:
         assert len(lines) == 2 + 2
         out = capsys.readouterr().out
         assert "threshold" in out
+        assert out.splitlines()[-1].startswith("wrote ")
 
     def test_insufficient_trials(self, tmp_path):
         conf = write_config(tmp_path, ROC_CONF.replace("trials = 3000",

@@ -6,11 +6,8 @@ from scipy import stats
 
 from specsense.errors import ConfigError
 from specsense.detectors import (
-    DetectorVerdict,
     ThresholdSpec,
     detector_statistic,
-    glrd1_decide,
-    glrd2_decide,
     lr_glrd1_value,
     lr_glrd2_value,
     mu_glrd1,
@@ -28,8 +25,8 @@ PRIOR = NoisePrior(k=4, theta=2.0)
 
 class TestThresholdSpec:
     def test_single_is_upper_open_band(self):
-        t = ThresholdSpec.single(2.0)
-        assert t.eta == 2.0 and t.eta2 == math.inf
+        t = ThresholdSpec(eta1=2.0)
+        assert t.eta1 == 2.0 and t.eta2 == math.inf
         assert t.decide(3.0) and not t.decide(1.0)
 
     def test_ordering_enforced(self):
@@ -165,17 +162,14 @@ class TestDecisionRules:
     def test_glrd1_cases(self):
         thr = ThresholdSpec(eta1=2.0, eta2=10.0)
         prior = NoisePrior(k=1, theta=1.0)
-        low = glrd1_decide(np.full(20, 0.05), prior, thr)   # stat = 1
-        mid = glrd1_decide(np.full(20, 0.25), prior, thr)   # stat = 5
-        high = glrd1_decide(np.full(20, 1.0), prior, thr)   # stat = 20
-        assert (low.decided_h1, mid.decided_h1, high.decided_h1) == (False, True, False)
-        assert isinstance(low, DetectorVerdict)
+        verdicts = [thr.decide(t_alrd1(np.full(20, v), prior))
+                    for v in (0.05, 0.25, 1.0)]             # stat = 1, 5, 20
+        assert verdicts == [False, True, False]
 
     def test_glrd2_above_band_is_h0(self):
         thr = ThresholdSpec(eta1=1.0, eta2=4.0)
         prior = NoisePrior(k=1, theta=1.0)
-        v = glrd2_decide(np.full(16, 100.0), np.full(4, 1.0), prior, thr)
-        assert not v.decided_h1
+        assert not thr.decide(t_alrd2(np.full(16, 100.0), np.full(4, 1.0), prior))
 
     def test_one_sided_reduction_exact(self):
         rng = RngStream(405).generator()
@@ -184,11 +178,10 @@ class TestDecisionRules:
         prior = PRIOR
         for _ in range(1000):
             r = rng.exponential(1.0, 20)
-            assert glrd1_decide(r, prior, band).decided_h1 == (t_alrd1(r, prior) > eta)
             x = rng.exponential(20.0, 16)
             y = rng.exponential(20.0, 4)
-            assert glrd2_decide(x, y, prior, band).decided_h1 == (
-                t_alrd2(x, y, prior) > eta)
+            for t in (t_alrd1(r, prior), t_alrd2(x, y, prior)):
+                assert band.decide(t) == (t > eta)
 
 
 class TestDetectionBeatsFalseAlarm:

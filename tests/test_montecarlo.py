@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specsense.analysis import pfa_alrd1, pfa_opt
-from specsense.detectors import ThresholdSpec, mu_glrd1
+from specsense.detectors import mu_glrd1
 from specsense.errors import ConfigError
 from specsense.montecarlo import (
     PHASE_CALIBRATION,
@@ -15,10 +15,7 @@ from specsense.montecarlo import (
     calibrate_threshold,
     calibrate_two_sided,
     empirical_cdf,
-    roc_sweep,
     roc_sweep_multi,
-    run_trials,
-    statistic_samples,
     trial_statistics,
     wilson_interval,
 )
@@ -89,22 +86,21 @@ class TestTrialEngine:
     def test_zero_snr_hypotheses_indistinguishable(self):
         cfg0 = make_cfg(H0, snr=0.0, trials=20_000)
         cfg1 = make_cfg(H1, snr=0.0, trials=20_000)
-        thr = ThresholdSpec.single(4.0)
         for det in ("alrd1", "alrd2"):
-            pfa = run_trials(cfg0, det, thr)
-            pd = run_trials(cfg1, det, thr)
-            se = math.sqrt(pfa.rate * (1 - pfa.rate) / cfg0.trials
-                           + pd.rate * (1 - pd.rate) / cfg1.trials)
-            assert abs(pd.rate - pfa.rate) <= 3 * se + 1e-12
+            pfa = np.mean(trial_statistics(cfg0, [det], PHASE_EVAL_H0)[det] > 4.0)
+            pd = np.mean(trial_statistics(cfg1, [det], PHASE_EVAL_H1)[det] > 4.0)
+            se = math.sqrt(pfa * (1 - pfa) / cfg0.trials
+                           + pd * (1 - pd) / cfg1.trials)
+            assert abs(pd - pfa) <= 3 * se + 1e-12
 
     def test_zero_threshold_always_decides_h1(self):
         cfg = make_cfg(H0, trials=2000)
-        res = run_trials(cfg, "alrd1", ThresholdSpec.single(0.0))
-        assert res.rate == 1.0
+        stats = trial_statistics(cfg, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
+        assert np.all(stats > 0.0)
 
     def test_alrd1_fixed_alpha_matches_closed_form(self):
         cfg = make_cfg(H0, trials=100_000, noise_power=1.0)
-        stats = statistic_samples(cfg, "alrd1")
+        stats = trial_statistics(cfg, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
         for eta in (8.0, 10.0, 14.0):
             emp = float(np.mean(stats > eta))
             assert abs(emp - pfa_alrd1(20, 1.0, PRIOR, eta)) < 0.01
@@ -112,8 +108,8 @@ class TestTrialEngine:
     def test_waveform_source_runs_and_matches_h0_rates(self):
         cfg_m = make_cfg(H0, trials=20_000, noise_power=1.0)
         cfg_w = replace(cfg_m, source=WAVEFORM)
-        sm = statistic_samples(cfg_m, "alrd2")
-        sw = statistic_samples(cfg_w, "alrd2")
+        sm = trial_statistics(cfg_m, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
+        sw = trial_statistics(cfg_w, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         thr = np.quantile(sm, 0.9)
         # same H0 law through either path
         assert abs(np.mean(sw > thr) - 0.1) < 0.01
@@ -177,7 +173,7 @@ class TestCalibration:
         cfg = make_cfg(H0, trials=100_000)
         thr = calibrate_threshold(cfg, "alrd2", 0.1)
         fresh = replace(cfg, master_seed=cfg.master_seed + 1)
-        stats = statistic_samples(fresh, "alrd2")
+        stats = trial_statistics(fresh, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         assert abs(np.mean(stats > thr) - 0.1) < 0.01
 
     def test_independent_seed_within_ten_percent(self):
@@ -185,15 +181,16 @@ class TestCalibration:
         for target in (0.05, 0.2):
             thr = calibrate_threshold(cfg, "alrd1", target)
             fresh = replace(cfg, master_seed=12345)
-            emp = float(np.mean(statistic_samples(fresh, "alrd1") > thr))
+            stats = trial_statistics(fresh, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
+            emp = float(np.mean(stats > thr))
             assert 0.9 * target <= emp <= 1.1 * target
 
     def test_two_sided_band_mass(self):
         cfg = make_cfg(H0, trials=100_000)
-        thr = calibrate_two_sided(cfg, "glrd1", 0.1, upper_share=0.1)
+        thr = calibrate_two_sided(cfg, "glrd1", 0.1)
         assert thr.eta1 < thr.eta2
         fresh = replace(cfg, master_seed=777)
-        stats = statistic_samples(fresh, "glrd1")
+        stats = trial_statistics(fresh, ["glrd1"], PHASE_EVAL_H0)["glrd1"]
         band = np.mean((stats > thr.eta1) & (stats < thr.eta2))
         assert abs(band - 0.1) < 0.01
 
@@ -220,7 +217,7 @@ class TestCalibration:
 class TestRocSweep:
     def test_points_and_monotonicity(self):
         cfg = make_cfg(H1, trials=20_000)
-        pts = roc_sweep(cfg, "alrd2", [0.01, 0.05, 0.1, 0.3, 0.6])
+        pts = roc_sweep_multi(cfg, ["alrd2"], [0.01, 0.05, 0.1, 0.3, 0.6])["alrd2"]
         pds = [p.pd_empirical for p in pts]
         for a, b, pa, pb in zip(pts, pts[1:], pds, pds[1:]):
             assert pb >= pa - (a.pd_ci_high - a.pd_ci_low)
@@ -230,7 +227,7 @@ class TestRocSweep:
 
     def test_endpoint_target_near_one(self):
         cfg = make_cfg(H1, trials=20_000)
-        pts = roc_sweep(cfg, "alrd1", [0.99])
+        pts = roc_sweep_multi(cfg, ["alrd1"], [0.99])["alrd1"]
         assert pts[0].pd_empirical > 0.97
 
     def test_larger_blocks_improve_every_detector(self):
@@ -254,20 +251,34 @@ class TestRocSweep:
     def test_grid_validation(self):
         cfg = make_cfg(H1, trials=20_000)
         with pytest.raises(ConfigError):
-            roc_sweep(cfg, "alrd1", [0.5, 0.1])
+            roc_sweep_multi(cfg, ["alrd1"], [0.5, 0.1])
         with pytest.raises(ConfigError):
-            roc_sweep(cfg, "alrd1", [0.0, 0.5])
+            roc_sweep_multi(cfg, ["alrd1"], [0.0, 0.5])
 
     def test_fading_channels_run(self):
         cfg = make_cfg(H1, trials=5000, channel=ChannelSpec(RAYLEIGH))
-        pts = roc_sweep(cfg, "alrd2", [0.1, 0.3])
+        pts = roc_sweep_multi(cfg, ["alrd2"], [0.1, 0.3])["alrd2"]
         assert all(0 <= p.pd_empirical <= 1 for p in pts)
 
     def test_two_sided_flag_calibrates_band(self):
         cfg = replace(make_cfg(H1, trials=50_000), glr_two_sided=True)
-        banded = roc_sweep(cfg, "glrd1", [0.1, 0.3])
-        plain = roc_sweep(replace(cfg, glr_two_sided=False), "glrd1", [0.1, 0.3])
+        banded = roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
+        plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
+                                [0.1, 0.3])["glrd1"]
         for b, o in zip(banded, plain):
             assert abs(b.pfa_empirical - b.pfa_target) < 0.01
             # the band gives up its upper-tail share of detections
             assert b.pd_empirical <= o.pd_empirical + 0.01
+
+    def test_band_rule_rejects_target_above_budget(self):
+        # a band rule spends (1 + 0.1) * target below its lower edge, so a
+        # target of 1/1.1 or more has no lower quantile to place
+        cfg = replace(make_cfg(H1, trials=2000), glr_two_sided=True)
+        with pytest.raises(ConfigError, match="band rule"):
+            roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.95])
+        with pytest.raises(ConfigError, match="band rule"):
+            calibrate_two_sided(make_cfg(H0, trials=2000), "glrd1", 0.95)
+        # the one-sided rule of the same detector accepts the target
+        plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
+                                [0.1, 0.95])["glrd1"]
+        assert abs(plain[1].pfa_empirical - 0.95) < 0.03

@@ -198,3 +198,11 @@ class TestRngStream:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             RngStream(1, -1)
+
+    def test_master_seed_outside_key_space_rejected(self):
+        # the Philox key holds 128 bits: -1 would alias 2**128 - 1, and
+        # 5 + 2**128 would alias 5
+        RngStream(2**128 - 1).generator()
+        for seed in (-1, 2**128, 5 + 2**128):
+            with pytest.raises(ValueError, match="master_seed"):
+                RngStream(seed)

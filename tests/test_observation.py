@@ -8,7 +8,6 @@ from specsense.errors import ConfigError
 from specsense.numerics import RngStream, complex_gaussian
 from specsense.observation import (
     BandGeometry,
-    Observation,
     band_geometry,
     band_split_indices,
     split_bands,
@@ -124,14 +123,3 @@ class TestSplitBands:
         with pytest.raises(ValueError):
             BandGeometry(n_total=5, l_inband=3, p_excess=1)
 
-
-class TestObservation:
-    def test_time_mean_cached_exactly(self):
-        r = np.array([1.0, 2.0, 4.0])
-        obs = Observation.from_time(r)
-        assert obs.r_mean == np.mean(r)
-
-    def test_bins_means_cached_exactly(self):
-        obs = Observation.from_bins(np.array([2.0, 4.0]), np.array([1.0, 3.0, 5.0]))
-        assert obs.x_mean == 3.0
-        assert obs.y_mean == 3.0

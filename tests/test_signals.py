@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from specsense.errors import ConfigError
 from specsense.numerics import RngStream, reg_lower_gamma
 from specsense.observation import split_bands, spectrum_bins
 from specsense.signals import (
@@ -49,6 +50,12 @@ class TestPriorTypes:
                        sample_rate_hz=54_000.0, snr_linear=1.0)
         with pytest.raises(ValueError):
             SignalSpec(54_000.0, 0.0, 67_500.0, 1.0)
+
+    def test_master_seed_range(self):
+        assert make_cfg(seed=2**128 - 1).master_seed == 2**128 - 1
+        for seed in (-1, 2**128):
+            with pytest.raises(ConfigError, match="master seed"):
+                make_cfg(seed=seed)
 
 
 class TestDrawNoisePower:
