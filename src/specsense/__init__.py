@@ -28,7 +28,7 @@ from .analysis import (
 from .detectors import (
     DETECTORS,
     ThresholdSpec,
-    detector_statistic,
+    detector,
     lr_glrd1_value,
     lr_glrd2_value,
     mu_glrd1,

@@ -4,9 +4,11 @@ false-alarm and detection probabilities, prior averaging, moments.
 Conventions.  All detection/false-alarm expressions are conditional on
 the true noise power alpha unless averaged explicitly.  Thresholds are
 on the statistic scales defined in `detectors`: the optimal detector's
-threshold applies to the energy sum, the ALRD1/GLRD1 threshold to
-sum(r)/theta (so its tail argument is eta*theta/alpha), and the
-ALRD2/GLRD2 threshold to sum(x)/(theta + sum(y)).
+threshold applies to the energy sum divided by the true noise power
+(`pfa_opt`/`pd_opt` at alpha = 1; other alpha values describe the raw
+energy sum), the ALRD1/GLRD1 threshold to sum(r)/theta (so its tail
+argument is eta*theta/alpha), and the ALRD2/GLRD2 threshold to
+sum(x)/(theta + sum(y)).
 
 The Gaussian (CLT) expressions for the excess-band detectors use the
 linearized statistic sum(x) - eta*sum(y) compared against eta*theta,

@@ -185,8 +185,8 @@ def cmd_curves(args) -> int:
         return exp.scenario(exp.n_samples[0], exp.channels[0]).geometry
 
     def check(exp):
-        if len(exp.n_samples) != 1:
-            raise ConfigError("curves expects a single n_samples value")
+        if len(exp.n_samples) != 1 or len(exp.channels) != 1:
+            raise ConfigError("curves expects a single n_samples value and channel")
         if exp.threshold_grid is None:
             raise ConfigError(
                 "curves requires threshold_min/threshold_max/threshold_points")
@@ -246,6 +246,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    if not 0 <= seed < 1 << 128:
+        raise ConfigError("master seed must lie in [0, 2**128)")
     results = run_validation(seed)
     all_passed = True
     for res in results:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detectors import detector_def
+from .detectors import detector
 from .errors import ConfigError
 from .signals import (
     AWGN,
@@ -173,7 +173,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     if not detectors:
         raise ConfigError("detector list is empty")
     for name in detectors:
-        detector_def(name)
+        detector(name)
     if len(set(detectors)) < len(detectors):
         raise ConfigError(f"duplicate detector names in {raw['detectors']!r}")
     n_samples = tuple(_parse_int(v, "n_samples") for v in _parse_list(raw["n_samples"]))

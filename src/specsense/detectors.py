@@ -12,14 +12,16 @@ the default operating mode.
 
 Statistic conventions: `t_opt` is the plain energy sum of the squared
 envelopes; `t_alrd1` divides it by the prior rate theta; `t_alrd2` is
-sum(x) / (theta + sum(y)).  All thresholds in this package live on these
-scales.
+sum(x) / (theta + sum(y)).  The `DETECTORS` table maps each name to its
+statistic on these scales (for `optimal`, the energy sum divided by the
+true noise power), which is where all thresholds in this package live.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,37 +47,39 @@ class ThresholdSpec:
         if not self.eta1 < self.eta2:
             raise ValueError(f"need eta1 < eta2, got ({self.eta1}, {self.eta2})")
 
-    def decide(self, statistic: float) -> bool:
-        return self.eta1 < statistic < self.eta2
+    def decide(self, statistic):
+        """H1 verdict per statistic value (elementwise on arrays)."""
+        return (self.eta1 < statistic) & (statistic < self.eta2)
 
 
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
 
-def t_opt(r: np.ndarray) -> float:
-    """Energy statistic sum(r); decide H1 when it exceeds the threshold."""
-    return float(np.asarray(r).sum())
+def t_opt(r: np.ndarray):
+    """Energy statistic sum(r) over the last axis; decide H1 when it
+    exceeds the threshold."""
+    return np.asarray(r).sum(axis=-1)
 
 
-def t_alrd1(r: np.ndarray, prior: NoisePrior) -> float:
+def t_alrd1(r: np.ndarray, prior: NoisePrior):
     """Prior-scaled energy statistic sum(r) / theta."""
-    return float(np.asarray(r).sum()) / prior.theta
+    return t_opt(r) / prior.theta
 
 
-def t_alrd2(x: np.ndarray, y: np.ndarray, prior: NoisePrior) -> float:
+def t_alrd2(x: np.ndarray, y: np.ndarray, prior: NoisePrior):
     """Excess-band-normalized statistic sum(x) / (theta + sum(y))."""
-    return float(np.asarray(x).sum()) / (prior.theta + float(np.asarray(y).sum()))
+    return t_opt(x) / (prior.theta + t_opt(y))
 
 
-def phi_statistic(x: np.ndarray, y: np.ndarray, eta: float) -> float:
+def phi_statistic(x: np.ndarray, y: np.ndarray, eta: float):
     """Linearized form sum(x) - eta * sum(y).
 
     Deciding H1 when it exceeds eta * theta is algebraically identical to
     t_alrd2 > eta; this form is what the Gaussian-approximation
     performance expressions are written for.
     """
-    return float(np.asarray(x).sum()) - eta * float(np.asarray(y).sum())
+    return t_opt(x) - eta * t_opt(y)
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +102,12 @@ def mu_glrd1(n_samples: int, k: int, snr: float) -> float:
 
 def rho_glrd2(l_inband: int, p_excess: int, k: int, snr: float) -> float:
     """Location of the single maximum of the frequency-domain GLR in
-    t = sum(x) / (theta + sum(y)); same algebraic form as `mu_glrd1`
-    with L in place of N and k+P in place of k.
+    t = sum(x) / (theta + sum(y)): `mu_glrd1` with L in place of N and
+    k+P in place of k.
     """
-    kp = k + p_excess
-    if kp < 1:
+    if k + p_excess < 1:
         raise ValueError("k + P must be >= 1")
-    l = float(l_inband)
-    g = float(snr)
-    disc = (2.0 + g) ** 2 * l**2 + 4.0 * kp * (1.0 + g) * (2.0 * l + kp)
-    return (l * (2.0 + g) + math.sqrt(disc)) / (2.0 * kp)
+    return mu_glrd1(l_inband, k + p_excess, snr)
 
 
 def lr_glrd1_value(t: float, n_samples: int, k: int, snr: float) -> float:
@@ -120,15 +120,11 @@ def lr_glrd1_value(t: float, n_samples: int, k: int, snr: float) -> float:
 
 def lr_glrd2_value(t: float, l_inband: int, p_excess: int, k: int, snr: float) -> float:
     """Frequency-domain GLR evaluated at t = sum(x)/(theta + sum(y))."""
-    l = float(l_inband)
-    g = float(snr)
-    ratio = (1.0 + t) / (1.0 + g + t)
-    return ratio**l * math.exp(
-        g * (l + k + p_excess) * t / ((1.0 + t) * (1.0 + g + t)))
+    return lr_glrd1_value(t, l_inband, k + p_excess, snr)
 
 
 # ---------------------------------------------------------------------------
-# Registry used by the Monte Carlo engine
+# Detector table used by the Monte Carlo engine
 # ---------------------------------------------------------------------------
 
 TIME = "time"
@@ -136,50 +132,38 @@ FREQ = "freq"
 
 
 @dataclass(frozen=True)
-class DetectorDef:
-    name: str
-    domain: str          # which observation form the statistic consumes
-    two_sided_capable: bool = False
+class Detector:
+    """One detector: the observation form it reads and how it decides.
+
+    `statistic(obs, alpha, prior)` reduces the squared envelopes r (TIME)
+    or the split bins (x, y) (FREQ) over the last axis; only `optimal`
+    reads alpha, normalizing its energy sum by the true noise power so one
+    threshold applies across trials with varying noise.  `peak(n, geom, k,
+    snr)` locates the likelihood maximum of a GLR detector; a row with a
+    peak takes the band rule when two-sided operation is requested.
+    """
+
+    domain: str
+    statistic: Callable
+    peak: Callable | None = None
 
 
 DETECTORS = {
-    "optimal": DetectorDef("optimal", TIME),
-    "alrd1": DetectorDef("alrd1", TIME),
-    "glrd1": DetectorDef("glrd1", TIME, two_sided_capable=True),
-    "alrd2": DetectorDef("alrd2", FREQ),
-    "glrd2": DetectorDef("glrd2", FREQ, two_sided_capable=True),
+    "optimal": Detector(TIME, lambda r, alpha, prior: t_opt(r) / alpha),
+    "alrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior)),
+    "glrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior),
+                      peak=lambda n, geom, k, snr: mu_glrd1(n, k, snr)),
+    "alrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior)),
+    "glrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior),
+                      peak=lambda n, geom, k, snr: rho_glrd2(
+                          geom.l_inband, geom.p_excess, k, snr)),
 }
 
 
-def detector_def(name: str) -> DetectorDef:
+def detector(name: str) -> Detector:
     try:
         return DETECTORS[name]
     except KeyError:
         raise ConfigError(
             f"unknown detector {name!r}; expected one of {sorted(DETECTORS)}"
         ) from None
-
-
-def detector_statistic(name: str, *, prior: NoisePrior,
-                       r: np.ndarray | None = None,
-                       x: np.ndarray | None = None,
-                       y: np.ndarray | None = None,
-                       true_noise_power: float | None = None) -> float:
-    """Statistic value for a registered detector on one trial.
-
-    The optimal detector is the known-noise-power reference: its energy
-    sum is normalized by the trial's true noise power so a single
-    threshold applies across trials with varying noise.
-    """
-    d = detector_def(name)
-    if d.domain == TIME:
-        if r is None:
-            raise ConfigError(f"detector {name!r} needs time-domain samples")
-        if name == "optimal":
-            if true_noise_power is None:
-                raise ConfigError("optimal detector needs the true noise power")
-            return t_opt(r) / true_noise_power
-        return t_alrd1(r, prior)
-    if x is None or y is None:
-        raise ConfigError(f"detector {name!r} needs split frequency bins")
-    return t_alrd2(x, y, prior)

@@ -20,7 +20,7 @@ from . import detectors as det
 from . import signals as sig
 from .errors import ConfigError, NumericFailure
 from .numerics import RngStream, complex_gaussian
-from .observation import spectrum_bins, split_bands, squared_envelope
+from .observation import spectrum_bins, squared_envelope
 
 PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
@@ -56,9 +56,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 # Per-trial simulation
 # ---------------------------------------------------------------------------
 
-def _simulate_trial(cfg: sig.ScenarioConfig, need_time: bool, need_freq: bool,
-                    rng: RngStream):
-    """One trial's observations plus the drawn noise power.
+def _simulate_trial(cfg: sig.ScenarioConfig, domains: set[str], rng: RngStream):
+    """One trial's observation per domain plus the drawn noise power.
 
     Model source: time samples are white (signal and noise i.i.d. per
     sample), frequency bins come straight from the bin model.  Waveform
@@ -76,27 +75,29 @@ def _simulate_trial(cfg: sig.ScenarioConfig, need_time: bool, need_freq: bool,
         else:
             h = complex(sig.channel_gain(cfg.channel, gen))
 
-    r = x = y = None
+    obs = {}
     if cfg.source == sig.WAVEFORM:
         z = sig.generate_time_block(cfg, alpha, h, gen)
-        if need_time:
-            r = squared_envelope(z)
-        if need_freq:
-            x, y, _ = split_bands(spectrum_bins(z), cfg.signal)
-        return r, x, y, alpha
+        if det.TIME in domains:
+            obs[det.TIME] = squared_envelope(z)
+        if det.FREQ in domains:
+            w = spectrum_bins(z)
+            inband, excess = cfg.bands
+            obs[det.FREQ] = w[inband], w[excess]
+        return obs, alpha
 
     n = cfg.n_samples
     snr = cfg.signal.snr_linear
-    if need_time:
+    if det.TIME in domains:
         noise = complex_gaussian(alpha, gen, size=n)
         if cfg.hypothesis == sig.H1:
             z = h * complex_gaussian(alpha * snr, gen, size=n) + noise
         else:
             z = noise
-        r = squared_envelope(z)
-    if need_freq:
-        x, y = sig.generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
-    return r, x, y, alpha
+        obs[det.TIME] = squared_envelope(z)
+    if det.FREQ in domains:
+        obs[det.FREQ] = sig.generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
+    return obs, alpha
 
 
 def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
@@ -105,16 +106,13 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
 
     Returns one array of length cfg.trials per detector name.
     """
-    defs = [det.detector_def(name) for name in detector_names]
-    need_time = any(d.domain == det.TIME for d in defs)
-    need_freq = any(d.domain == det.FREQ for d in defs)
-    out = {d.name: np.empty(cfg.trials) for d in defs}
+    rows = {name: det.detector(name) for name in detector_names}
+    domains = {row.domain for row in rows.values()}
+    out = {name: np.empty(cfg.trials) for name in rows}
     for i in range(cfg.trials):
-        rng = trial_stream(cfg.master_seed, phase, i)
-        r, x, y, alpha = _simulate_trial(cfg, need_time, need_freq, rng)
-        for d in defs:
-            out[d.name][i] = det.detector_statistic(
-                d.name, prior=cfg.prior, r=r, x=x, y=y, true_noise_power=alpha)
+        obs, alpha = _simulate_trial(cfg, domains, trial_stream(cfg.master_seed, phase, i))
+        for name, row in rows.items():
+            out[name][i] = row.statistic(obs[row.domain], alpha, cfg.prior)
     for name, vals in out.items():
         if not np.all(np.isfinite(vals)):
             raise NumericFailure(f"non-finite statistic produced by {name!r}")
@@ -205,15 +203,12 @@ def calibrate_two_sided(cfg: sig.ScenarioConfig, detector: str,
 
 
 def _glr_extremum(cfg: sig.ScenarioConfig, detector: str) -> float | None:
+    row = det.detector(detector)
     snr = cfg.signal.snr_linear
-    if snr == 0.0:
+    if row.peak is None or snr == 0.0:
         return None
-    if detector == "glrd1":
-        return det.mu_glrd1(cfg.n_samples, cfg.prior.k, snr)
-    if detector == "glrd2":
-        geom = cfg.geometry
-        return det.rho_glrd2(geom.l_inband, geom.p_excess, cfg.prior.k, snr)
-    return None
+    geom = cfg.geometry if row.domain == det.FREQ else None
+    return row.peak(cfg.n_samples, geom, cfg.prior.k, snr)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +250,7 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     cal = trial_statistics(h0, detector_names, PHASE_CALIBRATION)
     specs = {}
     for name in detector_names:
-        banded = cfg.glr_two_sided and det.detector_def(name).two_sided_capable
+        banded = cfg.glr_two_sided and det.detector(name).peak is not None
         cdf = EmpiricalCdf.from_samples(cal[name])
         specs[name] = [_thresholds(cdf, p, banded) for p in grid]
     s0 = trial_statistics(h0, detector_names, PHASE_EVAL_H0)
@@ -266,12 +261,11 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     for name in detector_names:
         points = []
         for p, spec in zip(grid, specs[name]):
-            thr, upper = spec.eta1, spec.eta2
-            pfa_emp = float(np.mean((s0[name] > thr) & (s0[name] < upper)))
-            k = int(np.sum((s1[name] > thr) & (s1[name] < upper)))
+            pfa_emp = float(np.mean(spec.decide(s0[name])))
+            k = int(np.sum(spec.decide(s1[name])))
             lo, hi = wilson_interval(k, cfg.trials)
             points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
                                    pd_empirical=k / cfg.trials,
-                                   pd_ci_low=lo, pd_ci_high=hi, threshold=thr))
+                                   pd_ci_low=lo, pd_ci_high=hi, threshold=spec.eta1))
         out[name] = points
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numerics import as_generator, complex_gaussian, gamma_sample
-from .observation import band_geometry
+from .observation import band_geometry, band_split_indices
 
 H0 = "h0"
 H1 = "h1"
@@ -141,6 +141,11 @@ class ScenarioConfig:
     @cached_property
     def geometry(self):
         return band_geometry(self.n_samples, self.signal)
+
+    @cached_property
+    def bands(self):
+        """In-band and excess-band DFT bin indices, split once per scenario."""
+        return band_split_indices(self.n_samples, self.signal)
 
 
 def draw_noise_power(prior: NoisePrior, rng, size=None):

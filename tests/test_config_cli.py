@@ -265,6 +265,14 @@ class TestCliCurves:
         assert alrd1 == [r[1:] for r in rows if r[0] == "glrd1"]
         assert len(alrd1) == 81
 
+    def test_requires_single_channel(self, tmp_path, capsys):
+        # closed forms are conditional on h, so a fading list has no effect
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "channels = awgn", "channels = rayleigh, awgn"))
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
+        assert "single n_samples value and channel" in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
+
     def test_requires_grid(self, tmp_path):
         conf = write_config(tmp_path, CURVES_CONF.replace(
             "threshold_min = 0\n", "").replace(
@@ -297,6 +305,13 @@ class TestCliValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+    def test_seed_outside_key_space_exit_code(self, seed, capsys):
+        assert main(["validate", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "master seed must lie in [0, 2**128)" in captured.err
+        assert "PASS" not in captured.out
 
 
 CROSS_CONF = """

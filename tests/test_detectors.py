@@ -6,8 +6,11 @@ from scipy import stats
 
 from specsense.errors import ConfigError
 from specsense.detectors import (
+    DETECTORS,
+    FREQ,
+    TIME,
     ThresholdSpec,
-    detector_statistic,
+    detector,
     lr_glrd1_value,
     lr_glrd2_value,
     mu_glrd1,
@@ -18,6 +21,7 @@ from specsense.detectors import (
     t_opt,
 )
 from specsense.numerics import RngStream, reg_lower_gamma
+from specsense.observation import BandGeometry
 from specsense.signals import NoisePrior
 
 PRIOR = NoisePrior(k=4, theta=2.0)
@@ -32,6 +36,13 @@ class TestThresholdSpec:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             ThresholdSpec(eta1=2.0, eta2=1.0)
+
+    def test_decide_on_array_matches_scalar_verdicts(self):
+        s = np.array([-1.0, 2.0, 2.5, 9.999, 10.0, 40.0, math.inf])
+        for spec in (ThresholdSpec(eta1=2.0), ThresholdSpec(eta1=2.0, eta2=10.0)):
+            verdicts = spec.decide(s)
+            assert verdicts.dtype == bool
+            assert verdicts.tolist() == [bool(spec.decide(float(v))) for v in s]
 
 
 class TestEnergyStatistics:
@@ -133,6 +144,11 @@ class TestGlrExtrema:
 
     def test_rho_reduces_to_mu_without_excess(self):
         assert rho_glrd2(20, 0, 4, 1.3) == pytest.approx(mu_glrd1(20, 4, 1.3))
+        # with an excess band, k + P takes the place of k exactly
+        for l, p, k, g in [(16, 4, 4, 1.0), (32, 8, 2, 0.7), (102, 26, 3, 2.5)]:
+            assert rho_glrd2(l, p, k, g) == mu_glrd1(l, k + p, g)
+            for t in (0.0, 0.5 * l, 3.0 * l):
+                assert lr_glrd2_value(t, l, p, k, g) == lr_glrd1_value(t, l, k + p, g)
 
     def test_rho_increases_with_snr(self):
         rhos = [rho_glrd2(16, 4, 4, g) for g in np.linspace(0.05, 4.0, 25)]
@@ -212,18 +228,35 @@ class TestDetectionBeatsFalseAlarm:
                 assert pd >= pfa - 3 * se, (name, q)
 
 
-class TestRegistry:
+class TestDetectorTable:
     def test_unknown_detector(self):
         with pytest.raises(ConfigError):
-            detector_statistic("nope", prior=PRIOR, r=np.ones(4))
+            detector("nope")
 
     def test_optimal_normalizes_by_true_noise(self):
-        r = np.full(20, 2.0)
-        val = detector_statistic("optimal", prior=PRIOR, r=r, true_noise_power=2.0)
-        assert val == pytest.approx(20.0)
+        assert DETECTORS["optimal"].statistic(np.full(20, 2.0), 2.0, PRIOR) == 20.0
 
-    def test_domain_requirements(self):
-        with pytest.raises(ConfigError):
-            detector_statistic("alrd2", prior=PRIOR, r=np.ones(4))
-        with pytest.raises(ConfigError):
-            detector_statistic("alrd1", prior=PRIOR, x=np.ones(4), y=np.ones(2))
+    def test_peaks_only_on_glr_rows(self):
+        geom = BandGeometry(n_total=20, l_inband=16, p_excess=4)
+        peaks = {name: row.peak(20, geom, 4, 1.0)
+                 for name, row in DETECTORS.items() if row.peak is not None}
+        assert peaks == {"glrd1": mu_glrd1(20, 4, 1.0),
+                         "glrd2": rho_glrd2(16, 4, 4, 1.0)}
+
+    def test_block_statistic_equals_row_by_row(self):
+        rng = RngStream(407).generator()
+        trials = 300
+        alpha = 1.0 / rng.gamma(PRIOR.k + 1, 1.0 / PRIOR.theta, trials)
+        blocks = {TIME: rng.exponential(1.0, (trials, 20)),
+                  FREQ: (rng.exponential(20.0, (trials, 16)),
+                         rng.exponential(20.0, (trials, 4)))}
+        for name, row in DETECTORS.items():
+            block = blocks[row.domain]
+            whole = row.statistic(block, alpha, PRIOR)
+            if row.domain == FREQ:
+                rows = [row.statistic((x, y), a, PRIOR)
+                        for x, y, a in zip(*block, alpha)]
+            else:
+                rows = [row.statistic(r, a, PRIOR) for r, a in zip(block, alpha)]
+            assert whole.shape == (trials,)
+            assert np.array_equal(whole, np.array(rows)), name

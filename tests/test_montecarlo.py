@@ -5,21 +5,24 @@ import numpy as np
 import pytest
 
 from specsense.analysis import pfa_alrd1, pfa_opt
-from specsense.detectors import mu_glrd1
+from specsense.detectors import FREQ, mu_glrd1
 from specsense.errors import ConfigError
 from specsense.montecarlo import (
     PHASE_CALIBRATION,
     PHASE_EVAL_H0,
     PHASE_EVAL_H1,
     EmpiricalCdf,
+    _simulate_trial,
     calibrate_threshold,
     calibrate_two_sided,
     empirical_cdf,
     roc_sweep_multi,
     trial_statistics,
+    trial_stream,
     wilson_interval,
 )
 from specsense.numerics import RngStream, reg_upper_gamma
+from specsense.observation import spectrum_bins, split_bands
 from specsense.signals import (
     AWGN,
     ChannelSpec,
@@ -30,6 +33,7 @@ from specsense.signals import (
     ScenarioConfig,
     SignalSpec,
     WAVEFORM,
+    generate_time_block,
 )
 
 PRIOR = NoisePrior(k=3, theta=3.0)
@@ -113,6 +117,21 @@ class TestTrialEngine:
         thr = np.quantile(sm, 0.9)
         # same H0 law through either path
         assert abs(np.mean(sw > thr) - 0.1) < 0.01
+
+    @pytest.mark.parametrize("n, rate", [(20, None), (100, None), (37, 90_000.0)])
+    def test_waveform_bins_match_split_bands(self, n, rate):
+        # the per-scenario band indices give the bins split_bands gives
+        cfg = replace(make_cfg(H1, n=n, source=WAVEFORM, noise_power=1.3),
+                      pinned_channel=0.8 + 0.2j)
+        if rate is not None:
+            cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
+        for i in range(5):
+            obs, alpha = _simulate_trial(cfg, {FREQ}, trial_stream(99, PHASE_EVAL_H1, i))
+            gen = trial_stream(99, PHASE_EVAL_H1, i).generator()
+            z = generate_time_block(cfg, 1.3, 0.8 + 0.2j, gen)
+            x, y, _ = split_bands(spectrum_bins(z), cfg.signal)
+            assert alpha == 1.3
+            assert np.array_equal(obs[FREQ][0], x) and np.array_equal(obs[FREQ][1], y)
 
 
 class TestEmpiricalCdf:
