@@ -42,9 +42,8 @@ from .errors import ConfigError, NumericFailure
 from .montecarlo import (
     EmpiricalCdf,
     RocPoint,
-    calibrate_threshold,
-    calibrate_two_sided,
-    empirical_cdf,
+    calibrate,
+    calibration_cdfs,
     roc_sweep_multi,
     wilson_interval,
 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, nbdtr, xlogy
 
 from .numerics import as_generator, complex_gaussian, q_function, reg_upper_gamma
 from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
@@ -139,28 +139,23 @@ def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
     Under H0 with alpha known, sum(x) ~ Gamma(L, N*alpha) and
     sum(y) ~ Gamma(P, N*alpha) are independent.  Conditional on sum(y)
-    the tail is the Erlang sum exp(-c) * sum_{j<L} c^j/j! at
-    c = eta*(theta + sum(y))/(N*alpha).  Expanding (theta + sum(y))^j
-    binomially and using the tilted gamma moments
-    E[Y^m exp(-eta*Y/(N*alpha))] = (N*alpha)^m Gamma(P+m)/Gamma(P)
-    (1+eta)^-(P+m) leaves, with a = eta*theta/(N*alpha), the finite sum
+    the tail is the Erlang sum P(Poisson(c) <= L-1) at
+    c = eta*(theta + sum(y))/(N*alpha) = a + eta*sum(y)/(N*alpha), with
+    a = eta*theta/(N*alpha).  Split the Poisson variable into the
+    independent parts A ~ Poisson(a) and B ~ Poisson(eta*sum(y)/(N*alpha));
+    averaged over sum(y), B is negative binomial with P successes of
+    probability 1/(1+eta).  So the tail is P(A + B <= L-1), the O(L) sum
 
-        sum_{k+m<L} exp(-a) a^k/k! * Gamma(P+m)/(Gamma(P) m!)
-                    * eta^m (1+eta)^-(P+m).
-
-    Every term is positive, so the O(L^2) terms are summed in log space.
+        sum_{j<L} Poisson(j; a) * NB_cdf(L-1-j; P, 1/(1+eta)).
     """
     if l_inband < 1 or p_excess < 1:
         raise ValueError("need at least one in-band and one excess-band bin")
     if eta <= 0:
         return 1.0
     a = eta * theta / (n_samples * alpha)
-    k = np.arange(l_inband)[:, None]
-    m = np.arange(l_inband)[None, :]
-    log_terms = (-a + xlogy(k, a) - gammaln(k + 1.0)
-                 + gammaln(p_excess + m) - gammaln(p_excess) - gammaln(m + 1.0)
-                 + m * math.log(eta) - (p_excess + m) * math.log1p(eta))
-    return min(1.0, float(np.exp(logsumexp(log_terms[k + m < l_inband]))))
+    j = np.arange(l_inband)
+    pois = np.exp(xlogy(j, a) - a - gammaln(j + 1.0))
+    return min(1.0, float(pois @ nbdtr(l_inband - 1 - j, p_excess, 1.0 / (1.0 + eta))))
 
 
 def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,

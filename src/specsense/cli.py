@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, analysis, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
 from .errors import ConfigError, NumericFailure
-from .signals import H0, NAKAGAMI, ChannelSpec
+from .signals import NAKAGAMI, ChannelSpec
 from .validation import DEFAULT_SEED, run_validation
 
 _CONVENTION_NOTES = (
@@ -163,10 +163,10 @@ def cmd_cdf(args) -> int:
             raise ConfigError("cdf expects a single n_samples value and channel")
 
     def rows(exp):
-        cfg = exp.scenario(exp.n_samples[0], exp.channels[0], hypothesis=H0)
+        cdfs = montecarlo.calibration_cdfs(
+            exp.scenario(exp.n_samples[0], exp.channels[0]), exp.detectors)
         table, series = [], []
-        for name in exp.detectors:
-            cdf = montecarlo.empirical_cdf(cfg, name)
+        for name, cdf in cdfs.items():
             grid = np.linspace(float(cdf.values[0]), float(cdf.values[-1]),
                                exp.cdf_points)
             vals = [cdf.evaluate(t) for t in grid]
@@ -229,9 +229,9 @@ def cmd_calibrate(args) -> int:
     def rows(exp):
         table = []
         for n, ch in exp.legs():
-            cfg = exp.scenario(n, ch, hypothesis=H0)
+            specs = montecarlo.calibrate(exp.scenario(n, ch), exp.detectors, [args.pfa])
             for name in exp.detectors:
-                thr = montecarlo.calibrate_threshold(cfg, name, args.pfa)
+                thr = specs[name][0].eta1
                 _check_finite(thr)
                 table.append([name, str(n), _channel_label(ch),
                               _fmt(args.pfa), _fmt(thr)])

@@ -127,16 +127,15 @@ class ExperimentConfig:
         return SignalSpec(self.bandwidth_hz, self.rolloff, rate, self.snr_linear)
 
     def scenario(self, n_samples: int, channel: ChannelSpec,
-                 hypothesis: str = H0, trials: int | None = None,
-                 master_seed: int | None = None) -> ScenarioConfig:
+                 hypothesis: str = H0) -> ScenarioConfig:
         return ScenarioConfig(
             n_samples=n_samples,
             prior=self.prior,
             signal=self.signal_spec(),
             channel=channel,
             hypothesis=hypothesis,
-            trials=self.trials if trials is None else trials,
-            master_seed=self.master_seed if master_seed is None else master_seed,
+            trials=self.trials,
+            master_seed=self.master_seed,
             noise_power=self.noise_power,
             pinned_channel=self.pinned_channel,
             pinned_signal=self.pinned_signal,

@@ -5,6 +5,13 @@ Every trial owns its own counter-based random stream, indexed by
 (phase, trial): calibration, H0 evaluation and H1 evaluation never share
 randomness, results do not depend on execution order, and rerunning with
 the same configuration and master seed is bit-identical.
+
+Calibration has one path: `calibration_cdfs` runs the H0 calibration
+trials of a whole detector list at once and `calibrate` reads the
+thresholds off those CDFs; `roc_sweep_multi` and the `roc`, `calibrate`
+and `cdf` commands all go through it.  The list matters: on the model
+source a trial draws its bins after its time samples only when a
+time-domain detector shares the run.
 """
 
 from __future__ import annotations
@@ -146,12 +153,12 @@ class EmpiricalCdf:
         return float(self.values[idx])
 
 
-def empirical_cdf(cfg: sig.ScenarioConfig, detector: str) -> EmpiricalCdf:
-    """H0 distribution of the decision statistic."""
-    if cfg.hypothesis != sig.H0:
-        raise ConfigError("empirical_cdf expects an H0 scenario")
-    return EmpiricalCdf.from_samples(
-        trial_statistics(cfg, [detector], PHASE_CALIBRATION)[detector])
+def calibration_cdfs(cfg: sig.ScenarioConfig,
+                     names: Sequence[str]) -> dict[str, EmpiricalCdf]:
+    """H0 distributions of several decision statistics, all read off the
+    same calibration-phase trials."""
+    cal = trial_statistics(replace(cfg, hypothesis=sig.H0), names, PHASE_CALIBRATION)
+    return {name: EmpiricalCdf.from_samples(vals) for name, vals in cal.items()}
 
 
 def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
@@ -172,43 +179,41 @@ def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
                              eta2=cdf.quantile(1.0 - _UPPER_SHARE * p))
 
 
-def calibrate_threshold(cfg: sig.ScenarioConfig, detector: str,
-                        target_pfa: float) -> float:
-    """Empirical (1 - target_pfa) quantile of the H0 statistic."""
-    if not (0.0 < target_pfa < 1.0):
-        raise ConfigError("target false-alarm probability must lie in (0, 1)")
-    if target_pfa * cfg.trials < 100:
-        raise ConfigError(
-            f"need target_pfa * trials >= 100 for a stable quantile "
-            f"(got {target_pfa * cfg.trials:.0f})")
-    cdf = empirical_cdf(replace(cfg, hypothesis=sig.H0), detector)
-    return _thresholds(cdf, target_pfa, banded=False).eta1
+def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
+              pfa_grid: Iterable[float]) -> dict[str, list[det.ThresholdSpec]]:
+    """Thresholds per detector at each target false-alarm probability,
+    calibrated on the shared H0 calibration trials.
 
+    GLR detectors use the one-sided rule unless cfg.glr_two_sided is
+    set, in which case the band rule of `_thresholds` is calibrated, with
+    one warning per detector when some band misses the likelihood peak.
+    """
+    grid = [float(p) for p in pfa_grid]
+    if any(not (0.0 < p < 1.0) for p in grid):
+        raise ConfigError("pfa targets must lie in (0, 1)")
+    if grid != sorted(grid):
+        raise ConfigError("pfa targets must be ascending")
+    if grid and min(grid) * cfg.trials < 100:
+        raise ConfigError("not enough trials for the smallest pfa target")
 
-def calibrate_two_sided(cfg: sig.ScenarioConfig, detector: str,
-                        target_pfa: float) -> det.ThresholdSpec:
-    """Two-sided thresholds with total H0 band mass target_pfa (see
-    `_thresholds` for how the budget splits between the two tails)."""
-    if _UPPER_SHARE * target_pfa * cfg.trials < 100:
-        raise ConfigError("not enough trials to place the upper threshold")
-    cdf = empirical_cdf(replace(cfg, hypothesis=sig.H0), detector)
-    thresholds = _thresholds(cdf, target_pfa, banded=True)
-    extremum = _glr_extremum(cfg, detector)
-    if extremum is not None and not (thresholds.eta1 < extremum < thresholds.eta2):
-        warnings.warn(
-            f"two-sided thresholds ({thresholds.eta1:.4g}, {thresholds.eta2:.4g}) "
-            f"do not bracket the likelihood peak at {extremum:.4g}; the band "
-            f"rule is not operating in its intended regime", stacklevel=2)
-    return thresholds
-
-
-def _glr_extremum(cfg: sig.ScenarioConfig, detector: str) -> float | None:
-    row = det.detector(detector)
     snr = cfg.signal.snr_linear
-    if row.peak is None or snr == 0.0:
-        return None
-    geom = cfg.geometry if row.domain == det.FREQ else None
-    return row.peak(cfg.n_samples, geom, cfg.prior.k, snr)
+    specs = {}
+    for name, cdf in calibration_cdfs(cfg, names).items():
+        row = det.detector(name)
+        banded = cfg.glr_two_sided and row.peak is not None
+        specs[name] = [_thresholds(cdf, p, banded) for p in grid]
+        if not banded or snr == 0.0:  # no likelihood peak without signal
+            continue
+        geom = cfg.geometry if row.domain == det.FREQ else None
+        peak = row.peak(cfg.n_samples, geom, cfg.prior.k, snr)
+        missed = [f"{p:g}" for p, spec in zip(grid, specs[name])
+                  if not spec.eta1 < peak < spec.eta2]
+        if missed:
+            warnings.warn(
+                f"{name}: two-sided thresholds at targets {', '.join(missed)} "
+                f"do not bracket the likelihood peak at {peak:.4g}; the band "
+                f"rule is not operating in its intended regime", stacklevel=2)
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +237,12 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     Per target false-alarm probability: calibrate the threshold on H0
     calibration trials, measure the realized Pfa on fresh H0 trials, and
     the detection probability (with Wilson interval) on H1 trials.  The
-    three phases use disjoint random streams.
-
-    GLR detectors use the one-sided rule unless cfg.glr_two_sided is
-    set, in which case the band rule of `_thresholds` is calibrated and
-    the reported threshold is the lower edge.
+    three phases use disjoint random streams.  Thresholds come from
+    `calibrate`; a band rule reports its lower edge.
     """
     grid = [float(p) for p in pfa_grid]
-    if any(not (0.0 < p < 1.0) for p in grid):
-        raise ConfigError("pfa targets must lie in (0, 1)")
-    if grid != sorted(grid):
-        raise ConfigError("pfa targets must be ascending")
-    if grid and min(grid) * cfg.trials < 100:
-        raise ConfigError("not enough trials for the smallest pfa target")
-
+    specs = calibrate(cfg, detector_names, grid)
     h0 = replace(cfg, hypothesis=sig.H0)
-    cal = trial_statistics(h0, detector_names, PHASE_CALIBRATION)
-    specs = {}
-    for name in detector_names:
-        banded = cfg.glr_two_sided and det.detector(name).peak is not None
-        cdf = EmpiricalCdf.from_samples(cal[name])
-        specs[name] = [_thresholds(cdf, p, banded) for p in grid]
     s0 = trial_statistics(h0, detector_names, PHASE_EVAL_H0)
     s1 = trial_statistics(replace(cfg, hypothesis=sig.H1), detector_names,
                           PHASE_EVAL_H1)

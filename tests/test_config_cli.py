@@ -358,6 +358,27 @@ class TestCrossCommandConsistency:
             assert abs(pfa_emp - pfa_cf) < 0.02, det
             assert abs(pd_emp - pd_cf) < 0.02, det
 
+    def test_calibrate_matches_roc_thresholds(self, tmp_path):
+        # calibrate reads the same calibration trials as roc, so each of
+        # its rows is roc's threshold at the same target and leg, also for
+        # the excess-band detector sharing the run with time-domain ones
+        conf = write_config(tmp_path, ROC_CONF.replace(
+            "detectors = alrd1, alrd2", "detectors = optimal, alrd1, alrd2"
+        ).replace("n_samples = 20", "n_samples = 20, 40"))
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        assert main(["calibrate", str(conf), "--pfa", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        roc = {}
+        for line in (tmp_path / "exp_roc.csv").read_text().splitlines()[2:]:
+            parts = line.split(",")
+            if parts[4] == "0.1":
+                roc[parts[0], parts[1], parts[3]] = parts[9]
+        rows = (tmp_path / "exp_calibrate.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(roc) == 6
+        for line in rows:
+            det, n, channel, _, thr = line.split(",")
+            assert thr == roc[det, n, channel], (det, n)
+
 
 class TestNumericFailureExit:
     def test_nonfinite_closed_form_exits_two(self, tmp_path, monkeypatch):

@@ -13,9 +13,8 @@ from specsense.montecarlo import (
     PHASE_EVAL_H1,
     EmpiricalCdf,
     _simulate_trial,
-    calibrate_threshold,
-    calibrate_two_sided,
-    empirical_cdf,
+    calibrate,
+    calibration_cdfs,
     roc_sweep_multi,
     trial_statistics,
     trial_stream,
@@ -147,32 +146,44 @@ class TestEmpiricalCdf:
         assert cdf.quantile(0.75) == 3.0
         assert cdf.quantile(1.0) == 4.0
 
-    def test_requires_h0(self):
-        with pytest.raises(ConfigError):
-            empirical_cdf(make_cfg(H1), "alrd1")
-
     def test_quantile_equals_calibration(self):
         cfg = make_cfg(H0, trials=5000)
-        cdf = empirical_cdf(cfg, "alrd1")
-        for p in (0.5, 0.1, 0.02):
-            assert calibrate_threshold(cfg, "alrd1", p) == cdf.quantile(1 - p)
+        cdf = calibration_cdfs(cfg, ["alrd1"])["alrd1"]
+        grid = [0.02, 0.1, 0.5]
+        for p, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
+            assert spec.eta1 == cdf.quantile(1 - p)
+
+    def test_reads_the_calibration_trials_of_any_hypothesis(self):
+        # the caller's hypothesis is irrelevant: calibration is always H0
+        cdf = calibration_cdfs(make_cfg(H1), ["alrd1"])["alrd1"]
+        stats = trial_statistics(make_cfg(H0), ["alrd1"], PHASE_CALIBRATION)["alrd1"]
+        assert np.array_equal(cdf.values, np.sort(stats))
+
+    def test_one_run_for_every_detector(self):
+        # every detector's CDF comes from the same trials as a joint run
+        names = ["optimal", "alrd1", "alrd2"]
+        cfg = make_cfg(H0, trials=500)
+        cdfs = calibration_cdfs(cfg, names)
+        joint = trial_statistics(cfg, names, PHASE_CALIBRATION)
+        for name in names:
+            assert np.array_equal(cdfs[name].values, np.sort(joint[name]))
 
 
 class TestCalibration:
     def test_median_threshold(self):
         cfg = make_cfg(H0, trials=4000)
-        thr = calibrate_threshold(cfg, "alrd1", 0.5)
+        thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0].eta1
         stats = trial_statistics(cfg, ["alrd1"], PHASE_CALIBRATION)["alrd1"]
         assert thr == np.sort(stats)[math.ceil(0.5 * stats.size) - 1]
 
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigError):
-            calibrate_threshold(make_cfg(H0, trials=500), "alrd1", 0.05)
+            calibrate(make_cfg(H0, trials=500), ["alrd1"], [0.05])
 
     def test_matches_analytic_inversion_at_fixed_alpha(self):
         cfg = make_cfg(H0, trials=100_000, noise_power=1.0)
         target = 0.1
-        thr = calibrate_threshold(cfg, "optimal", target)
+        thr = calibrate(cfg, ["optimal"], [target])["optimal"][0].eta1
         # invert the closed form by bisection
         lo, hi = 0.0, 100.0
         for _ in range(80):
@@ -190,23 +201,24 @@ class TestCalibration:
 
     def test_holdout_pfa_reproduces_target(self):
         cfg = make_cfg(H0, trials=100_000)
-        thr = calibrate_threshold(cfg, "alrd2", 0.1)
+        thr = calibrate(cfg, ["alrd2"], [0.1])["alrd2"][0].eta1
         fresh = replace(cfg, master_seed=cfg.master_seed + 1)
         stats = trial_statistics(fresh, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         assert abs(np.mean(stats > thr) - 0.1) < 0.01
 
     def test_independent_seed_within_ten_percent(self):
         cfg = make_cfg(H0, trials=100_000)
-        for target in (0.05, 0.2):
-            thr = calibrate_threshold(cfg, "alrd1", target)
+        grid = [0.05, 0.2]
+        for target, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
+            thr = spec.eta1
             fresh = replace(cfg, master_seed=12345)
             stats = trial_statistics(fresh, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
             emp = float(np.mean(stats > thr))
             assert 0.9 * target <= emp <= 1.1 * target
 
     def test_two_sided_band_mass(self):
-        cfg = make_cfg(H0, trials=100_000)
-        thr = calibrate_two_sided(cfg, "glrd1", 0.1)
+        cfg = replace(make_cfg(H0, trials=100_000), glr_two_sided=True)
+        thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
         assert thr.eta1 < thr.eta2
         fresh = replace(cfg, master_seed=777)
         stats = trial_statistics(fresh, ["glrd1"], PHASE_EVAL_H0)["glrd1"]
@@ -216,8 +228,8 @@ class TestCalibration:
     def test_two_sided_brackets_peak_under_vague_prior(self):
         # with a vague prior the H0 statistic is heavy tailed and the
         # calibrated band straddles the likelihood peak
-        cfg = make_cfg(H0, trials=100_000)
-        thr = calibrate_two_sided(cfg, "glrd1", 0.1)
+        cfg = replace(make_cfg(H0, trials=100_000), glr_two_sided=True)
+        thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
         mu = mu_glrd1(20, PRIOR.k, 1.0)
         assert thr.eta1 < mu < thr.eta2
 
@@ -226,10 +238,11 @@ class TestCalibration:
         # that no calibrated band reaches it; the band degenerates to a
         # one-sided rule in practice and calibration says so
         prior = NoisePrior(k=16, theta=16.0)
-        cfg = make_cfg(H0, trials=50_000, prior=prior, noise_power=1.0)
+        cfg = replace(make_cfg(H0, trials=50_000, prior=prior, noise_power=1.0),
+                      glr_two_sided=True)
         mu = mu_glrd1(20, prior.k, 1.0)
         with pytest.warns(UserWarning, match="do not bracket"):
-            thr = calibrate_two_sided(cfg, "glrd1", 0.1)
+            thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
         assert thr.eta1 < thr.eta2 < mu
 
 
@@ -281,13 +294,28 @@ class TestRocSweep:
 
     def test_two_sided_flag_calibrates_band(self):
         cfg = replace(make_cfg(H1, trials=50_000), glr_two_sided=True)
-        banded = roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
+        # at target 0.3 the band's upper edge falls below the peak
+        with pytest.warns(UserWarning, match="glrd1: .* at targets 0.3 do not bracket"):
+            banded = roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
         plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
                                 [0.1, 0.3])["glrd1"]
         for b, o in zip(banded, plain):
             assert abs(b.pfa_empirical - b.pfa_target) < 0.01
             # the band gives up its upper-tail share of detections
             assert b.pd_empirical <= o.pd_empirical + 0.01
+
+    def test_two_sided_warns_once_per_detector(self):
+        # an informative prior puts the peak beyond every calibrated band:
+        # one warning names the banded detector and each missed target
+        prior = NoisePrior(k=16, theta=16.0)
+        cfg = replace(make_cfg(H1, trials=5000, prior=prior, noise_power=1.0),
+                      glr_two_sided=True)
+        with pytest.warns(UserWarning) as caught:
+            roc_sweep_multi(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert messages[0].startswith("glrd1: two-sided thresholds at targets 0.1, 0.2")
+        assert "do not bracket" in messages[0]
 
     def test_band_rule_rejects_target_above_budget(self):
         # a band rule spends (1 + 0.1) * target below its lower edge, so a
@@ -296,7 +324,7 @@ class TestRocSweep:
         with pytest.raises(ConfigError, match="band rule"):
             roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.95])
         with pytest.raises(ConfigError, match="band rule"):
-            calibrate_two_sided(make_cfg(H0, trials=2000), "glrd1", 0.95)
+            calibrate(cfg, ["glrd1"], [0.95])
         # the one-sided rule of the same detector accepts the target
         plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
                                 [0.1, 0.95])["glrd1"]
