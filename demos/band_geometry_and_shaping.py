@@ -37,7 +37,7 @@ def main():
 
     cfg = ScenarioConfig(n_samples=20, prior=NoisePrior(k=3, theta=3.0),
                          signal=spec, channel=ChannelSpec("awgn"),
-                         hypothesis="h1", trials=1, master_seed=1)
+                         trials=1, master_seed=1)
     gen = RngStream(20260809).generator()
     acc = np.zeros(20)
     blocks = 4000

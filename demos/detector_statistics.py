@@ -33,8 +33,7 @@ def main():
     prior = NoisePrior(k=3, theta=3.0)
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr_linear=1.0)
     cfg = ScenarioConfig(n_samples=20, prior=prior, signal=spec,
-                         channel=ChannelSpec("awgn"), hypothesis="h1",
-                         trials=1, master_seed=7)
+                         channel=ChannelSpec("awgn"), trials=1, master_seed=7)
     gen = RngStream(42).generator()
 
     alpha = float(draw_noise_power(prior, gen))

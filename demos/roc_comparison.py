@@ -21,8 +21,8 @@ GRID = [0.02, 0.05, 0.1, 0.2, 0.4]
 def sweep(channel, n=20, snr=1.0, trials=20_000):
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
     cfg = ScenarioConfig(n_samples=n, prior=NoisePrior(k=3, theta=3.0),
-                         signal=spec, channel=channel, hypothesis="h1",
-                         trials=trials, master_seed=20260809)
+                         signal=spec, channel=channel, trials=trials,
+                         master_seed=20260809)
     return roc_sweep_multi(cfg, DETECTORS, GRID)
 
 

@@ -3,8 +3,8 @@
 Commands: `roc`, `cdf`, `curves`, `calibrate`, `validate`.  Each
 file-emitting command writes CSV (6 significant digits) whose first line
 references the manifest hash, plus a JSON manifest describing the run.
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 validation failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric
+failure, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _run(args, command: str, header: list[str],
     table, series = rows(exp)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, digest, header, table)
-    if args.svg and plot is not None:
+    if plot is not None and args.svg:
         xlabel, ylabel, title = plot
         svgplot.write_line_plot(out_dir / f"{stem}.svg", series, xlabel, ylabel,
                                 f"{title} ({config_stem})",
@@ -265,51 +265,47 @@ def cmd_validate(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="specsense",
-        description="Spectrum-sensing detector experiments")
+    parser = _Parser(prog="specsense",
+                     description="Spectrum-sensing detector experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("config", help="experiment config file (key = value)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the trial count")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--svg", action="store_true",
-                       help="also write an SVG figure where supported")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the master seed")
+    run = argparse.ArgumentParser(add_help=False, parents=[seed])
+    run.add_argument("config", help="experiment config file (key = value)")
+    run.add_argument("--trials", type=int, default=None,
+                     help="override the trial count")
+    run.add_argument("--out", default=".", help="output directory")
+    svg = argparse.ArgumentParser(add_help=False)
+    svg.add_argument("--svg", action="store_true", help="also write an SVG figure")
+    pfa = argparse.ArgumentParser(add_help=False)
+    pfa.add_argument("--pfa", type=float, required=True,
+                     help="target false-alarm probability")
 
-    p_roc = sub.add_parser("roc", help="empirical ROC sweep")
-    add_common(p_roc)
-    p_roc.set_defaults(fn=cmd_roc)
-
-    p_cdf = sub.add_parser("cdf", help="H0 statistic CDF table")
-    add_common(p_cdf)
-    p_cdf.set_defaults(fn=cmd_cdf)
-
-    p_curves = sub.add_parser("curves", help="closed-form Pfa/Pd vs threshold")
-    add_common(p_curves)
-    p_curves.set_defaults(fn=cmd_curves)
-
-    p_cal = sub.add_parser("calibrate", help="empirical threshold at a target Pfa")
-    add_common(p_cal)
-    p_cal.add_argument("--pfa", type=float, required=True,
-                       help="target false-alarm probability")
-    p_cal.set_defaults(fn=cmd_calibrate)
-
-    p_val = sub.add_parser("validate", help="run the oracle check battery")
-    add_common(p_val, needs_config=False)
-    p_val.set_defaults(fn=cmd_validate)
+    for name, fn, help_text, parents in (
+            ("roc", cmd_roc, "empirical ROC sweep", [run, svg]),
+            ("cdf", cmd_cdf, "H0 statistic CDF table", [run, svg]),
+            ("curves", cmd_curves, "closed-form Pfa/Pd vs threshold", [run]),
+            ("calibrate", cmd_calibrate, "empirical threshold at a target Pfa",
+             [run, pfa]),
+            ("validate", cmd_validate, "run the oracle check battery", [seed])):
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detectors import detector
+from .detectors import TIME, detector
 from .errors import ConfigError
 from .signals import (
     AWGN,
@@ -21,7 +21,6 @@ from .signals import (
     RAYLEIGH,
     WAVEFORM,
     ChannelSpec,
-    H0,
     NoisePrior,
     ScenarioConfig,
     SignalSpec,
@@ -126,14 +125,12 @@ class ExperimentConfig:
             rate = (1.0 + self.rolloff) * self.bandwidth_hz
         return SignalSpec(self.bandwidth_hz, self.rolloff, rate, self.snr_linear)
 
-    def scenario(self, n_samples: int, channel: ChannelSpec,
-                 hypothesis: str = H0) -> ScenarioConfig:
+    def scenario(self, n_samples: int, channel: ChannelSpec) -> ScenarioConfig:
         return ScenarioConfig(
             n_samples=n_samples,
             prior=self.prior,
             signal=self.signal_spec(),
             channel=channel,
-            hypothesis=hypothesis,
             trials=self.trials,
             master_seed=self.master_seed,
             noise_power=self.noise_power,
@@ -171,8 +168,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     detectors = tuple(_parse_list(raw["detectors"]))
     if not detectors:
         raise ConfigError("detector list is empty")
-    for name in detectors:
-        detector(name)
+    rows = [detector(name) for name in detectors]
     if len(set(detectors)) < len(detectors):
         raise ConfigError(f"duplicate detector names in {raw['detectors']!r}")
     n_samples = tuple(_parse_int(v, "n_samples") for v in _parse_list(raw["n_samples"]))
@@ -223,8 +219,13 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     source = raw.get("source", MODEL).lower()
     if source not in (MODEL, WAVEFORM):
         raise ConfigError(f"source must be {MODEL!r} or {WAVEFORM!r}")
-    if pinned_signal is not None and source == WAVEFORM:
-        raise ConfigError("pinned_signal_re/_im apply to the model source only")
+    if pinned_signal is not None and (
+            source == WAVEFORM or any(row.domain == TIME for row in rows)):
+        raise ConfigError("pinned_signal_re/_im apply to the model source and "
+                          "its frequency-domain detectors (alrd2, glrd2) only")
+    glr_two_sided = _parse_bool(raw.get("glr_two_sided", "false"), "glr_two_sided")
+    if glr_two_sided and all(row.peak is None for row in rows):
+        raise ConfigError("glr_two_sided is set but neither glrd1 nor glrd2 is listed")
 
     cdf_points = _parse_int(raw.get("cdf_points", "200"), "cdf_points")
     if cdf_points < 200:
@@ -248,7 +249,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         pinned_channel=pinned_channel,
         pinned_signal=pinned_signal,
         source=source,
-        glr_two_sided=_parse_bool(raw.get("glr_two_sided", "false"), "glr_two_sided"),
+        glr_two_sided=glr_two_sided,
         threshold_grid=threshold_grid,
         cdf_points=cdf_points,
         echo=dict(sorted(raw.items())),

@@ -4,7 +4,10 @@ empirical CDFs and ROC sweeps.
 Every trial owns its own counter-based random stream, indexed by
 (phase, trial): calibration, H0 evaluation and H1 evaluation never share
 randomness, results do not depend on execution order, and rerunning with
-the same configuration and master seed is bit-identical.
+the same configuration and master seed is bit-identical.  The phase also
+picks the hypothesis: only `PHASE_EVAL_H1` trials see an occupied
+channel.  Calibration and H0 evaluation trials draw no channel gain and
+read no channel field, so they are the same for every channel.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,24 +66,25 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 # Per-trial simulation
 # ---------------------------------------------------------------------------
 
-def _simulate_trial(cfg: sig.ScenarioConfig, domains: set[str], rng: RngStream):
+def _simulate_trial(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
+                    trial: int):
     """One trial's observation per domain plus the drawn noise power.
 
-    Model source: time samples are white (signal and noise i.i.d. per
-    sample), frequency bins come straight from the bin model.  Waveform
-    source: a single shaped block feeds both observation forms.
+    Only a `PHASE_EVAL_H1` trial sees an occupied channel and draws a
+    channel gain and a signal.  Model source: time samples are white
+    (signal and noise i.i.d. per sample), frequency bins come straight
+    from the bin model.  Waveform source: a single shaped block feeds
+    both observation forms.
     """
-    gen = rng.generator()
+    gen = trial_stream(cfg.master_seed, phase, trial).generator()
     if cfg.noise_power is not None:
         alpha = cfg.noise_power
     else:
         alpha = float(sig.draw_noise_power(cfg.prior, gen))
-    h = 1.0 + 0.0j
-    if cfg.hypothesis == sig.H1:
-        if cfg.pinned_channel is not None:
-            h = complex(cfg.pinned_channel)
-        else:
-            h = complex(sig.channel_gain(cfg.channel, gen))
+    h = None
+    if phase == PHASE_EVAL_H1:
+        h = complex(cfg.pinned_channel if cfg.pinned_channel is not None
+                    else sig.channel_gain(cfg.channel, gen))
 
     obs = {}
     if cfg.source == sig.WAVEFORM:
@@ -96,11 +100,9 @@ def _simulate_trial(cfg: sig.ScenarioConfig, domains: set[str], rng: RngStream):
     n = cfg.n_samples
     snr = cfg.signal.snr_linear
     if det.TIME in domains:
-        noise = complex_gaussian(alpha, gen, size=n)
-        if cfg.hypothesis == sig.H1:
-            z = h * complex_gaussian(alpha * snr, gen, size=n) + noise
-        else:
-            z = noise
+        z = complex_gaussian(alpha, gen, size=n)
+        if h is not None:
+            z = h * complex_gaussian(alpha * snr, gen, size=n) + z
         obs[det.TIME] = squared_envelope(z)
     if det.FREQ in domains:
         obs[det.FREQ] = sig.generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
@@ -111,13 +113,14 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                      phase: int) -> dict[str, np.ndarray]:
     """Statistic samples for several detectors over the same trials.
 
-    Returns one array of length cfg.trials per detector name.
+    The channel is occupied only in `PHASE_EVAL_H1`.  Returns one array
+    of length cfg.trials per detector name.
     """
     rows = {name: det.detector(name) for name in detector_names}
     domains = {row.domain for row in rows.values()}
     out = {name: np.empty(cfg.trials) for name in rows}
     for i in range(cfg.trials):
-        obs, alpha = _simulate_trial(cfg, domains, trial_stream(cfg.master_seed, phase, i))
+        obs, alpha = _simulate_trial(cfg, domains, phase, i)
         for name, row in rows.items():
             out[name][i] = row.statistic(obs[row.domain], alpha, cfg.prior)
     for name, vals in out.items():
@@ -157,7 +160,7 @@ def calibration_cdfs(cfg: sig.ScenarioConfig,
                      names: Sequence[str]) -> dict[str, EmpiricalCdf]:
     """H0 distributions of several decision statistics, all read off the
     same calibration-phase trials."""
-    cal = trial_statistics(replace(cfg, hypothesis=sig.H0), names, PHASE_CALIBRATION)
+    cal = trial_statistics(cfg, names, PHASE_CALIBRATION)
     return {name: EmpiricalCdf.from_samples(vals) for name, vals in cal.items()}
 
 
@@ -242,10 +245,8 @@ def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     """
     grid = [float(p) for p in pfa_grid]
     specs = calibrate(cfg, detector_names, grid)
-    h0 = replace(cfg, hypothesis=sig.H0)
-    s0 = trial_statistics(h0, detector_names, PHASE_EVAL_H0)
-    s1 = trial_statistics(replace(cfg, hypothesis=sig.H1), detector_names,
-                          PHASE_EVAL_H1)
+    s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
+    s1 = trial_statistics(cfg, detector_names, PHASE_EVAL_H1)
 
     out: dict[str, list[RocPoint]] = {}
     for name in detector_names:

@@ -104,18 +104,19 @@ class ChannelSpec:
 class ScenarioConfig:
     """Full description of one Monte Carlo experiment leg.
 
-    `noise_power` pins the noise power instead of drawing it from the
-    prior; `pinned_channel` / `pinned_signal` fix the channel gain and
-    the per-bin signal amplitude (used when validating the conditional
-    closed forms).  `source` selects direct model sampling ("model") or
-    the shaped-waveform path ("waveform").
+    It names no hypothesis: the trial phase decides whether the channel
+    is idle or occupied.  `noise_power` pins the noise power instead of
+    drawing it from the prior; `pinned_channel` / `pinned_signal` fix
+    the channel gain and the per-bin signal amplitude of occupied trials
+    (used when validating the conditional closed forms).  `source`
+    selects direct model sampling ("model") or the shaped-waveform path
+    ("waveform").
     """
 
     n_samples: int
     prior: NoisePrior
     signal: SignalSpec
     channel: ChannelSpec
-    hypothesis: str
     trials: int
     master_seed: int
     noise_power: float | None = None
@@ -127,8 +128,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ConfigError("need at least two samples per block")
-        if self.hypothesis not in (H0, H1):
-            raise ConfigError(f"hypothesis must be {H0!r} or {H1!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if not 0 <= self.master_seed < 1 << 128:
@@ -189,20 +188,21 @@ def raised_cosine_profile(f, bandwidth_hz: float, rolloff: float):
     return profile if profile.ndim else float(profile)
 
 
-def generate_time_block(cfg: ScenarioConfig, alpha: float, h: complex, rng) -> np.ndarray:
+def generate_time_block(cfg: ScenarioConfig, alpha: float, h: complex | None,
+                        rng) -> np.ndarray:
     """One block of N received samples.
 
-    Under H0 the block is white circular Gaussian noise of per-sample
-    variance alpha.  Under H1 a spectrally shaped Gaussian signal is
-    added: white symbols are weighted in the frequency domain by the
-    square root of the raised-cosine profile, normalized so the total
-    signal power per sample is alpha * snr, then scaled by the channel
-    gain h.
+    With h None (idle channel, H0) the block is white circular Gaussian
+    noise of per-sample variance alpha.  Otherwise (H1) a spectrally
+    shaped Gaussian signal is added: white symbols are weighted in the
+    frequency domain by the square root of the raised-cosine profile,
+    normalized so the total signal power per sample is alpha * snr,
+    then scaled by the channel gain h.
     """
     gen = as_generator(rng)
     n = cfg.n_samples
     noise = complex_gaussian(alpha, gen, size=n)
-    if cfg.hypothesis == H0:
+    if h is None:
         return noise
     spec = cfg.signal
     freqs = np.fft.fftfreq(n, d=1.0 / spec.sample_rate_hz)
@@ -215,13 +215,14 @@ def generate_time_block(cfg: ScenarioConfig, alpha: float, h: complex, rng) -> n
     return h * s + noise
 
 
-def generate_bins(cfg: ScenarioConfig, alpha: float, h: complex, rng,
+def generate_bins(cfg: ScenarioConfig, alpha: float, h: complex | None, rng,
                   s_amp: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct frequency-domain observation (x in-band, y excess-band).
 
     Excess-band bins are exponential with mean N*alpha under both
-    hypotheses (unnormalized DFT convention).  Under H1 each in-band bin
-    is |e + v|^2 with v a noise bin and e the signal contribution: a
+    hypotheses (unnormalized DFT convention).  With h None (idle
+    channel, H0) the in-band bins are too.  Otherwise (H1) each in-band
+    bin is |e + v|^2 with v a noise bin and e the signal contribution: a
     fresh circular Gaussian of power N*alpha*snr per bin, or the fixed
     amplitude h*s_amp when `s_amp` pins the signal.
     """
@@ -229,7 +230,7 @@ def generate_bins(cfg: ScenarioConfig, alpha: float, h: complex, rng,
     geom = cfg.geometry
     scale = cfg.n_samples * alpha
     y = gen.exponential(scale, size=geom.p_excess)
-    if cfg.hypothesis == H0:
+    if h is None:
         x = gen.exponential(scale, size=geom.l_inband)
         return x, y
     v = complex_gaussian(scale, gen, size=geom.l_inband)

@@ -31,8 +31,6 @@ from specsense.numerics import RngStream, reg_upper_gamma
 from specsense.signals import (
     AWGN,
     ChannelSpec,
-    H0,
-    H1,
     NAKAGAMI,
     NoisePrior,
     RAYLEIGH,
@@ -51,13 +49,12 @@ PRIOR = NoisePrior(k=3, theta=3.0)
 DETECTORS = ["optimal", "alrd1", "alrd2"]
 
 
-def scenario(hypothesis=H0, snr=1.0, n=20, trials=100_000, seed=SEED,
+def scenario(snr=1.0, n=20, trials=100_000, seed=SEED,
              channel=ChannelSpec(AWGN), prior=PRIOR, noise_power=None,
              pinned_channel=None, pinned_signal=None):
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec,
-                          channel=channel, hypothesis=hypothesis,
-                          trials=trials, master_seed=seed,
+                          channel=channel, trials=trials, master_seed=seed,
                           noise_power=noise_power,
                           pinned_channel=pinned_channel,
                           pinned_signal=pinned_signal)
@@ -78,10 +75,9 @@ def test_criterion_01_optimal_closed_forms():
     """Known-noise energy detector: closed forms vs 1e5-trial simulation."""
     targets = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9]
     n, alpha, snr = 20, 1.0, 1.0
-    h0 = scenario(H0, snr=snr, noise_power=alpha)
-    h1 = scenario(H1, snr=snr, noise_power=alpha)
-    s0 = trial_statistics(h0, ["optimal"], PHASE_EVAL_H0)["optimal"]
-    s1 = trial_statistics(h1, ["optimal"], PHASE_EVAL_H1)["optimal"]
+    cfg = scenario(snr=snr, noise_power=alpha)
+    s0 = trial_statistics(cfg, ["optimal"], PHASE_EVAL_H0)["optimal"]
+    s1 = trial_statistics(cfg, ["optimal"], PHASE_EVAL_H1)["optimal"]
     worst = 0.0
     for target in targets:
         eta = invert_tail(lambda e: pfa_opt(n, alpha, e), target)
@@ -121,8 +117,8 @@ def test_criterion_05_markov_negligibility():
     for k, snr in cases:
         prior = NoisePrior(k=k, theta=float(k))
         mu = mu_glrd1(20, k, snr)
-        for hyp, phase in ((H0, PHASE_EVAL_H0), (H1, PHASE_EVAL_H1)):
-            cfg = scenario(hyp, snr=snr, prior=prior, noise_power=1.0)
+        for phase in (PHASE_EVAL_H0, PHASE_EVAL_H1):
+            cfg = scenario(snr=snr, prior=prior, noise_power=1.0)
             stats = trial_statistics(cfg, ["glrd1"], phase)["glrd1"]
             frac = float(np.mean(stats > mu))
             worst = max(worst, frac)
@@ -146,7 +142,7 @@ def test_criterion_06_clt_pfa_as_stated():
     """
     l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
     prior = NoisePrior(k=3, theta=theta)
-    cfg = scenario(H0, prior=prior, noise_power=alpha)
+    cfg = scenario(prior=prior, noise_power=alpha)
     stats = trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
     print("criterion 6 (pfa): target  eta     empirical  exact    gap      "
           "gaussian  gaussian-exact")
@@ -174,7 +170,7 @@ def test_criterion_06_clt_pd_pinned():
     prior = NoisePrior(k=3, theta=theta)
     worst = 0.0
     for h, s in ((1 + 0j, 1 + 0j), (1 + 0j, 5 + 2j)):
-        cfg = scenario(H1, prior=prior, noise_power=alpha,
+        cfg = scenario(prior=prior, noise_power=alpha,
                        pinned_channel=h, pinned_signal=s)
         stats = trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1)["alrd2"]
         for eta in (1.2, 2.0):
@@ -229,9 +225,9 @@ def separated(a, b) -> bool:
 
 
 def test_criterion_08_figure_orderings():
-    base = roc_sweep_multi(scenario(H1, snr=1.0, n=20), DETECTORS, GRID)
-    snr5 = roc_sweep_multi(scenario(H1, snr=10 ** 0.5, n=20), DETECTORS, GRID)
-    n40 = roc_sweep_multi(scenario(H1, snr=1.0, n=40), DETECTORS, GRID)
+    base = roc_sweep_multi(scenario(snr=1.0, n=20), DETECTORS, GRID)
+    snr5 = roc_sweep_multi(scenario(snr=10 ** 0.5, n=20), DETECTORS, GRID)
+    n40 = roc_sweep_multi(scenario(snr=1.0, n=40), DETECTORS, GRID)
 
     at = {pt.pfa_target: pt for pt in base["alrd2"]}
     tr = {pt.pfa_target: pt for pt in base["alrd1"]}
@@ -263,16 +259,16 @@ def test_criterion_08_figure_orderings():
 
 
 def test_criterion_09_fading_sweeps():
-    rayleigh = roc_sweep_multi(scenario(H1, channel=ChannelSpec(RAYLEIGH)),
+    rayleigh = roc_sweep_multi(scenario(channel=ChannelSpec(RAYLEIGH)),
                                DETECTORS, GRID)
     nakagami2 = roc_sweep_multi(
-        scenario(H1, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
+        scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
         DETECTORS, GRID)
     nakagami1 = roc_sweep_multi(
-        scenario(H1, channel=ChannelSpec(NAKAGAMI, nakagami_m=1.0)),
+        scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=1.0)),
         DETECTORS, GRID)
 
-    small = scenario(H1, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0),
+    small = scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0),
                      trials=20_000)
     rerun_a = roc_sweep_multi(small, DETECTORS, GRID)
     rerun_b = roc_sweep_multi(small, DETECTORS, GRID)
@@ -298,7 +294,7 @@ def test_criterion_09_fading_sweeps():
 
 
 def test_criterion_10_determinism():
-    cfg = scenario(H1, trials=20_000)
+    cfg = scenario(trials=20_000)
     a = roc_sweep_multi(cfg, DETECTORS, GRID)
     b = roc_sweep_multi(cfg, DETECTORS, GRID)
     assert a == b

@@ -76,6 +76,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match="pinned_signal"):
             experiment_from_mapping(raw)
 
+    def test_pinned_signal_rejected_for_time_domain_detectors(self):
+        # time samples are drawn without the pinned amplitude
+        for listed in ("optimal, alrd2", "alrd1", "glrd1, glrd2"):
+            raw = parse_config_text(MINIMAL.replace(
+                "detectors = alrd1, alrd2", f"detectors = {listed}")
+                + "pinned_signal_re = 100\n")
+            with pytest.raises(ConfigError, match="pinned_signal"):
+                experiment_from_mapping(raw)
+        raw = parse_config_text(MINIMAL.replace(
+            "detectors = alrd1, alrd2", "detectors = alrd2, glrd2")
+            + "pinned_signal_re = 100\n")
+        assert experiment_from_mapping(raw).pinned_signal == 100
+
+    def test_glr_two_sided_requires_glr_detector(self):
+        raw = parse_config_text(MINIMAL + "glr_two_sided = true\n")
+        with pytest.raises(ConfigError, match="glr_two_sided"):
+            experiment_from_mapping(raw)
+        for listed in ("alrd1, glrd1", "glrd2"):
+            raw = parse_config_text(MINIMAL.replace(
+                "detectors = alrd1, alrd2", f"detectors = {listed}")
+                + "glr_two_sided = true\n")
+            assert experiment_from_mapping(raw).glr_two_sided
+
     def test_duplicate_detector(self):
         raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
                                                 "detectors = alrd1, alrd1"))
@@ -104,7 +127,7 @@ class TestParsing:
 
     def test_scenario_construction(self):
         exp = experiment_from_mapping(parse_config_text(MINIMAL))
-        cfg = exp.scenario(20, exp.channels[0], hypothesis="h1")
+        cfg = exp.scenario(20, exp.channels[0])
         assert cfg.trials == 4000
         assert cfg.signal.snr_linear == pytest.approx(10 ** 0.3)
 
@@ -170,6 +193,22 @@ class TestCliRoc:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["roc", str(tmp_path / "nope.conf")]) == 1
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # a missing or unknown argument is a config error, not exit 2
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["roc"]) == 1
+        assert "config error: the following arguments are required: config" in (
+            capsys.readouterr().err)
+        assert main(["roc", str(conf), "--bogus"]) == 1
+        assert main([]) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["roc", "--help"])
+        assert done.value.code == 0
+        assert "--svg" in capsys.readouterr().out
 
     def test_band_rule_target_too_large_exit_code(self, tmp_path):
         conf = write_config(tmp_path, ROC_CONF.replace(
@@ -273,6 +312,13 @@ class TestCliCurves:
         assert "single n_samples value and channel" in capsys.readouterr().err
         assert not (tmp_path / "exp_curves.csv").exists()
 
+    def test_takes_no_svg_flag(self, tmp_path, capsys):
+        # curves draws no figure, so --svg is a usage error
+        conf = write_config(tmp_path, CURVES_CONF)
+        assert main(["curves", str(conf), "--svg", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
+
     def test_requires_grid(self, tmp_path):
         conf = write_config(tmp_path, CURVES_CONF.replace(
             "threshold_min = 0\n", "").replace(
@@ -293,6 +339,15 @@ class TestCliCalibrate:
         assert "threshold" in out
         assert out.splitlines()[-1].startswith("wrote ")
 
+    def test_takes_no_svg_flag(self, tmp_path):
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["calibrate", str(conf), "--pfa", "0.1", "--svg",
+                     "--out", str(tmp_path)]) == 1
+
+    def test_requires_pfa(self, tmp_path):
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["calibrate", str(conf), "--out", str(tmp_path)]) == 1
+
     def test_insufficient_trials(self, tmp_path):
         conf = write_config(tmp_path, ROC_CONF.replace("trials = 3000",
                                                        "trials = 200"))
@@ -305,6 +360,12 @@ class TestCliValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
+
+    @pytest.mark.parametrize("flag", [["--svg"], ["--trials", "10"], ["--out", "x"]])
+    def test_takes_only_seed(self, flag, capsys):
+        # the battery has fixed sizes and writes no files
+        assert main(["validate", *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
     def test_seed_outside_key_space_exit_code(self, seed, capsys):

@@ -25,8 +25,8 @@ from specsense.observation import spectrum_bins, split_bands
 from specsense.signals import (
     AWGN,
     ChannelSpec,
-    H0,
-    H1,
+    MODEL,
+    NAKAGAMI,
     NoisePrior,
     RAYLEIGH,
     ScenarioConfig,
@@ -38,12 +38,12 @@ from specsense.signals import (
 PRIOR = NoisePrior(k=3, theta=3.0)
 
 
-def make_cfg(hypothesis=H0, snr=1.0, n=20, trials=5000, seed=99,
+def make_cfg(snr=1.0, n=20, trials=5000, seed=99,
              channel=ChannelSpec(AWGN), noise_power=None, source="model",
              prior=PRIOR):
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec,
-                          channel=channel, hypothesis=hypothesis, trials=trials,
+                          channel=channel, trials=trials,
                           master_seed=seed, noise_power=noise_power, source=source)
 
 
@@ -64,7 +64,7 @@ class TestWilson:
 
 class TestTrialEngine:
     def test_deterministic(self):
-        cfg = make_cfg(H1)
+        cfg = make_cfg()
         a = trial_statistics(cfg, ["optimal", "alrd2"], PHASE_EVAL_H1)
         b = trial_statistics(cfg, ["optimal", "alrd2"], PHASE_EVAL_H1)
         for k in a:
@@ -87,29 +87,28 @@ class TestTrialEngine:
             trial_statistics(make_cfg(), ["bogus"], PHASE_EVAL_H0)
 
     def test_zero_snr_hypotheses_indistinguishable(self):
-        cfg0 = make_cfg(H0, snr=0.0, trials=20_000)
-        cfg1 = make_cfg(H1, snr=0.0, trials=20_000)
+        cfg = make_cfg(snr=0.0, trials=20_000)
         for det in ("alrd1", "alrd2"):
-            pfa = np.mean(trial_statistics(cfg0, [det], PHASE_EVAL_H0)[det] > 4.0)
-            pd = np.mean(trial_statistics(cfg1, [det], PHASE_EVAL_H1)[det] > 4.0)
-            se = math.sqrt(pfa * (1 - pfa) / cfg0.trials
-                           + pd * (1 - pd) / cfg1.trials)
+            pfa = np.mean(trial_statistics(cfg, [det], PHASE_EVAL_H0)[det] > 4.0)
+            pd = np.mean(trial_statistics(cfg, [det], PHASE_EVAL_H1)[det] > 4.0)
+            se = math.sqrt(pfa * (1 - pfa) / cfg.trials
+                           + pd * (1 - pd) / cfg.trials)
             assert abs(pd - pfa) <= 3 * se + 1e-12
 
     def test_zero_threshold_always_decides_h1(self):
-        cfg = make_cfg(H0, trials=2000)
+        cfg = make_cfg(trials=2000)
         stats = trial_statistics(cfg, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
         assert np.all(stats > 0.0)
 
     def test_alrd1_fixed_alpha_matches_closed_form(self):
-        cfg = make_cfg(H0, trials=100_000, noise_power=1.0)
+        cfg = make_cfg(trials=100_000, noise_power=1.0)
         stats = trial_statistics(cfg, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
         for eta in (8.0, 10.0, 14.0):
             emp = float(np.mean(stats > eta))
             assert abs(emp - pfa_alrd1(20, 1.0, PRIOR, eta)) < 0.01
 
     def test_waveform_source_runs_and_matches_h0_rates(self):
-        cfg_m = make_cfg(H0, trials=20_000, noise_power=1.0)
+        cfg_m = make_cfg(trials=20_000, noise_power=1.0)
         cfg_w = replace(cfg_m, source=WAVEFORM)
         sm = trial_statistics(cfg_m, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         sw = trial_statistics(cfg_w, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
@@ -120,17 +119,38 @@ class TestTrialEngine:
     @pytest.mark.parametrize("n, rate", [(20, None), (100, None), (37, 90_000.0)])
     def test_waveform_bins_match_split_bands(self, n, rate):
         # the per-scenario band indices give the bins split_bands gives
-        cfg = replace(make_cfg(H1, n=n, source=WAVEFORM, noise_power=1.3),
+        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3),
                       pinned_channel=0.8 + 0.2j)
         if rate is not None:
             cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
         for i in range(5):
-            obs, alpha = _simulate_trial(cfg, {FREQ}, trial_stream(99, PHASE_EVAL_H1, i))
+            obs, alpha = _simulate_trial(cfg, {FREQ}, PHASE_EVAL_H1, i)
             gen = trial_stream(99, PHASE_EVAL_H1, i).generator()
             z = generate_time_block(cfg, 1.3, 0.8 + 0.2j, gen)
             x, y, _ = split_bands(spectrum_bins(z), cfg.signal)
             assert alpha == 1.3
             assert np.array_equal(obs[FREQ][0], x) and np.array_equal(obs[FREQ][1], y)
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_h0_phases_ignore_the_channel(self, source):
+        # idle-channel trials draw no gain and read no channel field, so
+        # the calibration and H0 evaluation phases match on every channel
+        names = ["optimal", "alrd1", "alrd2"]
+        awgn = make_cfg(trials=300, source=source)
+        others = [replace(awgn, channel=ChannelSpec(RAYLEIGH)),
+                  replace(awgn, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
+                  replace(awgn, pinned_channel=0.3 - 0.4j, pinned_signal=2 + 1j)]
+        for phase in (PHASE_CALIBRATION, PHASE_EVAL_H0):
+            ref = trial_statistics(awgn, names, phase)
+            for cfg in others:
+                got = trial_statistics(cfg, names, phase)
+                for name in names:
+                    assert np.array_equal(got[name], ref[name]), (cfg, phase, name)
+        # the occupied phase does read the channel
+        h1 = trial_statistics(awgn, ["alrd2"], PHASE_EVAL_H1)["alrd2"]
+        for cfg in others:
+            assert not np.array_equal(
+                trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1)["alrd2"], h1)
 
 
 class TestEmpiricalCdf:
@@ -147,22 +167,16 @@ class TestEmpiricalCdf:
         assert cdf.quantile(1.0) == 4.0
 
     def test_quantile_equals_calibration(self):
-        cfg = make_cfg(H0, trials=5000)
+        cfg = make_cfg(trials=5000)
         cdf = calibration_cdfs(cfg, ["alrd1"])["alrd1"]
         grid = [0.02, 0.1, 0.5]
         for p, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
             assert spec.eta1 == cdf.quantile(1 - p)
 
-    def test_reads_the_calibration_trials_of_any_hypothesis(self):
-        # the caller's hypothesis is irrelevant: calibration is always H0
-        cdf = calibration_cdfs(make_cfg(H1), ["alrd1"])["alrd1"]
-        stats = trial_statistics(make_cfg(H0), ["alrd1"], PHASE_CALIBRATION)["alrd1"]
-        assert np.array_equal(cdf.values, np.sort(stats))
-
     def test_one_run_for_every_detector(self):
         # every detector's CDF comes from the same trials as a joint run
         names = ["optimal", "alrd1", "alrd2"]
-        cfg = make_cfg(H0, trials=500)
+        cfg = make_cfg(trials=500)
         cdfs = calibration_cdfs(cfg, names)
         joint = trial_statistics(cfg, names, PHASE_CALIBRATION)
         for name in names:
@@ -171,17 +185,17 @@ class TestEmpiricalCdf:
 
 class TestCalibration:
     def test_median_threshold(self):
-        cfg = make_cfg(H0, trials=4000)
+        cfg = make_cfg(trials=4000)
         thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0].eta1
         stats = trial_statistics(cfg, ["alrd1"], PHASE_CALIBRATION)["alrd1"]
         assert thr == np.sort(stats)[math.ceil(0.5 * stats.size) - 1]
 
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigError):
-            calibrate(make_cfg(H0, trials=500), ["alrd1"], [0.05])
+            calibrate(make_cfg(trials=500), ["alrd1"], [0.05])
 
     def test_matches_analytic_inversion_at_fixed_alpha(self):
-        cfg = make_cfg(H0, trials=100_000, noise_power=1.0)
+        cfg = make_cfg(trials=100_000, noise_power=1.0)
         target = 0.1
         thr = calibrate(cfg, ["optimal"], [target])["optimal"][0].eta1
         # invert the closed form by bisection
@@ -200,14 +214,14 @@ class TestCalibration:
         assert abs(thr - analytic) < 2 * se
 
     def test_holdout_pfa_reproduces_target(self):
-        cfg = make_cfg(H0, trials=100_000)
+        cfg = make_cfg(trials=100_000)
         thr = calibrate(cfg, ["alrd2"], [0.1])["alrd2"][0].eta1
         fresh = replace(cfg, master_seed=cfg.master_seed + 1)
         stats = trial_statistics(fresh, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         assert abs(np.mean(stats > thr) - 0.1) < 0.01
 
     def test_independent_seed_within_ten_percent(self):
-        cfg = make_cfg(H0, trials=100_000)
+        cfg = make_cfg(trials=100_000)
         grid = [0.05, 0.2]
         for target, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
             thr = spec.eta1
@@ -217,7 +231,7 @@ class TestCalibration:
             assert 0.9 * target <= emp <= 1.1 * target
 
     def test_two_sided_band_mass(self):
-        cfg = replace(make_cfg(H0, trials=100_000), glr_two_sided=True)
+        cfg = replace(make_cfg(trials=100_000), glr_two_sided=True)
         thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
         assert thr.eta1 < thr.eta2
         fresh = replace(cfg, master_seed=777)
@@ -228,7 +242,7 @@ class TestCalibration:
     def test_two_sided_brackets_peak_under_vague_prior(self):
         # with a vague prior the H0 statistic is heavy tailed and the
         # calibrated band straddles the likelihood peak
-        cfg = replace(make_cfg(H0, trials=100_000), glr_two_sided=True)
+        cfg = replace(make_cfg(trials=100_000), glr_two_sided=True)
         thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
         mu = mu_glrd1(20, PRIOR.k, 1.0)
         assert thr.eta1 < mu < thr.eta2
@@ -238,7 +252,7 @@ class TestCalibration:
         # that no calibrated band reaches it; the band degenerates to a
         # one-sided rule in practice and calibration says so
         prior = NoisePrior(k=16, theta=16.0)
-        cfg = replace(make_cfg(H0, trials=50_000, prior=prior, noise_power=1.0),
+        cfg = replace(make_cfg(trials=50_000, prior=prior, noise_power=1.0),
                       glr_two_sided=True)
         mu = mu_glrd1(20, prior.k, 1.0)
         with pytest.warns(UserWarning, match="do not bracket"):
@@ -248,7 +262,7 @@ class TestCalibration:
 
 class TestRocSweep:
     def test_points_and_monotonicity(self):
-        cfg = make_cfg(H1, trials=20_000)
+        cfg = make_cfg(trials=20_000)
         pts = roc_sweep_multi(cfg, ["alrd2"], [0.01, 0.05, 0.1, 0.3, 0.6])["alrd2"]
         pds = [p.pd_empirical for p in pts]
         for a, b, pa, pb in zip(pts, pts[1:], pds, pds[1:]):
@@ -258,7 +272,7 @@ class TestRocSweep:
             assert abs(p.pfa_empirical - p.pfa_target) < 0.02
 
     def test_endpoint_target_near_one(self):
-        cfg = make_cfg(H1, trials=20_000)
+        cfg = make_cfg(trials=20_000)
         pts = roc_sweep_multi(cfg, ["alrd1"], [0.99])["alrd1"]
         assert pts[0].pd_empirical > 0.97
 
@@ -270,8 +284,8 @@ class TestRocSweep:
         # resolves.
         grid = [0.02, 0.05, 0.1, 0.2, 0.4]
         detectors = ["optimal", "alrd1", "alrd2"]
-        small = roc_sweep_multi(make_cfg(H1, n=20, trials=20_000), detectors, grid)
-        large = roc_sweep_multi(make_cfg(H1, n=40, trials=20_000), detectors, grid)
+        small = roc_sweep_multi(make_cfg(n=20, trials=20_000), detectors, grid)
+        large = roc_sweep_multi(make_cfg(n=40, trials=20_000), detectors, grid)
         for det in detectors:
             separated = 0
             for a, b in zip(small[det], large[det]):
@@ -281,19 +295,19 @@ class TestRocSweep:
                 assert separated >= 3, det
 
     def test_grid_validation(self):
-        cfg = make_cfg(H1, trials=20_000)
+        cfg = make_cfg(trials=20_000)
         with pytest.raises(ConfigError):
             roc_sweep_multi(cfg, ["alrd1"], [0.5, 0.1])
         with pytest.raises(ConfigError):
             roc_sweep_multi(cfg, ["alrd1"], [0.0, 0.5])
 
     def test_fading_channels_run(self):
-        cfg = make_cfg(H1, trials=5000, channel=ChannelSpec(RAYLEIGH))
+        cfg = make_cfg(trials=5000, channel=ChannelSpec(RAYLEIGH))
         pts = roc_sweep_multi(cfg, ["alrd2"], [0.1, 0.3])["alrd2"]
         assert all(0 <= p.pd_empirical <= 1 for p in pts)
 
     def test_two_sided_flag_calibrates_band(self):
-        cfg = replace(make_cfg(H1, trials=50_000), glr_two_sided=True)
+        cfg = replace(make_cfg(trials=50_000), glr_two_sided=True)
         # at target 0.3 the band's upper edge falls below the peak
         with pytest.warns(UserWarning, match="glrd1: .* at targets 0.3 do not bracket"):
             banded = roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
@@ -308,7 +322,7 @@ class TestRocSweep:
         # an informative prior puts the peak beyond every calibrated band:
         # one warning names the banded detector and each missed target
         prior = NoisePrior(k=16, theta=16.0)
-        cfg = replace(make_cfg(H1, trials=5000, prior=prior, noise_power=1.0),
+        cfg = replace(make_cfg(trials=5000, prior=prior, noise_power=1.0),
                       glr_two_sided=True)
         with pytest.warns(UserWarning) as caught:
             roc_sweep_multi(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
@@ -320,7 +334,7 @@ class TestRocSweep:
     def test_band_rule_rejects_target_above_budget(self):
         # a band rule spends (1 + 0.1) * target below its lower edge, so a
         # target of 1/1.1 or more has no lower quantile to place
-        cfg = replace(make_cfg(H1, trials=2000), glr_two_sided=True)
+        cfg = replace(make_cfg(trials=2000), glr_two_sided=True)
         with pytest.raises(ConfigError, match="band rule"):
             roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.95])
         with pytest.raises(ConfigError, match="band rule"):

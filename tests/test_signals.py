@@ -10,8 +10,6 @@ from specsense.observation import split_bands, spectrum_bins
 from specsense.signals import (
     AWGN,
     ChannelSpec,
-    H0,
-    H1,
     NAKAGAMI,
     NoisePrior,
     RAYLEIGH,
@@ -25,11 +23,11 @@ from specsense.signals import (
 )
 
 
-def make_cfg(hypothesis=H0, snr=1.0, n=20, channel=ChannelSpec(AWGN),
+def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
              prior=NoisePrior(k=4, theta=4.0), trials=100, seed=7):
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec, channel=channel,
-                          hypothesis=hypothesis, trials=trials, master_seed=seed)
+                          trials=trials, master_seed=seed)
 
 
 class TestPriorTypes:
@@ -131,15 +129,15 @@ class TestRaisedCosineProfile:
 
 class TestGenerateTimeBlock:
     def test_h0_power(self):
-        cfg = make_cfg(H0)
+        cfg = make_cfg()
         gen = RngStream(308).generator()
         total = np.concatenate([
-            np.abs(generate_time_block(cfg, 1.0, 1.0 + 0j, gen)) ** 2
+            np.abs(generate_time_block(cfg, 1.0, None, gen)) ** 2
             for _ in range(5000)])
         assert abs(total.mean() - 1.0) < 3 * 1.0 / math.sqrt(total.size)
 
     def test_h1_power_additive(self):
-        cfg = make_cfg(H1, snr=1.0)
+        cfg = make_cfg(snr=1.0)
         gen = RngStream(309).generator()
         total = np.concatenate([
             np.abs(generate_time_block(cfg, 1.0, 1.0 + 0j, gen)) ** 2
@@ -149,7 +147,7 @@ class TestGenerateTimeBlock:
     def test_h1_periodogram_matches_profile(self):
         # Excess/in-band signal power ratio of the averaged periodogram
         # should match the shaping profile (5% relative).
-        cfg = make_cfg(H1, snr=8.0)  # strong signal so noise bias is small
+        cfg = make_cfg(snr=8.0)  # strong signal so noise bias is small
         spec = cfg.signal
         gen = RngStream(310).generator()
         acc = np.zeros(cfg.n_samples)
@@ -170,11 +168,11 @@ class TestGenerateTimeBlock:
 
 class TestGenerateBins:
     def test_h0_means(self):
-        cfg = make_cfg(H0)
+        cfg = make_cfg()
         gen = RngStream(311).generator()
         xs, ys = [], []
         for _ in range(20_000):
-            x, y = generate_bins(cfg, 1.0, 1.0 + 0j, gen)
+            x, y = generate_bins(cfg, 1.0, None, gen)
             xs.append(x)
             ys.append(y)
         xs, ys = np.concatenate(xs), np.concatenate(ys)
@@ -182,7 +180,7 @@ class TestGenerateBins:
         assert abs(ys.mean() - 20.0) < 3 * 20.0 / math.sqrt(ys.size)
 
     def test_h1_means(self):
-        cfg = make_cfg(H1, snr=1.0)
+        cfg = make_cfg(snr=1.0)
         gen = RngStream(312).generator()
         xs, ys = [], []
         for _ in range(20_000):
@@ -195,14 +193,14 @@ class TestGenerateBins:
 
     def test_cross_path_h0_means_agree(self):
         # Direct bin sampling vs waveform -> FFT -> split, H0.
-        cfg = make_cfg(H0)
+        cfg = make_cfg()
         gen = RngStream(313).generator()
         mx_direct, my_direct, mx_wave, my_wave = [], [], [], []
         for _ in range(10_000):
-            x, y = generate_bins(cfg, 1.0, 1.0 + 0j, gen)
+            x, y = generate_bins(cfg, 1.0, None, gen)
             mx_direct.append(x.mean())
             my_direct.append(y.mean())
-            z = generate_time_block(cfg, 1.0, 1.0 + 0j, gen)
+            z = generate_time_block(cfg, 1.0, None, gen)
             xw, yw, _ = split_bands(spectrum_bins(z), cfg.signal)
             mx_wave.append(xw.mean())
             my_wave.append(yw.mean())
@@ -210,7 +208,7 @@ class TestGenerateBins:
         assert np.mean(my_wave) == pytest.approx(np.mean(my_direct), rel=0.02)
 
     def test_pinned_amplitude_mean(self):
-        cfg = make_cfg(H1, snr=1.0)
+        cfg = make_cfg(snr=1.0)
         gen = RngStream(314).generator()
         s = 4.0 + 3.0j
         xs = np.concatenate([
@@ -220,7 +218,7 @@ class TestGenerateBins:
         assert abs(xs.mean() - expect) < 3 * xs.std() / math.sqrt(xs.size)
 
     def test_noise_and_signal_bins_uncorrelated(self):
-        cfg = make_cfg(H1, snr=1.0, trials=1)
+        cfg = make_cfg(snr=1.0, trials=1)
         gen = RngStream(315).generator()
         mx = np.empty(100_000)
         my = np.empty(100_000)
@@ -231,12 +229,12 @@ class TestGenerateBins:
         assert abs(np.corrcoef(mx, my)[0, 1]) < 0.01
 
     def test_noise_power_scaling(self):
-        cfg = make_cfg(H0)
+        cfg = make_cfg()
         c = 3.7
-        xs1 = np.concatenate([generate_bins(cfg, 1.0, 1.0 + 0j,
+        xs1 = np.concatenate([generate_bins(cfg, 1.0, None,
                                             RngStream(316, i).generator())[0]
                               for i in range(5000)])
-        xs2 = np.concatenate([generate_bins(cfg, c, 1.0 + 0j,
+        xs2 = np.concatenate([generate_bins(cfg, c, None,
                                             RngStream(316, i).generator())[0]
                               for i in range(5000)])
         assert xs2.mean() / xs1.mean() == pytest.approx(c, rel=1e-9)
@@ -246,8 +244,8 @@ class TestGenerateBins:
         samples = {}
         for name, ch in (("awgn", ChannelSpec(AWGN)),
                          ("rayleigh", ChannelSpec(RAYLEIGH))):
-            cfg = make_cfg(H0, channel=ch)
+            cfg = make_cfg(channel=ch)
             samples[name] = np.concatenate([
-                generate_bins(cfg, 1.0, 1.0 + 0j, gens)[0] for _ in range(5000)])
+                generate_bins(cfg, 1.0, None, gens)[0] for _ in range(5000)])
         res = stats.ks_2samp(samples["awgn"], samples["rayleigh"])
         assert res.pvalue > 0.01
