@@ -44,6 +44,7 @@ from .montecarlo import (
     RocPoint,
     calibrate,
     calibration_cdfs,
+    roc_sweep_channels,
     roc_sweep_multi,
     wilson_interval,
 )

