@@ -10,6 +10,11 @@ energy sum), the ALRD1/GLRD1 threshold to sum(r)/theta (so its tail
 argument is eta*theta/alpha), and the ALRD2/GLRD2 threshold to
 sum(x)/(theta + sum(y)).
 
+The incomplete-gamma and Gaussian forms (`pfa_opt` to `pd_alrd2_clt`)
+are elementwise: eta, alpha, snr, h and s may be arrays that broadcast,
+so a threshold grid or a set of prior draws is one scipy call; squares
+are written x*x, which rounds the same on scalars and arrays.
+
 The Gaussian (CLT) expressions for the excess-band detectors use the
 linearized statistic sum(x) - eta*sum(y) compared against eta*theta,
 with bin model: excess bins exponential of mean N*alpha; in-band bins
@@ -128,7 +133,7 @@ def pfa_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
     variance N^2*alpha^2*(L + P*eta^2).
     """
     num = theta * eta - alpha * n_samples * (l_inband - p_excess * eta)
-    den = alpha * n_samples * math.sqrt(l_inband + p_excess * eta**2)
+    den = alpha * n_samples * np.sqrt(l_inband + p_excess * (eta * eta))
     return q_function(num / den)
 
 
@@ -171,8 +176,8 @@ def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
     ps = abs(h * s) ** 2
     na = n_samples * alpha
     mean = l_inband * (ps + na) - eta * p_excess * na
-    var = l_inband * (na**2 + 2.0 * na * ps) + p_excess * eta**2 * na**2
-    return q_function((theta * eta - mean) / math.sqrt(var))
+    var = l_inband * (na * na + 2.0 * na * ps) + p_excess * (eta * eta) * (na * na)
+    return q_function((theta * eta - mean) / np.sqrt(var))
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +191,31 @@ class AveragedProbability:
     draws: int
 
 
-def average_over_prior(point_fn: Callable[[float, complex, complex], float],
+def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                        prior: NoisePrior, mc_draws: int, rng,
                        channel: ChannelSpec | None = None,
                        draw_signal: bool = False) -> AveragedProbability:
     """Monte Carlo average of a conditional probability over the prior.
 
-    `point_fn(alpha, h, s_unit)` is called once per draw with a noise
-    power from the prior, a channel gain (h = 1 when no channel is
-    given), and a unit-power circular Gaussian signal amplitude (s = 0
-    unless `draw_signal`); the callee applies its own signal scaling.
-    Returns the sample mean with its standard error.
+    `point_fn(alphas, gains, amps)` is called once with three arrays of
+    length `mc_draws`: noise powers from the prior, channel gains (all 1
+    without a channel) and unit-power circular Gaussian signal amplitudes
+    (all 0 unless `draw_signal`), which the callee scales itself.  It
+    returns one value per draw, as the closed forms above do, or a scalar
+    that counts for every draw.  Returns the mean with its standard error.
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")
     gen = as_generator(rng)
     alphas = draw_noise_power(prior, gen, size=mc_draws)
-    if channel is not None:
-        gains = channel_gain(channel, gen, size=mc_draws)
-    else:
-        gains = np.ones(mc_draws, dtype=complex)
-    if draw_signal:
-        amps = complex_gaussian(1.0, gen, size=mc_draws)
-    else:
-        amps = np.zeros(mc_draws, dtype=complex)
-    vals = np.array([point_fn(float(a), complex(g), complex(s))
-                     for a, g, s in zip(alphas, gains, amps)])
-    value = float(np.mean(vals))
+    gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
+             else np.ones(mc_draws, dtype=complex))
+    amps = (complex_gaussian(1.0, gen, size=mc_draws) if draw_signal
+            else np.zeros(mc_draws, dtype=complex))
+    vals = np.broadcast_to(np.asarray(point_fn(alphas, gains, amps), dtype=float),
+                           (mc_draws,))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(mc_draws)) if mc_draws > 1 else 0.0
-    return AveragedProbability(value=value, stderr=stderr, draws=mc_draws)
+    return AveragedProbability(value=float(np.mean(vals)), stderr=stderr, draws=mc_draws)
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,9 @@ def _load(args) -> ExperimentConfig:
     return exp
 
 
-def _check_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise NumericFailure("non-finite value in command output")
+def _check_finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericFailure("non-finite value in command output")
 
 
 def _run(args, command: str, header: list[str],
@@ -171,13 +170,12 @@ def cmd_cdf(args) -> int:
             exp.scenario(exp.n_samples[0], exp.channels[0]), exp.detectors)
         table, series = [], []
         for name, cdf in cdfs.items():
-            grid = np.linspace(float(cdf.values[0]), float(cdf.values[-1]),
-                               exp.cdf_points)
-            vals = [cdf.evaluate(t) for t in grid]
-            for t, c in zip(grid, vals):
-                _check_finite(t, c)
-                table.append([name, _fmt(t), _fmt(c)])
-            series.append((name, list(grid), vals))
+            grid = np.linspace(cdf.values[0], cdf.values[-1], exp.cdf_points)
+            vals = cdf.evaluate(grid)
+            _check_finite(grid, vals)
+            table.extend([name, _fmt(t), _fmt(c)]
+                         for t, c in zip(grid.tolist(), vals.tolist()))
+            series.append((name, list(grid), vals.tolist()))
         return table, series
 
     return _run(args, "cdf", ["detector", "statistic_value", "cdf"], rows, check,
@@ -209,21 +207,20 @@ def cmd_curves(args) -> int:
         grid = np.linspace(*exp.threshold_grid)
         table = []
         for name in exp.detectors:
-            for thr in grid:
-                thr = float(thr)
-                if name == "optimal":
-                    pfa = analysis.pfa_opt(n, 1.0, thr)
-                    pd = analysis.pd_opt(n, 1.0, snr_h, thr)
-                elif name in ("alrd1", "glrd1"):
-                    pfa = analysis.pfa_alrd1(n, alpha, exp.prior, thr)
-                    pd = analysis.pd_alrd1(n, alpha, exp.prior, snr_h, thr)
-                else:
-                    pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                                 alpha, exp.prior.theta, thr)
-                    pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                               alpha, exp.prior.theta, thr, h, s)
-                _check_finite(pfa, pd)
-                table.append([name, _fmt(thr), _fmt(pfa), _fmt(pd)])
+            if name == "optimal":
+                pfa = analysis.pfa_opt(n, 1.0, grid)
+                pd = analysis.pd_opt(n, 1.0, snr_h, grid)
+            elif name in ("alrd1", "glrd1"):
+                pfa = analysis.pfa_alrd1(n, alpha, exp.prior, grid)
+                pd = analysis.pd_alrd1(n, alpha, exp.prior, snr_h, grid)
+            else:
+                pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
+                                             alpha, exp.prior.theta, grid)
+                pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
+                                           alpha, exp.prior.theta, grid, h, s)
+            _check_finite(pfa, pd)
+            table.extend([name, _fmt(thr), _fmt(a), _fmt(b)] for thr, a, b
+                         in zip(grid.tolist(), pfa.tolist(), pd.tolist()))
         return table, []
 
     return _run(args, "curves", ["detector", "threshold", "pfa_cf", "pd_cf"],

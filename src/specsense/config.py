@@ -189,6 +189,8 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         pinned_channel = complex(
             _parse_float(raw.get("pinned_channel_re", "0"), "pinned_channel_re"),
             _parse_float(raw.get("pinned_channel_im", "0"), "pinned_channel_im"))
+    if pinned_channel is not None and len(channels) > 1:
+        raise ConfigError("pinned_channel_re/_im fix the gain of every channel: list one")
     pinned_signal = None
     if "pinned_signal_re" in raw or "pinned_signal_im" in raw:
         pinned_signal = complex(

@@ -218,9 +218,9 @@ class EmpiricalCdf:
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalCdf":
         return cls(values=np.sort(np.asarray(samples, dtype=float)))
 
-    def evaluate(self, t: float) -> float:
-        """Fraction of samples <= t."""
-        return float(np.searchsorted(self.values, t, side="right")) / self.values.size
+    def evaluate(self, t):
+        """Fraction of samples <= t, elementwise over an array of t."""
+        return np.searchsorted(self.values, t, side="right") / self.values.size
 
     def quantile(self, q: float) -> float:
         """Smallest sample value v with evaluate(v) >= q."""

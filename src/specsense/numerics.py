@@ -21,37 +21,40 @@ from scipy.special import erfc, erfcinv, gammainc, gammaincc
 # Regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _gamma_args(s: float, x: float) -> tuple[float, float]:
-    s = float(s)
-    x = float(x)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"shape must be finite and positive, got {s}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"integration limit must be finite and >= 0, got {x}")
+def _gamma_args(s, x) -> tuple[np.ndarray, np.ndarray]:
+    s, x = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(s) & (s > 0.0))
+    if bad.any():
+        raise ValueError(f"shape must be finite and positive, got {s[bad][0]}")
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if bad.any():
+        raise ValueError(f"integration limit must be finite and >= 0, got {x[bad][0]}")
     return s, x
 
 
-def reg_upper_gamma(s: float, x: float) -> float:
+def reg_upper_gamma(s, x):
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
 
-    Evaluated by `scipy.special.gammaincc`.  Monotone nonincreasing in x
-    with Q(s, 0) = 1.
+    Evaluated elementwise by `scipy.special.gammaincc`: arrays broadcast,
+    scalars give a Python float.  Nonincreasing in x with Q(s, 0) = 1.
 
     Parameters
     ----------
-    s : positive shape parameter
-    x : nonnegative lower integration limit
+    s : positive shape parameter(s)
+    x : nonnegative lower integration limit(s)
 
     Raises
     ------
-    ValueError : on non-finite input, s <= 0 or x < 0
+    ValueError : if any element is non-finite, has s <= 0 or has x < 0
     """
-    return float(gammaincc(*_gamma_args(s, x)))
+    out = gammaincc(*_gamma_args(s, x))
+    return float(out) if out.ndim == 0 else out
 
 
-def reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = 1 - Q(s, x)."""
-    return float(gammainc(*_gamma_args(s, x)))
+def reg_lower_gamma(s, x):
+    """Regularized lower incomplete gamma P(s, x) = 1 - Q(s, x), elementwise."""
+    out = gammainc(*_gamma_args(s, x))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

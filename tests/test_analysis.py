@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsense.analysis import (
     average_over_prior,
@@ -17,8 +19,18 @@ from specsense.analysis import (
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
-from specsense.numerics import RngStream
-from specsense.signals import ChannelSpec, H0, H1, NoisePrior, RAYLEIGH
+from specsense.numerics import RngStream, complex_gaussian
+from specsense.signals import (
+    AWGN,
+    H0,
+    H1,
+    NAKAGAMI,
+    RAYLEIGH,
+    ChannelSpec,
+    NoisePrior,
+    channel_gain,
+    draw_noise_power,
+)
 
 
 class TestPosteriorUpdate:
@@ -218,6 +230,61 @@ class TestCltForms:
                 assert abs(emp - cf) < 0.05
 
 
+ELEMENTWISE_PRIOR = NoisePrior(k=3, theta=3.0)
+# every closed form as a function of (alpha, snr, eta); the Gaussian forms
+# take no snr, and pd_alrd2_clt keeps its gain and amplitude fixed
+ELEMENTWISE_FORMS = {
+    "pfa_opt": lambda a, snr, eta: pfa_opt(20, a, eta),
+    "pd_opt": lambda a, snr, eta: pd_opt(20, a, snr, eta),
+    "pfa_alrd1": lambda a, snr, eta: pfa_alrd1(20, a, ELEMENTWISE_PRIOR, eta),
+    "pd_alrd1": lambda a, snr, eta: pd_alrd1(20, a, ELEMENTWISE_PRIOR, snr, eta),
+    "pfa_alrd2_clt": lambda a, snr, eta: pfa_alrd2_clt(16, 4, 20, a, 3.0, eta),
+    "pd_alrd2_clt": lambda a, snr, eta: pd_alrd2_clt(16, 4, 20, a, 3.0, eta,
+                                                     0.8 - 0.3j, 4.0 + 1.5j),
+}
+GAMMA_FORMS = ("pfa_opt", "pd_opt", "pfa_alrd1", "pd_alrd1")
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("name", sorted(ELEMENTWISE_FORMS))
+    @given(points=st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(0.0, 10.0),
+                                     st.floats(0.0, 80.0)), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_array_call_equals_scalar_calls(self, name, points):
+        fn = ELEMENTWISE_FORMS[name]
+        alpha, snr, eta = np.array(points).T
+        assert np.array_equal(fn(alpha, snr, eta), [fn(*pt) for pt in points])
+        # a threshold grid against per-row noise powers and SNRs
+        grid = fn(alpha[:, None], snr[:, None], eta)
+        assert np.array_equal(grid, [[fn(a, s, e) for e in eta]
+                                     for a, s, _ in points])
+        assert type(fn(*points[0])) is float
+
+    @pytest.mark.parametrize("name", sorted(ELEMENTWISE_FORMS))
+    def test_dense_grid_equals_scalar_calls(self, name):
+        # a dense grid meets the few inputs (about 3 in 10^4) where libm's
+        # pow(x, 2) and x*x round apart, which a few random points rarely hit
+        fn = ELEMENTWISE_FORMS[name]
+        eta = np.linspace(0.0, 80.0, 20_001)
+        assert np.array_equal(fn(0.7, 1.3, eta), [fn(0.7, 1.3, e) for e in eta.tolist()])
+
+    @pytest.mark.parametrize("name", sorted(ELEMENTWISE_FORMS))
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_one_bad_element_raises(self, name, where):
+        fn = ELEMENTWISE_FORMS[name]
+        alpha, snr, eta = np.ones(10), np.full(10, 2.0), np.linspace(1.0, 30.0, 10)
+        for arr, bad in ((alpha, np.nan), (eta, np.nan), (eta, np.inf)):
+            kept = arr[where]
+            arr[where] = bad
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                fn(alpha, snr, eta)
+            arr[where] = kept
+        if name in GAMMA_FORMS:  # a negative incomplete-gamma argument
+            eta[where] = -1.0
+            with pytest.raises(ValueError):
+                fn(alpha, snr, eta)
+
+
 def quadrature_pfa_alrd2(l, p, n, alpha, theta, eta):
     """Independent oracle: the Erlang tail of sum(x) integrated over the
     Gamma(P) density of sum(y)/(N*alpha) by mpmath quadrature."""
@@ -264,10 +331,39 @@ class TestExactPfaAlrd2:
             pfa_alrd2_exact(16, 0, 20, 1.0, 1.0, 4.0)
 
 
+def _power(z):
+    """|z|^2 as re*re + im*im, which rounds the same for a Python complex
+    and for an array; abs(z) ** 2 need not (numpy's vectorized complex abs
+    and libm's pow can each differ from the other path in the last bit)."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def per_draw_reference(point_fn, prior, mc_draws, rng, channel=None,
+                       draw_signal=False):
+    """Reference: the per-draw loop, one `point_fn` call per prior draw
+    on Python scalars, over the same draws in the same order."""
+    gen = rng.generator()
+    alphas = draw_noise_power(prior, gen, size=mc_draws)
+    gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
+             else np.ones(mc_draws, dtype=complex))
+    amps = (complex_gaussian(1.0, gen, size=mc_draws) if draw_signal
+            else np.zeros(mc_draws, dtype=complex))
+    vals = np.array([point_fn(float(a), complex(g), complex(s))
+                     for a, g, s in zip(alphas, gains, amps)])
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(mc_draws))
+
+
 class TestAverageOverPrior:
     def test_constant_function(self):
-        res = average_over_prior(lambda a, h, s: 0.37, NoisePrior(k=2, theta=2.0),
+        shapes = []
+
+        def fn(a, h, s):
+            shapes.append((a.shape, h.shape, s.shape))
+            return 0.37  # a scalar counts for every draw
+
+        res = average_over_prior(fn, NoisePrior(k=2, theta=2.0),
                                  mc_draws=500, rng=RngStream(508))
+        assert shapes == [((500,), (500,), (500,))]
         assert res.value == pytest.approx(0.37)
         assert res.stderr == pytest.approx(0.0, abs=1e-15)
 
@@ -303,9 +399,32 @@ class TestAverageOverPrior:
         fn = lambda a, h, s: seen.append((h, s)) or 0.5
         average_over_prior(fn, prior, 10, RngStream(514),
                            channel=ChannelSpec(RAYLEIGH), draw_signal=True)
-        hs = np.array([abs(h) for h, _ in seen])
-        ss = np.array([abs(s) for _, s in seen])
-        assert np.all(hs > 0) and np.all(ss > 0)
+        [(h, s)] = seen  # one call with every draw
+        assert h.shape == s.shape == (10,)
+        assert np.all(np.abs(h) > 0) and np.all(np.abs(s) > 0)
+
+    @pytest.mark.parametrize("channel, draw_signal", [
+        (None, False),
+        (ChannelSpec(AWGN), False),
+        (ChannelSpec(RAYLEIGH), False),
+        (ChannelSpec(NAKAGAMI, nakagami_m=2.0), False),
+        (ChannelSpec(RAYLEIGH), True),
+    ])
+    def test_matches_per_draw_loop_bit_for_bit(self, channel, draw_signal):
+        prior = NoisePrior(k=3, theta=3.0)
+        fn = lambda a, h, s: pd_alrd1(20, a, prior, 1.5 * _power(h) * (1.0 + _power(s)),
+                                      16.0)
+        res = average_over_prior(fn, prior, 3_000, RngStream(517), channel=channel,
+                                 draw_signal=draw_signal)
+        value, stderr = per_draw_reference(fn, prior, 3_000, RngStream(517), channel,
+                                           draw_signal)
+        assert (res.value, res.stderr, res.draws) == (value, stderr, 3_000)
+        assert 0.0 < value < 1.0
+
+    def test_rejects_a_result_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            average_over_prior(lambda a, h, s: a[:-1], NoisePrior(k=3, theta=3.0),
+                               50, RngStream(518))
 
 
 class TestStatisticMoments:

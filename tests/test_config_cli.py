@@ -89,6 +89,22 @@ class TestParsing:
             + "pinned_signal_re = 100\n")
         assert experiment_from_mapping(raw).pinned_signal == 100
 
+    def test_pinned_channel_requires_a_single_channel(self, tmp_path):
+        # the pinned gain replaces every channel's draw, so a channel list
+        # would give rows that differ only in their channel label
+        pinned = "pinned_channel_re = 0.5\n"
+        raw = parse_config_text(MINIMAL.replace(
+            "channels = awgn", "channels = rayleigh, nakagami\nnakagami_m = 2") + pinned)
+        with pytest.raises(ConfigError, match="pinned_channel"):
+            experiment_from_mapping(raw)
+        conf = write_config(tmp_path, ROC_CONF.replace(
+            "channels = awgn", "channels = rayleigh, awgn") + pinned)
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "exp_roc.csv").exists()
+        raw = parse_config_text(MINIMAL.replace("channels = awgn", "channels = rayleigh")
+                                + pinned)
+        assert experiment_from_mapping(raw).pinned_channel == 0.5
+
     def test_glr_two_sided_requires_glr_detector(self):
         raw = parse_config_text(MINIMAL + "glr_two_sided = true\n")
         with pytest.raises(ConfigError, match="glr_two_sided"):
@@ -519,3 +535,19 @@ class TestNumericFailureExit:
                             lambda *a, **k: float("nan"))
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
+
+    def test_nan_inside_a_closed_form_column_exits_two(self, tmp_path, monkeypatch):
+        # each column is one array call; one bad element fails the command
+        from specsense import cli
+
+        clean = cli.analysis.pd_alrd2_clt
+
+        def one_nan(*args):
+            col = np.array(clean(*args))
+            col[col.size // 2] = np.nan
+            return col
+
+        monkeypatch.setattr(cli.analysis, "pd_alrd2_clt", one_nan)
+        conf = write_config(tmp_path, CURVES_CONF)
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "exp_curves.csv").exists()

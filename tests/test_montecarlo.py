@@ -292,6 +292,12 @@ class TestEmpiricalCdf:
         assert cdf.evaluate(4.0) == 1.0
         assert cdf.evaluate(2.0) == 0.5
 
+    def test_evaluate_is_elementwise(self):
+        cdf = EmpiricalCdf.from_samples(RngStream(540).generator().standard_normal(999))
+        ts = np.linspace(-4.0, 4.0, 301)
+        assert np.array_equal(cdf.evaluate(ts), [cdf.evaluate(t) for t in ts])
+        assert cdf.evaluate(ts.reshape(7, 43)).shape == (7, 43)
+
     def test_quantile_definition(self):
         cdf = EmpiricalCdf.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
         assert cdf.quantile(0.5) == 2.0

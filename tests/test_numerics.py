@@ -74,6 +74,30 @@ class TestRegUpperGamma:
         with pytest.raises(ValueError):
             reg_upper_gamma(1.0, float("inf"))
 
+    @given(st.lists(st.tuples(st.floats(0.1, 80.0), st.floats(0.0, 120.0)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_elementwise_equals_scalar_calls(self, pairs):
+        s, x = np.array(pairs).T
+        for fn in (reg_upper_gamma, reg_lower_gamma):
+            want = np.array([fn(a, b) for a, b in pairs])
+            assert np.array_equal(fn(s, x), want)
+            assert np.array_equal(fn(s[0], x), [fn(s[0], b) for b in x])  # broadcast
+            assert type(fn(s[0], x[0])) is float
+
+    @pytest.mark.parametrize("bad", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
+                                     (float("nan"), 1.0), (1.0, float("nan")),
+                                     (float("inf"), 1.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize("where", [0, 4, 9])
+    def test_one_bad_element_raises(self, bad, where):
+        s, x = np.full(10, 3.0), np.linspace(0.0, 9.0, 10)
+        s[where], x[where] = bad
+        for fn in (reg_upper_gamma, reg_lower_gamma):
+            with pytest.raises(ValueError):
+                fn(s, x)
+            with pytest.raises(ValueError):
+                fn(s.reshape(2, 5), x.reshape(2, 5))
+
 
 class TestQFunction:
     def test_at_zero(self):
