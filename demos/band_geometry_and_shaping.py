@@ -7,17 +7,15 @@ raised-cosine profile while the excess band stays noise-dominated.
 
 import numpy as np
 
-from specsense import (
+from specsense.numerics import RngStream
+from specsense.observation import band_geometry, spectrum_bins, split_bands
+from specsense.signals import (
     ChannelSpec,
     NoisePrior,
-    RngStream,
     ScenarioConfig,
     SignalSpec,
-    band_geometry,
     generate_time_block,
     raised_cosine_profile,
-    spectrum_bins,
-    split_bands,
 )
 
 BANDWIDTH = 54_000.0

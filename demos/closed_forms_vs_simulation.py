@@ -8,15 +8,15 @@ noise prior.
 
 import numpy as np
 
-from specsense import (
-    NoisePrior,
-    RngStream,
+from specsense.analysis import (
     average_over_prior,
     pd_opt,
     pfa_alrd1,
     pfa_alrd2_clt,
     pfa_opt,
 )
+from specsense.numerics import RngStream
+from specsense.signals import NoisePrior
 
 TRIALS = 200_000
 

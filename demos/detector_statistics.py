@@ -8,25 +8,25 @@ and the MAP noise-power estimates.
 
 import numpy as np
 
-from specsense import (
-    ChannelSpec,
-    NoisePrior,
-    RngStream,
-    ScenarioConfig,
-    SignalSpec,
+from specsense.analysis import map_noise_power, posterior_update
+from specsense.detectors import (
     ThresholdSpec,
-    draw_noise_power,
-    generate_bins,
-    map_noise_power,
     mu_glrd1,
     phi_statistic,
-    posterior_update,
     rho_glrd2,
     t_alrd1,
     t_alrd2,
     t_opt,
 )
-from specsense.numerics import complex_gaussian
+from specsense.numerics import RngStream, complex_gaussian
+from specsense.signals import (
+    ChannelSpec,
+    NoisePrior,
+    ScenarioConfig,
+    SignalSpec,
+    draw_noise_power,
+    generate_bins,
+)
 
 
 def main():

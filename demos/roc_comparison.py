@@ -7,13 +7,8 @@ recovers much of the loss.  Includes fading runs, which share one
 calibration and one idle-channel evaluation with the unfaded run.
 """
 
-from specsense import (
-    ChannelSpec,
-    NoisePrior,
-    ScenarioConfig,
-    SignalSpec,
-    roc_sweep_channels,
-)
+from specsense.montecarlo import roc_sweep_channels
+from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 
 DETECTORS = ["optimal", "alrd1", "alrd2"]
 GRID = [0.02, 0.05, 0.1, 0.2, 0.4]

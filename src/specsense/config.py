@@ -9,7 +9,7 @@ them and no silent default is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .detectors import TIME, detector
@@ -102,18 +102,18 @@ class ExperimentConfig:
     snr_db: float
     prior: NoisePrior
     channels: tuple[ChannelSpec, ...]
-    bandwidth_hz: float = 54_000.0
-    rolloff: float = 0.25
-    sample_rate_hz: float | None = None
-    pfa_targets: tuple[float, ...] = ()
-    noise_power: float | None = None
-    pinned_channel: complex | None = None
-    pinned_signal: complex | None = None
-    source: str = MODEL
-    glr_two_sided: bool = False
-    threshold_grid: tuple[float, float, int] | None = None
-    cdf_points: int = 200
-    echo: dict[str, str] = field(default_factory=dict)
+    bandwidth_hz: float
+    rolloff: float
+    sample_rate_hz: float | None
+    pfa_targets: tuple[float, ...]
+    noise_power: float | None
+    pinned_channel: complex | None
+    pinned_signal: complex | None
+    source: str
+    glr_two_sided: bool
+    threshold_grid: tuple[float, float, int] | None
+    cdf_points: int
+    echo: dict[str, str]
 
     @property
     def snr_linear(self) -> float:
@@ -211,6 +211,8 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             ) from None
         if threshold_grid[1] <= threshold_grid[0] or threshold_grid[2] < 2:
             raise ConfigError("invalid threshold grid")
+        if threshold_grid[0] < 0:
+            raise ConfigError("threshold_min must be >= 0: statistics are nonnegative")
 
     source = raw.get("source", MODEL).lower()
     if source not in (MODEL, WAVEFORM):

@@ -39,7 +39,7 @@ from . import detectors as det
 from . import signals as sig
 from .errors import ConfigError, NumericFailure
 from .numerics import stream_seeker
-from .observation import squared_envelope
+from .observation import spectrum_bins, squared_envelope
 
 PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
@@ -143,7 +143,7 @@ def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
         if det.TIME in domains:
             obs[det.TIME] = squared_envelope(z)
         if det.FREQ in domains:
-            w = np.abs(np.fft.fft(z, axis=1)) ** 2
+            w = spectrum_bins(z)
             inband, excess = cfg.bands
             # take keeps each trial's bins contiguous, so each row sums as alone
             obs[det.FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv, gammainc, gammaincc
+from scipy.special import erfc, gammainc, gammaincc
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +71,6 @@ def q_function(z):
         raise ValueError("q_function requires finite input")
     out = 0.5 * erfc(z / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
-
-
-def q_inverse(p: float) -> float:
-    """Inverse of `q_function` on (0, 1): returns z with Q(z) = p."""
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    return float(math.sqrt(2.0) * erfcinv(2.0 * p))
 
 
 # ---------------------------------------------------------------------------

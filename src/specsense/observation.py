@@ -43,7 +43,7 @@ def squared_envelope(z: np.ndarray) -> np.ndarray:
 
 
 def spectrum_bins(z: np.ndarray) -> np.ndarray:
-    """Magnitude-squared bins of the unnormalized forward DFT.
+    """Magnitude-squared bins of the unnormalized forward DFT over the last axis.
 
     With this convention sum(w) = N * sum(|z|^2) (Parseval), and white
     noise of per-sample variance a yields i.i.d. exponential bins of

@@ -412,6 +412,14 @@ class TestCliCurves:
             "threshold_points = 81\n", ""))
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
 
+    def test_rejects_negative_threshold_min(self, tmp_path, capsys):
+        # every statistic is nonnegative; the gamma forms reject eta < 0
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "threshold_min = 0\n", "threshold_min = -5\n"))
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
+        assert "threshold_min must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
+
 
 class TestCliCalibrate:
     def test_threshold_table(self, tmp_path, capsys):

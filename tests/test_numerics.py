@@ -12,7 +12,6 @@ from specsense.numerics import (
     complex_gaussian,
     gamma_sample,
     q_function,
-    q_inverse,
     reg_lower_gamma,
     reg_upper_gamma,
 )
@@ -120,32 +119,6 @@ class TestQFunction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             q_function(float("nan"))
-
-
-class TestQInverse:
-    def test_median(self):
-        assert q_inverse(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_reference_value_by_bisection(self):
-        lo, hi = 0.0, 10.0
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            if q_function(mid) > 0.05:
-                lo = mid
-            else:
-                hi = mid
-        assert q_inverse(0.05) == pytest.approx((lo + hi) / 2, abs=1e-9)
-        assert q_inverse(0.05) == pytest.approx(1.6449, abs=1e-4)
-
-    @given(p=st.floats(1e-9, 1 - 1e-9))
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, p):
-        assert q_function(q_inverse(p)) == pytest.approx(p, abs=1e-9)
-
-    def test_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                q_inverse(p)
 
 
 class TestGammaSample:
