@@ -10,23 +10,17 @@ import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
 from specsense.detectors import (
+    FREQ,
+    TIME,
     ThresholdSpec,
     mu_glrd1,
-    phi_statistic,
     rho_glrd2,
     t_alrd1,
     t_alrd2,
     t_opt,
 )
-from specsense.numerics import RngStream, complex_gaussian
-from specsense.signals import (
-    ChannelSpec,
-    NoisePrior,
-    ScenarioConfig,
-    SignalSpec,
-    draw_noise_power,
-    generate_bins,
-)
+from specsense.montecarlo import PHASE_EVAL_H1, observe
+from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 
 
 def main():
@@ -34,18 +28,15 @@ def main():
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr_linear=1.0)
     cfg = ScenarioConfig(n_samples=20, prior=prior, signal=spec,
                          channel=ChannelSpec("awgn"), trials=1, master_seed=7)
-    gen = RngStream(42).generator()
-
-    alpha = float(draw_noise_power(prior, gen))
+    obs, alphas = observe(cfg, {TIME, FREQ}, PHASE_EVAL_H1, range(1))
+    r = obs[TIME][0]
+    x, y = (bins[0] for bins in obs[FREQ])
+    alpha = float(alphas[0])
     print(f"prior: precision ~ Gamma({prior.precision_shape:.0f}, "
           f"{prior.theta}), mean noise power {prior.mean_noise_power:.2f}")
     print(f"this trial's true noise power: {alpha:.3f}\n")
 
     n = cfg.n_samples
-    noise = complex_gaussian(alpha, gen, size=n)
-    signal = complex_gaussian(alpha * spec.snr_linear, gen, size=n)
-    r = np.abs(signal + noise) ** 2
-    x, y = generate_bins(cfg, alpha, 1.0 + 0j, gen)
     geom = cfg.geometry
 
     print("time-domain statistics (threshold scale: energy sum):")
@@ -57,7 +48,7 @@ def main():
           f"(L={geom.l_inband}, P={geom.p_excess}):")
     eta = 5.0
     print(f"  excess-normalized ratio {t_alrd2(x, y, prior):9.3f}")
-    print(f"  linearized form         {phi_statistic(x, y, eta):9.3f} "
+    print(f"  linearized form         {x.sum() - eta * y.sum():9.3f} "
           f"(vs cutoff eta*theta = {eta * prior.theta:.1f})")
     print(f"  GLR peak location       "
           f"{rho_glrd2(geom.l_inband, geom.p_excess, prior.k, spec.snr_linear):9.3f}")

@@ -138,9 +138,10 @@ def pfa_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
 
 def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
-                    theta: float, eta: float) -> float:
+                    theta: float, eta):
     """Exact P(sum(x) > eta*(theta + sum(y)) | H0), the false-alarm
-    probability of the ratio sum(x)/(theta + sum(y)) at threshold eta.
+    probability of the ratio sum(x)/(theta + sum(y)) at threshold eta,
+    elementwise over eta (a scalar gives a Python float).
 
     Under H0 with alpha known, sum(x) ~ Gamma(L, N*alpha) and
     sum(y) ~ Gamma(P, N*alpha) are independent.  Conditional on sum(y)
@@ -155,12 +156,14 @@ def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
     """
     if l_inband < 1 or p_excess < 1:
         raise ValueError("need at least one in-band and one excess-band bin")
-    if eta <= 0:
-        return 1.0
-    a = eta * theta / (n_samples * alpha)
+    eta = np.asarray(eta, dtype=float)
+    e = np.where(eta > 0, eta, 1.0)[..., None]  # j runs along the trailing axis
+    a = e * theta / (n_samples * alpha)
     j = np.arange(l_inband)
     pois = np.exp(xlogy(j, a) - a - gammaln(j + 1.0))
-    return min(1.0, float(pois @ nbdtr(l_inband - 1 - j, p_excess, 1.0 / (1.0 + eta))))
+    tail = np.sum(pois * nbdtr(l_inband - 1 - j, p_excess, 1.0 / (1.0 + e)), axis=-1)
+    out = np.where(eta > 0, np.minimum(1.0, tail), 1.0)  # eta <= 0 always decides H1
+    return float(out) if out.ndim == 0 else out
 
 
 def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,

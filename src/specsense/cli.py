@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, analysis, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
 from .errors import ConfigError, NumericFailure
-from .signals import NAKAGAMI, ChannelSpec
+from .signals import MODEL, NAKAGAMI, ChannelSpec
 from .validation import DEFAULT_SEED, run_validation
 
 _CONVENTION_NOTES = (
@@ -192,6 +192,9 @@ def cmd_curves(args) -> int:
         if exp.threshold_grid is None:
             raise ConfigError(
                 "curves requires threshold_min/threshold_max/threshold_points")
+        if exp.source != MODEL or exp.glr_two_sided:
+            raise ConfigError("curves evaluates the model source's one-sided closed "
+                              "forms; source = waveform and glr_two_sided do not apply")
         geometry(exp)
 
     def rows(exp):

@@ -72,16 +72,6 @@ def t_alrd2(x: np.ndarray, y: np.ndarray, prior: NoisePrior):
     return t_opt(x) / (prior.theta + t_opt(y))
 
 
-def phi_statistic(x: np.ndarray, y: np.ndarray, eta: float):
-    """Linearized form sum(x) - eta * sum(y).
-
-    Deciding H1 when it exceeds eta * theta is algebraically identical to
-    t_alrd2 > eta; this form is what the Gaussian-approximation
-    performance expressions are written for.
-    """
-    return t_opt(x) - eta * t_opt(y)
-
-
 # ---------------------------------------------------------------------------
 # GLR likelihood values and extremum locations
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""Monte Carlo trial engine: statistic sampling, threshold calibration,
-empirical CDFs and ROC sweeps.
+"""Monte Carlo trial engine: observations, statistic sampling, threshold
+calibration, empirical CDFs and ROC sweeps.
 
-Every trial owns its own counter-based random stream, indexed by
-(phase, trial): calibration, H0 evaluation and H1 evaluation never share
-randomness, results do not depend on execution order or on the trial
-count, and rerunning with the same configuration and master seed is
-bit-identical.  The phase also picks the hypothesis: only
-`PHASE_EVAL_H1` trials see an occupied channel.  Calibration and H0
-evaluation trials draw no channel gain and read no channel field, so
-they are the same for every channel, and `roc_sweep_channels` runs them
-once for all the channels of one `n_samples` value.
+`observe` is the library's one observation model.  Every trial owns its
+own counter-based random stream, indexed by (phase, trial): calibration,
+H0 evaluation and H1 evaluation never share randomness, results do not
+depend on execution order or on the trial count, and rerunning with the
+same configuration and master seed is bit-identical.  The phase also
+picks the hypothesis: only `PHASE_EVAL_H1` trials see an occupied
+channel.  Calibration and H0 evaluation trials draw no channel gain and
+read no channel field, so they are the same for every channel, and
+`roc_sweep_channels` runs them once for all the channels of one
+`n_samples` value.
 
-The engine reaches each trial's stream by moving one Philox generator to
+`observe` reaches each trial's stream by moving one Philox generator to
 the trial's counter, not by building a generator per trial.  Only the
 draws run trial by trial: the noise precision, the channel gain and the
-raw normal or exponential variates, each into its row of a chunk buffer.
-Scaling, mixing, FFTs, the band split and the statistics then run once
-per chunk of `TRIAL_CHUNK` trials, on one row per trial.
+raw normal or exponential variates, each into its row of a buffer.
+Scaling, mixing, FFTs, the band split and the statistics then run on
+whole chunks of `TRIAL_CHUNK` trials, one row per trial.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
@@ -72,10 +73,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 # Trial engine
 # ---------------------------------------------------------------------------
 
-def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
-                   gen: np.random.Generator, seek, streams: range):
-    """Observations of the trials on `streams` (their stream indices), one
-    row per trial, plus their noise powers.
+def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
+            trials: range) -> tuple[dict, np.ndarray]:
+    """Observations of the ascending range `trials` in `phase`, one row
+    per trial, plus their noise powers alpha.
+
+    `obs[TIME]` holds the squared envelopes r and `obs[FREQ]` the split
+    bins (x in-band, y excess-band), for each domain of `domains`.  Trial
+    i reads the stream `RngStream(cfg.master_seed, (phase << 48) | i)`,
+    so its row depends on (cfg, phase, i) alone.
 
     Each trial's stream is read in this order: its noise precision
     (unless the noise power is pinned), its channel gain (occupied
@@ -83,16 +89,21 @@ def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
     observation form.  Model source: white time samples, noise then
     signal; then the excess bins and either the in-band bins (idle) or
     in-band noise and signal (occupied).  Waveform source: one block of
-    noise then signal symbols, shaped and transformed into both forms.
+    noise then signal symbols, shaped by the square root of the
+    raised-cosine profile (`cfg.shaping`) and transformed into both forms.
 
-    The arithmetic is that of `numerics.complex_gaussian` and
-    `signals.generate_time_block`/`generate_bins`, operation for
-    operation, so every row is bit-identical to computing its trial
-    alone.  A zero-variance complex Gaussian draws nothing, which a zero
-    SNR mirrors here; an SNR so small that alpha * snr underflows to 0
-    is not mirrored.
+    Every row is bit-identical to drawing its trial alone, one
+    `numerics.complex_gaussian` block at a time on a fresh generator; the
+    tests hold the engine to that per-trial reference.  A zero-variance
+    complex Gaussian draws nothing, which a zero SNR mirrors here; an SNR
+    so small that alpha * snr underflows to 0 is not mirrored.
     """
-    m, n = len(streams), cfg.n_samples
+    if trials and not 0 <= trials[0] <= trials[-1] < 1 << _TRIAL_BITS:
+        raise ConfigError("trial index out of range")
+    gen, seek = stream_seeker(cfg.master_seed)
+    base = phase << _TRIAL_BITS
+    occupied = phase == PHASE_EVAL_H1
+    m, n = len(trials), cfg.n_samples
     snr = cfg.signal.snr_linear
     draws = []  # (sampler, buffer) in stream order
 
@@ -120,8 +131,8 @@ def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
     draw_lam = cfg.noise_power is None
     draw_h = occupied and cfg.pinned_channel is None
     shape, scale = cfg.prior.precision_shape, 1.0 / cfg.prior.precision_rate
-    for j, stream in enumerate(streams):
-        seek(stream)
+    for j, i in enumerate(trials):
+        seek(base | i)
         if draw_lam:
             lam[j] = gen.gamma(shape, scale)
         if draw_h:
@@ -164,8 +175,8 @@ def _observe_chunk(cfg: sig.ScenarioConfig, domains: set[str], occupied: bool,
             c = b_raw.view(complex)
             v = np.sqrt(bin_scale / 2.0) * c[:, :l]
             if cfg.pinned_signal is not None:
-                # a Python complex product, as generate_bins forms it: numpy's
-                # complex multiply may round differently
+                # a Python complex product, as the per-trial reference forms
+                # it: numpy's complex multiply may round differently
                 v = np.array([complex(g) * cfg.pinned_signal for g in h])[:, None] + v
             elif snr != 0.0:
                 v = hc * (np.sqrt(bin_scale * snr / 2.0) * c[:, l:]) + v
@@ -178,24 +189,18 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                      phase: int) -> dict[str, np.ndarray]:
     """Statistic samples for several detectors over the same trials.
 
-    The channel is occupied only in `PHASE_EVAL_H1`.  Trial i reads the
-    stream `RngStream(cfg.master_seed, (phase << 48) | i)`, reached by
-    moving one generator; its arithmetic runs in the chunk of
-    `TRIAL_CHUNK` trials that holds it.  Returns one array of length
-    cfg.trials per detector name.
+    Trials 0 .. cfg.trials - 1 of `phase` are observed (`observe`) one
+    chunk of `TRIAL_CHUNK` trials at a time and reduced by the detector
+    table.  Returns one array of length cfg.trials per detector name.
     """
     if cfg.trials > 1 << _TRIAL_BITS:
         raise ConfigError("trial index out of range")
     rows = {name: det.detector(name) for name in detector_names}
     domains = {row.domain for row in rows.values()}
-    gen, seek = stream_seeker(cfg.master_seed)
-    base = phase << _TRIAL_BITS
     out = {name: np.empty(cfg.trials) for name in rows}
     for start in range(0, cfg.trials, TRIAL_CHUNK):
         stop = min(start + TRIAL_CHUNK, cfg.trials)
-        streams = range(base + start, base + stop)
-        obs, alpha = _observe_chunk(cfg, domains, phase == PHASE_EVAL_H1,
-                                    gen, seek, streams)
+        obs, alpha = observe(cfg, domains, phase, range(start, stop))
         for name, row in rows.items():
             out[name][start:stop] = row.statistic(obs[row.domain], alpha, cfg.prior)
     for name, vals in out.items():
@@ -346,9 +351,3 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
         sweeps.append(out)
     return sweeps
 
-
-def roc_sweep_multi(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
-                    pfa_grid: Iterable[float]) -> Mapping[str, list[RocPoint]]:
-    """ROC points on cfg's own channel: the one-channel case of
-    `roc_sweep_channels`."""
-    return roc_sweep_channels(cfg, detector_names, pfa_grid, [cfg.channel])[0]

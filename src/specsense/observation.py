@@ -78,18 +78,3 @@ def band_split_indices(n_bins: int, spec) -> tuple[np.ndarray, np.ndarray]:
     excess = np.sort(kept[l_inband:])
     return inband, excess
 
-
-def band_geometry(n_bins: int, spec) -> BandGeometry:
-    """Band split counts for an n_bins block under the given signal spec."""
-    inband, excess = band_split_indices(n_bins, spec)
-    return BandGeometry(n_total=inband.size + excess.size,
-                        l_inband=inband.size, p_excess=excess.size)
-
-
-def split_bands(w: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray, BandGeometry]:
-    """Partition DFT bins into (in-band x, excess-band y, geometry)."""
-    w = np.asarray(w, dtype=float)
-    inband, excess = band_split_indices(w.size, spec)
-    geometry = BandGeometry(n_total=inband.size + excess.size,
-                            l_inband=inband.size, p_excess=excess.size)
-    return w[inband], w[excess], geometry

@@ -1,10 +1,11 @@
-"""Scenario description and per-trial signal, channel and noise generation.
+"""Scenario description, and the noise-power, channel-gain and spectral
+shaping laws of a trial.
 
 The receiver's noise power is uncertain: the noise *precision* (inverse
 power) follows a Gamma(k+1, theta) prior, so the prior mean noise power
 is theta/k.  Each trial draws a noise power from that prior, a channel
 gain, and then either a time-domain sample block or frequency-domain
-bins directly.
+bins directly; `montecarlo.observe` draws them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numerics import as_generator, complex_gaussian, gamma_sample
-from .observation import band_geometry, band_split_indices
+from .observation import BandGeometry, band_split_indices
 
 H0 = "h0"
 H1 = "h1"
@@ -138,8 +139,11 @@ class ScenarioConfig:
             raise ConfigError("pinned noise power must be positive")
 
     @cached_property
-    def geometry(self):
-        return band_geometry(self.n_samples, self.signal)
+    def geometry(self) -> BandGeometry:
+        """Bin counts of `bands`."""
+        inband, excess = self.bands
+        return BandGeometry(n_total=inband.size + excess.size,
+                            l_inband=inband.size, p_excess=excess.size)
 
     @cached_property
     def bands(self):
@@ -197,52 +201,3 @@ def raised_cosine_profile(f, bandwidth_hz: float, rolloff: float):
         math.pi * (f[transition] - inner) / (rolloff * bandwidth_hz)))
     return profile if profile.ndim else float(profile)
 
-
-def generate_time_block(cfg: ScenarioConfig, alpha: float, h: complex | None,
-                        rng) -> np.ndarray:
-    """One block of N received samples.
-
-    With h None (idle channel, H0) the block is white circular Gaussian
-    noise of per-sample variance alpha.  Otherwise (H1) a spectrally
-    shaped Gaussian signal is added: white symbols are weighted in the
-    frequency domain by the square root of the raised-cosine profile,
-    normalized so the total signal power per sample is alpha * snr,
-    then scaled by the channel gain h.
-    """
-    gen = as_generator(rng)
-    n = cfg.n_samples
-    noise = complex_gaussian(alpha, gen, size=n)
-    if h is None:
-        return noise
-    mask, power = cfg.shaping
-    s = np.fft.ifft(mask * complex_gaussian(1.0, gen, size=n))
-    s *= math.sqrt(alpha * cfg.signal.snr_linear / power)
-    return h * s + noise
-
-
-def generate_bins(cfg: ScenarioConfig, alpha: float, h: complex | None, rng,
-                  s_amp: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Direct frequency-domain observation (x in-band, y excess-band).
-
-    Excess-band bins are exponential with mean N*alpha under both
-    hypotheses (unnormalized DFT convention).  With h None (idle
-    channel, H0) the in-band bins are too.  Otherwise (H1) each in-band
-    bin is |e + v|^2 with v a noise bin and e the signal contribution: a
-    fresh circular Gaussian of power N*alpha*snr per bin, or the fixed
-    amplitude h*s_amp when `s_amp` pins the signal.
-    """
-    gen = as_generator(rng)
-    geom = cfg.geometry
-    scale = cfg.n_samples * alpha
-    y = gen.exponential(scale, size=geom.p_excess)
-    if h is None:
-        x = gen.exponential(scale, size=geom.l_inband)
-        return x, y
-    v = complex_gaussian(scale, gen, size=geom.l_inband)
-    if s_amp is not None:
-        e = h * s_amp
-    else:
-        e = h * complex_gaussian(scale * cfg.signal.snr_linear, gen,
-                                 size=geom.l_inband)
-    x = np.abs(e + v) ** 2
-    return x, y

@@ -24,7 +24,7 @@ from specsense.detectors import mu_glrd1
 from specsense.montecarlo import (
     PHASE_EVAL_H0,
     PHASE_EVAL_H1,
-    roc_sweep_multi,
+    roc_sweep_channels,
     trial_statistics,
 )
 from specsense.numerics import RngStream, reg_upper_gamma
@@ -219,15 +219,20 @@ def test_criterion_07_h1_moments():
 GRID = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4]
 
 
+def sweep(cfg):
+    """ROC points of every detector on cfg's own channel."""
+    return roc_sweep_channels(cfg, DETECTORS, GRID, [cfg.channel])[0]
+
+
 def separated(a, b) -> bool:
     """95% interval of b lies wholly above 95% interval of a."""
     return b.pd_ci_low > a.pd_ci_high
 
 
 def test_criterion_08_figure_orderings():
-    base = roc_sweep_multi(scenario(snr=1.0, n=20), DETECTORS, GRID)
-    snr5 = roc_sweep_multi(scenario(snr=10 ** 0.5, n=20), DETECTORS, GRID)
-    n40 = roc_sweep_multi(scenario(snr=1.0, n=40), DETECTORS, GRID)
+    base = sweep(scenario(snr=1.0, n=20))
+    snr5 = sweep(scenario(snr=10 ** 0.5, n=20))
+    n40 = sweep(scenario(snr=1.0, n=40))
 
     at = {pt.pfa_target: pt for pt in base["alrd2"]}
     tr = {pt.pfa_target: pt for pt in base["alrd1"]}
@@ -259,26 +264,23 @@ def test_criterion_08_figure_orderings():
 
 
 def test_criterion_09_fading_sweeps():
-    rayleigh = roc_sweep_multi(scenario(channel=ChannelSpec(RAYLEIGH)),
-                               DETECTORS, GRID)
-    nakagami2 = roc_sweep_multi(
-        scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
-        DETECTORS, GRID)
-    nakagami1 = roc_sweep_multi(
-        scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=1.0)),
-        DETECTORS, GRID)
+    # the calibration and H0 phases read no channel: one run serves all three
+    rayleigh, nakagami2, nakagami1 = roc_sweep_channels(
+        scenario(), DETECTORS, GRID,
+        [ChannelSpec(RAYLEIGH), ChannelSpec(NAKAGAMI, nakagami_m=2.0),
+         ChannelSpec(NAKAGAMI, nakagami_m=1.0)])
 
     small = scenario(channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0),
                      trials=20_000)
-    rerun_a = roc_sweep_multi(small, DETECTORS, GRID)
-    rerun_b = roc_sweep_multi(small, DETECTORS, GRID)
+    rerun_a = sweep(small)
+    rerun_b = sweep(small)
     assert rerun_a == rerun_b
     print("criterion 9: repeated fading sweep is identical")
 
-    for sweep, label in ((rayleigh, "rayleigh"), (nakagami2, "nakagami m=2")):
+    for points, label in ((rayleigh, "rayleigh"), (nakagami2, "nakagami m=2")):
         for det in DETECTORS:
-            pds = [pt.pd_empirical for pt in sweep[det]]
-            widths = [pt.pd_ci_high - pt.pd_ci_low for pt in sweep[det]]
+            pds = [pt.pd_empirical for pt in points[det]]
+            widths = [pt.pd_ci_high - pt.pd_ci_low for pt in points[det]]
             for a, b, w in zip(pds, pds[1:], widths):
                 assert b >= a - w, (label, det)
     print("criterion 9: Pd nondecreasing along the target grid")
@@ -295,8 +297,8 @@ def test_criterion_09_fading_sweeps():
 
 def test_criterion_10_determinism():
     cfg = scenario(trials=20_000)
-    a = roc_sweep_multi(cfg, DETECTORS, GRID)
-    b = roc_sweep_multi(cfg, DETECTORS, GRID)
+    a = sweep(cfg)
+    b = sweep(cfg)
     assert a == b
     print("criterion 10: identical seed reproduces identical results")
 

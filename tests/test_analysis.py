@@ -321,10 +321,14 @@ class TestExactPfaAlrd2:
         assert pfa_alrd2_exact(16, 4, 20, 1.0, 1.0, 0.0) == 1.0
 
     def test_unit_interval_and_nonincreasing(self):
-        etas = np.linspace(0.0, 60.0, 121)
-        vals = [pfa_alrd2_exact(16, 4, 20, 1.0, 1.0, e) for e in etas]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        etas = np.linspace(-1.0, 60.0, 123)
+        vals = pfa_alrd2_exact(16, 4, 20, 1.0, 1.0, etas)
+        # elementwise over eta: one array call gives the scalar calls' values
+        assert np.array_equal(vals, [pfa_alrd2_exact(16, 4, 20, 1.0, 1.0, e)
+                                     for e in etas])
+        assert np.all(vals[etas <= 0] == 1.0)
+        assert np.all((0.0 <= vals) & (vals <= 1.0))
+        assert np.all(np.diff(vals) <= 0)
 
     def test_rejects_empty_excess_band(self):
         with pytest.raises(ValueError):

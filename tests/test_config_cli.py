@@ -412,6 +412,19 @@ class TestCliCurves:
             "threshold_points = 81\n", ""))
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line, detectors", [
+        ("source = waveform\n", "optimal, alrd1, alrd2"),
+        ("glr_two_sided = true\n", "alrd1, glrd1")], ids=["waveform", "two-sided"])
+    def test_rejects_keys_the_closed_forms_ignore(self, tmp_path, line, detectors,
+                                                  capsys):
+        # the forms are the model source's one-sided laws: a waveform source
+        # or a band rule would silently get the same rows
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "optimal, alrd1, alrd2", detectors) + line)
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
+
     def test_rejects_negative_threshold_min(self, tmp_path, capsys):
         # every statistic is nonnegative; the gamma forms reject eta < 0
         conf = write_config(tmp_path, CURVES_CONF.replace(

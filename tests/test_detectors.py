@@ -14,7 +14,6 @@ from specsense.detectors import (
     lr_glrd1_value,
     lr_glrd2_value,
     mu_glrd1,
-    phi_statistic,
     rho_glrd2,
     t_alrd1,
     t_alrd2,
@@ -85,31 +84,17 @@ class TestExcessBandStatistics:
         x = np.ones(16)
         assert t_alrd2(x, np.full(4, 1e12), PRIOR) < 1e-10
 
-    def test_phi_arithmetic(self):
-        x = np.full(16, 2.0)
-        y = np.full(4, 1.0)
-        assert phi_statistic(x, y, 0.5) == pytest.approx(30.0)
-
-    def test_phi_eta_zero_ignores_excess(self):
-        x = np.full(16, 2.0)
-        assert phi_statistic(x, np.full(4, 99.0), 0.0) == pytest.approx(32.0)
-
-    def test_phi_sign_flips_for_large_eta(self):
-        x = np.full(16, 2.0)
-        y = np.full(4, 1.0)
-        assert phi_statistic(x, y, 100.0) < 0
-
     def test_phi_equivalent_to_ratio_rule(self):
-        # t_alrd2 > eta  iff  phi > eta * theta, trial by trial
+        # t_alrd2 > eta  iff  the linearized form sum(x) - eta*sum(y)
+        # exceeds eta * theta, trial by trial
         rng = RngStream(404).generator()
         eta = 3.7
         for _ in range(100_000 // 100):
             x = rng.exponential(20.0, (100, 16))
             y = rng.exponential(20.0, (100, 4))
-            for xi, yi in zip(x, y):
-                left = t_alrd2(xi, yi, PRIOR) > eta
-                right = phi_statistic(xi, yi, eta) > eta * PRIOR.theta
-                assert left == right
+            left = t_alrd2(x, y, PRIOR) > eta
+            right = x.sum(axis=-1) - eta * y.sum(axis=-1) > eta * PRIOR.theta
+            assert np.array_equal(left, right)
 
 
 def grid_argmax(fn, hi, step):

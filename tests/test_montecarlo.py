@@ -17,13 +17,13 @@ from specsense.montecarlo import (
     EmpiricalCdf,
     calibrate,
     calibration_cdfs,
+    observe,
     roc_sweep_channels,
-    roc_sweep_multi,
     trial_statistics,
     wilson_interval,
 )
 from specsense.numerics import RngStream, complex_gaussian, reg_upper_gamma
-from specsense.observation import spectrum_bins, split_bands, squared_envelope
+from specsense.observation import band_split_indices, spectrum_bins, squared_envelope
 from specsense.signals import (
     AWGN,
     ChannelSpec,
@@ -36,8 +36,6 @@ from specsense.signals import (
     WAVEFORM,
     channel_gain,
     draw_noise_power,
-    generate_bins,
-    generate_time_block,
 )
 
 PHASES = (PHASE_CALIBRATION, PHASE_EVAL_H0, PHASE_EVAL_H1)
@@ -53,10 +51,46 @@ def make_cfg(snr=1.0, n=20, trials=5000, seed=99,
                           master_seed=seed, noise_power=noise_power, source=source)
 
 
+def reference_time_block(cfg, alpha, h, gen):
+    """One waveform block of N samples: white noise of per-sample
+    variance alpha, plus on an occupied channel (h not None) white
+    symbols shaped by `cfg.shaping`, scaled to per-sample power
+    alpha * snr and multiplied by h."""
+    n = cfg.n_samples
+    noise = complex_gaussian(alpha, gen, size=n)
+    if h is None:
+        return noise
+    mask, power = cfg.shaping
+    s = np.fft.ifft(mask * complex_gaussian(1.0, gen, size=n))
+    s *= math.sqrt(alpha * cfg.signal.snr_linear / power)
+    return h * s + noise
+
+
+def reference_bins(cfg, alpha, h, gen, s_amp=None):
+    """Model-source bins (x in-band, y excess-band): exponential of mean
+    N*alpha, except that on an occupied channel each in-band bin is
+    |e + v|^2 with v a noise bin and e the signal, a fresh circular
+    Gaussian of power N*alpha*snr or the pinned amplitude h*s_amp."""
+    geom = cfg.geometry
+    scale = cfg.n_samples * alpha
+    y = gen.exponential(scale, size=geom.p_excess)
+    if h is None:
+        x = gen.exponential(scale, size=geom.l_inband)
+        return x, y
+    v = complex_gaussian(scale, gen, size=geom.l_inband)
+    if s_amp is not None:
+        e = h * s_amp
+    else:
+        e = h * complex_gaussian(scale * cfg.signal.snr_linear, gen,
+                                 size=geom.l_inband)
+    return np.abs(e + v) ** 2, y
+
+
 def reference_observation(cfg, domains, phase, trial):
     """One trial's observations and noise power, computed the per-trial
-    way: a fresh generator on the trial's own stream, and the per-trial
-    `signals` functions.  The engine must match it bit for bit."""
+    way: a fresh generator on the trial's own stream, and one scalar
+    draw or one block of variates at a time.  This defines the stream
+    layout; `observe` must match it bit for bit."""
     gen = RngStream(cfg.master_seed, (phase << 48) | trial).generator()
     if cfg.noise_power is not None:
         alpha = cfg.noise_power
@@ -69,7 +103,7 @@ def reference_observation(cfg, domains, phase, trial):
 
     obs = {}
     if cfg.source == WAVEFORM:
-        z = generate_time_block(cfg, alpha, h, gen)
+        z = reference_time_block(cfg, alpha, h, gen)
         if TIME in domains:
             obs[TIME] = squared_envelope(z)
         if FREQ in domains:
@@ -85,7 +119,7 @@ def reference_observation(cfg, domains, phase, trial):
             z = h * complex_gaussian(alpha * cfg.signal.snr_linear, gen, size=n) + z
         obs[TIME] = squared_envelope(z)
     if FREQ in domains:
-        obs[FREQ] = generate_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
+        obs[FREQ] = reference_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
     return obs, alpha
 
 
@@ -101,6 +135,11 @@ def reference_statistics(cfg, names, phase, trials=None):
         for name, row in rows.items():
             out[name][j] = row.statistic(obs[row.domain], alpha, cfg.prior)
     return out
+
+
+def roc_sweep(cfg, names, grid):
+    """ROC points on cfg's own channel."""
+    return roc_sweep_channels(cfg, names, grid, [cfg.channel])[0]
 
 
 def assert_same_statistics(got, want):
@@ -180,18 +219,22 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("n, rate", [(20, None), (100, None), (37, 90_000.0)])
     def test_waveform_bins_match_split_bands(self, n, rate):
-        # the per-scenario band indices give the bins split_bands gives
+        # the engine's bins are the block's DFT bins at the band split's
+        # indices, including when an oversampled block discards bins
         cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3),
                       pinned_channel=0.8 + 0.2j)
         if rate is not None:
             cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
+        inband, excess = band_split_indices(n, cfg.signal)
+        obs, alpha = observe(cfg, {FREQ}, PHASE_EVAL_H1, range(5))
+        x, y = obs[FREQ]
+        assert np.array_equal(alpha, np.full(5, 1.3))
+        assert x.shape == (5, cfg.geometry.l_inband)
+        assert y.shape == (5, cfg.geometry.p_excess)
         for i in range(5):
-            obs, alpha = reference_observation(cfg, {FREQ}, PHASE_EVAL_H1, i)
             gen = RngStream(99, (PHASE_EVAL_H1 << 48) | i).generator()
-            z = generate_time_block(cfg, 1.3, 0.8 + 0.2j, gen)
-            x, y, _ = split_bands(spectrum_bins(z), cfg.signal)
-            assert alpha == 1.3
-            assert np.array_equal(obs[FREQ][0], x) and np.array_equal(obs[FREQ][1], y)
+            w = spectrum_bins(reference_time_block(cfg, 1.3, 0.8 + 0.2j, gen))
+            assert np.array_equal(x[i], w[inband]) and np.array_equal(y[i], w[excess])
         # and the engine computes the same statistics from them
         cfg = replace(cfg, trials=40)
         assert_same_statistics(trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1),
@@ -266,9 +309,9 @@ class TestBlockEngine:
                 assert_same_statistics(got, {k: v[:count] for k, v in ref.items()})
 
     @given(trials=st.integers(1, 2 * TRIAL_CHUNK + 8),
-           seed=st.integers(0, (1 << 128) - 1))
+           seed=st.integers(0, (1 << 128) - 1), data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_prefix_stable_across_chunk_boundaries(self, trials, seed):
+    def test_prefix_stable_across_chunk_boundaries(self, trials, seed, data):
         names = ["optimal", "alrd2"]
         cfg = make_cfg(trials=trials, seed=seed, channel=ChannelSpec(RAYLEIGH))
         part = trial_statistics(cfg, names, PHASE_EVAL_H1)
@@ -278,11 +321,26 @@ class TestBlockEngine:
         # the last trial is the reference's trial of that index
         last = reference_statistics(cfg, names, PHASE_EVAL_H1, [trials - 1])
         assert_same_statistics({k: v[-1:] for k, v in part.items()}, last)
+        # any range [a, b) of `observe` is rows a..b of one range [0, b)
+        a = data.draw(st.integers(0, trials - 1), label="a")
+        for phase in PHASES:
+            got, alpha = observe(cfg, {TIME, FREQ}, phase, range(a, trials))
+            want, alpha0 = observe(cfg, {TIME, FREQ}, phase, range(trials))
+            assert np.array_equal(alpha, alpha0[a:])
+            assert np.array_equal(got[TIME], want[TIME][a:])
+            for g, w in zip(got[FREQ], want[FREQ]):
+                assert np.array_equal(g, w[a:])
 
     def test_trial_count_beyond_stream_layout_rejected(self):
         with pytest.raises(ConfigError, match="trial index"):
             trial_statistics(make_cfg(trials=(1 << 48) + 1), ["alrd1"],
                              PHASE_EVAL_H0)
+        # a range reaching past the stream layout is rejected before any draw
+        last = 1 << 48
+        for trials in (range(last - 2, last + 1), range(-1, 2)):
+            with pytest.raises(ConfigError, match="trial index"):
+                observe(make_cfg(), {TIME}, PHASE_EVAL_H0, trials)
+        observe(make_cfg(), {TIME}, PHASE_EVAL_H0, range(last - 2, last))
 
 
 class TestEmpiricalCdf:
@@ -401,7 +459,7 @@ class TestCalibration:
 class TestRocSweep:
     def test_points_and_monotonicity(self):
         cfg = make_cfg(trials=20_000)
-        pts = roc_sweep_multi(cfg, ["alrd2"], [0.01, 0.05, 0.1, 0.3, 0.6])["alrd2"]
+        pts = roc_sweep(cfg, ["alrd2"], [0.01, 0.05, 0.1, 0.3, 0.6])["alrd2"]
         pds = [p.pd_empirical for p in pts]
         for a, b, pa, pb in zip(pts, pts[1:], pds, pds[1:]):
             assert pb >= pa - (a.pd_ci_high - a.pd_ci_low)
@@ -411,7 +469,7 @@ class TestRocSweep:
 
     def test_endpoint_target_near_one(self):
         cfg = make_cfg(trials=20_000)
-        pts = roc_sweep_multi(cfg, ["alrd1"], [0.99])["alrd1"]
+        pts = roc_sweep(cfg, ["alrd1"], [0.99])["alrd1"]
         assert pts[0].pd_empirical > 0.97
 
     def test_larger_blocks_improve_every_detector(self):
@@ -422,8 +480,8 @@ class TestRocSweep:
         # resolves.
         grid = [0.02, 0.05, 0.1, 0.2, 0.4]
         detectors = ["optimal", "alrd1", "alrd2"]
-        small = roc_sweep_multi(make_cfg(n=20, trials=20_000), detectors, grid)
-        large = roc_sweep_multi(make_cfg(n=40, trials=20_000), detectors, grid)
+        small = roc_sweep(make_cfg(n=20, trials=20_000), detectors, grid)
+        large = roc_sweep(make_cfg(n=40, trials=20_000), detectors, grid)
         for det in detectors:
             separated = 0
             for a, b in zip(small[det], large[det]):
@@ -435,9 +493,9 @@ class TestRocSweep:
     def test_grid_validation(self):
         cfg = make_cfg(trials=20_000)
         with pytest.raises(ConfigError):
-            roc_sweep_multi(cfg, ["alrd1"], [0.5, 0.1])
+            roc_sweep(cfg, ["alrd1"], [0.5, 0.1])
         with pytest.raises(ConfigError):
-            roc_sweep_multi(cfg, ["alrd1"], [0.0, 0.5])
+            roc_sweep(cfg, ["alrd1"], [0.0, 0.5])
 
     def test_shared_h0_phases_match_single_channel_sweeps(self):
         cfg = make_cfg(trials=2000)
@@ -447,19 +505,19 @@ class TestRocSweep:
         shared = roc_sweep_channels(cfg, names, grid, channels)
         assert len(shared) == len(channels)
         for channel, points in zip(channels, shared):
-            assert points == roc_sweep_multi(replace(cfg, channel=channel), names, grid)
+            assert points == roc_sweep(replace(cfg, channel=channel), names, grid)
 
     def test_fading_channels_run(self):
         cfg = make_cfg(trials=5000, channel=ChannelSpec(RAYLEIGH))
-        pts = roc_sweep_multi(cfg, ["alrd2"], [0.1, 0.3])["alrd2"]
+        pts = roc_sweep(cfg, ["alrd2"], [0.1, 0.3])["alrd2"]
         assert all(0 <= p.pd_empirical <= 1 for p in pts)
 
     def test_two_sided_flag_calibrates_band(self):
         cfg = replace(make_cfg(trials=50_000), glr_two_sided=True)
         # at target 0.3 the band's upper edge falls below the peak
         with pytest.warns(UserWarning, match="glrd1: .* at targets 0.3 do not bracket"):
-            banded = roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
-        plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
+            banded = roc_sweep(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
+        plain = roc_sweep(replace(cfg, glr_two_sided=False), ["glrd1"],
                                 [0.1, 0.3])["glrd1"]
         for b, o in zip(banded, plain):
             assert abs(b.pfa_empirical - b.pfa_target) < 0.01
@@ -473,7 +531,7 @@ class TestRocSweep:
         cfg = replace(make_cfg(trials=5000, prior=prior, noise_power=1.0),
                       glr_two_sided=True)
         with pytest.warns(UserWarning) as caught:
-            roc_sweep_multi(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
+            roc_sweep(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
         messages = [str(w.message) for w in caught]
         assert len(messages) == 1
         assert messages[0].startswith("glrd1: two-sided thresholds at targets 0.1, 0.2")
@@ -484,10 +542,10 @@ class TestRocSweep:
         # target of 1/1.1 or more has no lower quantile to place
         cfg = replace(make_cfg(trials=2000), glr_two_sided=True)
         with pytest.raises(ConfigError, match="band rule"):
-            roc_sweep_multi(cfg, ["glrd1"], [0.1, 0.95])
+            roc_sweep(cfg, ["glrd1"], [0.1, 0.95])
         with pytest.raises(ConfigError, match="band rule"):
             calibrate(cfg, ["glrd1"], [0.95])
         # the one-sided rule of the same detector accepts the target
-        plain = roc_sweep_multi(replace(cfg, glr_two_sided=False), ["glrd1"],
+        plain = roc_sweep(replace(cfg, glr_two_sided=False), ["glrd1"],
                                 [0.1, 0.95])["glrd1"]
         assert abs(plain[1].pfa_empirical - 0.95) < 0.03

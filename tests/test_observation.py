@@ -8,13 +8,11 @@ from specsense.errors import ConfigError
 from specsense.numerics import RngStream, complex_gaussian
 from specsense.observation import (
     BandGeometry,
-    band_geometry,
     band_split_indices,
-    split_bands,
     spectrum_bins,
     squared_envelope,
 )
-from specsense.signals import SignalSpec
+from specsense.signals import AWGN, ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 
 
 def critical_spec(n=None, bandwidth=54_000.0, rolloff=0.25):
@@ -61,16 +59,20 @@ class TestSpectrumBins:
         assert res.pvalue > 0.01
 
 
+def scenario(n, spec):
+    return ScenarioConfig(n_samples=n, prior=NoisePrior(k=3, theta=3.0), signal=spec,
+                          channel=ChannelSpec(AWGN), trials=1, master_seed=0)
+
+
 class TestSplitBands:
     def test_critical_n20(self):
-        spec = critical_spec()
-        geom = band_geometry(20, spec)
+        geom = scenario(20, critical_spec()).geometry
         assert (geom.l_inband, geom.p_excess) == (16, 4)
         assert geom.n_total == 20
 
     def test_critical_n40(self):
-        geom = band_geometry(40, critical_spec())
-        assert (geom.l_inband, geom.p_excess) == (32, 8)
+        inband, excess = band_split_indices(40, critical_spec())
+        assert (inband.size, excess.size) == (32, 8)
 
     def test_band_edges_reference_geometry(self):
         # 54 kHz band at rolloff 0.25: excess band spans 27 kHz..33.75 kHz
@@ -86,33 +88,28 @@ class TestSplitBands:
     @given(n=st.integers(6, 64))
     @settings(max_examples=30, deadline=None)
     def test_partition_exact(self, n):
-        spec = critical_spec()
-        w = np.arange(1.0, n + 1.0)
-        x, y, geom = split_bands(w, spec)
-        assert x.size + y.size == n == geom.n_total
-        # every retained bin lands in exactly one side
-        combined = np.sort(np.concatenate([x, y]))
-        np.testing.assert_array_equal(combined, np.sort(w))
+        # critically sampled: every bin lands in exactly one side
+        inband, excess = band_split_indices(n, critical_spec())
+        np.testing.assert_array_equal(np.sort(np.concatenate([inband, excess])),
+                                      np.arange(n))
+        assert scenario(n, critical_spec()).geometry.n_total == n
 
     def test_oversampled_discards_outer_bins(self):
         spec = SignalSpec(bandwidth_hz=54_000.0, rolloff=0.25,
                           sample_rate_hz=2.0 * 54_000.0, snr_linear=1.0)
-        w = np.ones(40)
-        x, y, geom = split_bands(w, spec)
+        inband, excess = band_split_indices(40, spec)
+        geom = scenario(40, spec).geometry
         assert geom.n_total < 40
-        assert geom.n_total == x.size + y.size
+        assert geom.n_total == inband.size + excess.size
+        assert np.intersect1d(inband, excess).size == 0
 
     def test_h0_band_halves_identically_distributed(self):
         spec = critical_spec()
         gen = RngStream(204).generator()
         z = complex_gaussian(1.0, gen, size=(6000, 20))
         w = np.abs(np.fft.fft(z, axis=1)) ** 2
-        xs, ys = [], []
-        for row in w:
-            x, y, _ = split_bands(row, spec)
-            xs.append(x)
-            ys.append(y)
-        res = stats.ks_2samp(np.concatenate(xs), np.concatenate(ys))
+        inband, excess = band_split_indices(20, spec)
+        res = stats.ks_2samp(w[:, inband].ravel(), w[:, excess].ravel())
         assert res.pvalue > 0.01
 
     def test_empty_excess_rejected(self):

@@ -1,33 +1,42 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from specsense.detectors import FREQ, TIME
 from specsense.errors import ConfigError
+from specsense.montecarlo import PHASE_EVAL_H0, PHASE_EVAL_H1, observe
 from specsense.numerics import RngStream, reg_lower_gamma
-from specsense.observation import split_bands, spectrum_bins
 from specsense.signals import (
     AWGN,
     ChannelSpec,
+    MODEL,
     NAKAGAMI,
     NoisePrior,
     RAYLEIGH,
     ScenarioConfig,
     SignalSpec,
+    WAVEFORM,
     channel_gain,
     draw_noise_power,
-    generate_bins,
-    generate_time_block,
     raised_cosine_profile,
 )
 
 
 def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
-             prior=NoisePrior(k=4, theta=4.0), trials=100, seed=7):
+             prior=NoisePrior(k=4, theta=4.0), trials=100, seed=7,
+             noise_power=None, source=MODEL):
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec, channel=channel,
-                          trials=trials, master_seed=seed)
+                          trials=trials, master_seed=seed,
+                          noise_power=noise_power, source=source)
+
+
+def draw(cfg, domain, phase, trials):
+    """`trials` trials of one observation form through the engine."""
+    return observe(cfg, {domain}, phase, range(trials))[0][domain]
 
 
 class TestPriorTypes:
@@ -128,124 +137,88 @@ class TestRaisedCosineProfile:
 
 
 class TestGenerateTimeBlock:
+    """The engine's time samples, on both sources, against their laws."""
+
     def test_h0_power(self):
-        cfg = make_cfg()
-        gen = RngStream(308).generator()
-        total = np.concatenate([
-            np.abs(generate_time_block(cfg, 1.0, None, gen)) ** 2
-            for _ in range(5000)])
-        assert abs(total.mean() - 1.0) < 3 * 1.0 / math.sqrt(total.size)
+        for source in (MODEL, WAVEFORM):
+            cfg = make_cfg(noise_power=1.0, seed=308, source=source)
+            total = draw(cfg, TIME, PHASE_EVAL_H0, 5000)
+            assert abs(total.mean() - 1.0) < 3 * 1.0 / math.sqrt(total.size), source
 
     def test_h1_power_additive(self):
-        cfg = make_cfg(snr=1.0)
-        gen = RngStream(309).generator()
-        total = np.concatenate([
-            np.abs(generate_time_block(cfg, 1.0, 1.0 + 0j, gen)) ** 2
-            for _ in range(5000)])
-        assert abs(total.mean() - 2.0) < 3 * 2.0 / math.sqrt(total.size)
+        for source in (MODEL, WAVEFORM):
+            cfg = make_cfg(snr=1.0, noise_power=1.0, seed=309, source=source)
+            total = draw(cfg, TIME, PHASE_EVAL_H1, 5000)
+            assert abs(total.mean() - 2.0) < 3 * 2.0 / math.sqrt(total.size), source
 
     def test_h1_periodogram_matches_profile(self):
         # Excess/in-band signal power ratio of the averaged periodogram
         # should match the shaping profile (5% relative).
-        cfg = make_cfg(snr=8.0)  # strong signal so noise bias is small
+        cfg = make_cfg(snr=8.0, noise_power=1.0, seed=310,  # noise bias is small
+                       source=WAVEFORM)
         spec = cfg.signal
-        gen = RngStream(310).generator()
-        acc = np.zeros(cfg.n_samples)
-        blocks = 10_000
-        for _ in range(blocks):
-            z = generate_time_block(cfg, 1.0, 1.0 + 0j, gen)
-            acc += spectrum_bins(z)
-        x, y, _ = split_bands(acc / blocks, spec)
+        x, y = (b.mean(axis=0) for b in draw(cfg, FREQ, PHASE_EVAL_H1, 10_000))
         noise_per_bin = cfg.n_samples * 1.0
         sig_x = x.sum() - x.size * noise_per_bin
         sig_y = y.sum() - y.size * noise_per_bin
         freqs = np.fft.fftfreq(cfg.n_samples, d=1.0 / spec.sample_rate_hz)
         prof = raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff)
-        px, py, _ = split_bands(prof, spec)
-        expected = py.sum() / px.sum()
+        inband, excess = cfg.bands
+        expected = prof[excess].sum() / prof[inband].sum()
         assert sig_y / sig_x == pytest.approx(expected, rel=0.05)
 
 
 class TestGenerateBins:
+    """The engine's model-source bins against their laws."""
+
     def test_h0_means(self):
-        cfg = make_cfg()
-        gen = RngStream(311).generator()
-        xs, ys = [], []
-        for _ in range(20_000):
-            x, y = generate_bins(cfg, 1.0, None, gen)
-            xs.append(x)
-            ys.append(y)
-        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        cfg = make_cfg(noise_power=1.0, seed=311)
+        xs, ys = draw(cfg, FREQ, PHASE_EVAL_H0, 20_000)
         assert abs(xs.mean() - 20.0) < 3 * 20.0 / math.sqrt(xs.size)
         assert abs(ys.mean() - 20.0) < 3 * 20.0 / math.sqrt(ys.size)
 
     def test_h1_means(self):
-        cfg = make_cfg(snr=1.0)
-        gen = RngStream(312).generator()
-        xs, ys = [], []
-        for _ in range(20_000):
-            x, y = generate_bins(cfg, 1.0, 1.0 + 0j, gen)
-            xs.append(x)
-            ys.append(y)
-        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        cfg = make_cfg(snr=1.0, noise_power=1.0, seed=312)
+        xs, ys = draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)
         assert abs(xs.mean() - 40.0) < 3 * 40.0 / math.sqrt(xs.size)
         assert abs(ys.mean() - 20.0) < 3 * 20.0 / math.sqrt(ys.size)
 
     def test_cross_path_h0_means_agree(self):
         # Direct bin sampling vs waveform -> FFT -> split, H0.
-        cfg = make_cfg()
-        gen = RngStream(313).generator()
-        mx_direct, my_direct, mx_wave, my_wave = [], [], [], []
-        for _ in range(10_000):
-            x, y = generate_bins(cfg, 1.0, None, gen)
-            mx_direct.append(x.mean())
-            my_direct.append(y.mean())
-            z = generate_time_block(cfg, 1.0, None, gen)
-            xw, yw, _ = split_bands(spectrum_bins(z), cfg.signal)
-            mx_wave.append(xw.mean())
-            my_wave.append(yw.mean())
-        assert np.mean(mx_wave) == pytest.approx(np.mean(mx_direct), rel=0.02)
-        assert np.mean(my_wave) == pytest.approx(np.mean(my_direct), rel=0.02)
+        cfg = make_cfg(noise_power=1.0, seed=313)
+        x, y = draw(cfg, FREQ, PHASE_EVAL_H0, 10_000)
+        xw, yw = draw(replace(cfg, source=WAVEFORM), FREQ, PHASE_EVAL_H0, 10_000)
+        assert xw.mean() == pytest.approx(x.mean(), rel=0.02)
+        assert yw.mean() == pytest.approx(y.mean(), rel=0.02)
 
     def test_pinned_amplitude_mean(self):
-        cfg = make_cfg(snr=1.0)
-        gen = RngStream(314).generator()
         s = 4.0 + 3.0j
-        xs = np.concatenate([
-            generate_bins(cfg, 1.0, 1.0 + 0j, gen, s_amp=s)[0]
-            for _ in range(20_000)])
+        cfg = replace(make_cfg(snr=1.0, noise_power=1.0, seed=314), pinned_signal=s)
+        xs = draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)[0]
         expect = abs(s) ** 2 + 20.0
         assert abs(xs.mean() - expect) < 3 * xs.std() / math.sqrt(xs.size)
 
     def test_noise_and_signal_bins_uncorrelated(self):
-        cfg = make_cfg(snr=1.0, trials=1)
-        gen = RngStream(315).generator()
-        mx = np.empty(100_000)
-        my = np.empty(100_000)
-        for i in range(mx.size):
-            x, y = generate_bins(cfg, 1.0, 1.0 + 0j, gen)
-            mx[i] = x.mean()
-            my[i] = y.mean()
-        assert abs(np.corrcoef(mx, my)[0, 1]) < 0.01
+        cfg = make_cfg(snr=1.0, noise_power=1.0, seed=315)
+        mx, my = [], []
+        for start in range(0, 100_000, 10_000):
+            x, y = observe(cfg, {FREQ}, PHASE_EVAL_H1,
+                           range(start, start + 10_000))[0][FREQ]
+            mx.append(x.mean(axis=1))
+            my.append(y.mean(axis=1))
+        assert abs(np.corrcoef(np.concatenate(mx), np.concatenate(my))[0, 1]) < 0.01
 
     def test_noise_power_scaling(self):
-        cfg = make_cfg()
+        # the same trials at another pinned noise power scale by it
+        cfg = make_cfg(noise_power=1.0, seed=316)
         c = 3.7
-        xs1 = np.concatenate([generate_bins(cfg, 1.0, None,
-                                            RngStream(316, i).generator())[0]
-                              for i in range(5000)])
-        xs2 = np.concatenate([generate_bins(cfg, c, None,
-                                            RngStream(316, i).generator())[0]
-                              for i in range(5000)])
+        xs1 = draw(cfg, FREQ, PHASE_EVAL_H0, 5000)[0]
+        xs2 = draw(replace(cfg, noise_power=c), FREQ, PHASE_EVAL_H0, 5000)[0]
         assert xs2.mean() / xs1.mean() == pytest.approx(c, rel=1e-9)
 
     def test_h0_identical_across_channels(self):
-        gens = RngStream(317).generator()
-        samples = {}
-        for name, ch in (("awgn", ChannelSpec(AWGN)),
-                         ("rayleigh", ChannelSpec(RAYLEIGH))):
-            cfg = make_cfg(channel=ch)
-            samples[name] = np.concatenate([
-                generate_bins(cfg, 1.0, None, gens)[0] for _ in range(5000)])
-        res = stats.ks_2samp(samples["awgn"], samples["rayleigh"])
-        assert res.pvalue > 0.01
+        # an idle channel reads no channel field: the same bins, bit for bit
+        samples = [draw(make_cfg(channel=ch, seed=317), FREQ, PHASE_EVAL_H0, 5000)
+                   for ch in (ChannelSpec(AWGN), ChannelSpec(RAYLEIGH))]
+        for a, b in zip(*samples):
+            assert np.array_equal(a, b)
