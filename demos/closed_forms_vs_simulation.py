@@ -15,14 +15,14 @@ from specsense.analysis import (
     pfa_alrd2_clt,
     pfa_opt,
 )
-from specsense.numerics import RngStream
+from specsense.numerics import stream_seeker
 from specsense.signals import NoisePrior
 
 TRIALS = 200_000
 
 
 def main():
-    rng = RngStream(20260809).generator()
+    rng = stream_seeker(20260809)[0]
     n, alpha, snr = 20, 1.0, 1.0
     prior = NoisePrior(k=3, theta=3.0)
 
@@ -50,7 +50,7 @@ def main():
 
     print("\naveraging the scaled-energy false alarm over the noise prior:")
     fn = lambda a, h, s: pfa_alrd1(n, a, prior, 8.0)
-    res = average_over_prior(fn, prior, mc_draws=50_000, rng=RngStream(3))
+    res = average_over_prior(fn, prior, mc_draws=50_000, seed=3)
     alphas = 1.0 / rng.gamma(prior.precision_shape, 1 / prior.theta, TRIALS)
     stats = rng.gamma(n, 1.0, TRIALS) * alphas / prior.theta
     print(f"  prior-averaged closed form: {res.value:.4f} "

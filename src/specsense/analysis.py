@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, nbdtr, xlogy
 
-from .numerics import as_generator, complex_gaussian, q_function, reg_upper_gamma
-from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
+from .numerics import complex_gaussian, q_function, reg_upper_gamma, stream_seeker
+from .signals import H0, H1, ChannelSpec, NoisePrior, channel_gain, draw_noise_power
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,11 @@ def map_noise_power(prior: NoisePrior, snr: float, hypothesis: str, *,
     Time-domain envelopes r give (theta + sum(r)/(1+snr under H1)) /
     (N + k); in-band and excess-band bins x, y give
     (theta + sum(y) + sum(x)/(1+snr under H1)) / (L + k + P).
+    `hypothesis` is `signals.H0` or `signals.H1`.
     """
-    gain = 1.0 + snr if hypothesis == "h1" else 1.0
+    if hypothesis not in (H0, H1):
+        raise ValueError(f"hypothesis must be {H0!r} or {H1!r}, got {hypothesis!r}")
+    gain = 1.0 + snr if hypothesis == H1 else 1.0
     if r is not None:
         return (prior.theta + float(np.sum(r)) / gain) / (np.size(r) + prior.k)
     if x is None or y is None:
@@ -195,7 +198,7 @@ class AveragedProbability:
 
 
 def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                       prior: NoisePrior, mc_draws: int, rng,
+                       prior: NoisePrior, mc_draws: int, seed: int,
                        channel: ChannelSpec | None = None,
                        draw_signal: bool = False) -> AveragedProbability:
     """Monte Carlo average of a conditional probability over the prior.
@@ -205,11 +208,13 @@ def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], 
     without a channel) and unit-power circular Gaussian signal amplitudes
     (all 0 unless `draw_signal`), which the callee scales itself.  It
     returns one value per draw, as the closed forms above do, or a scalar
-    that counts for every draw.  Returns the mean with its standard error.
+    that counts for every draw.  The draws come from stream 0 of
+    `numerics.stream_seeker(seed)`.  Returns the mean with its standard
+    error.
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")
-    gen = as_generator(rng)
+    gen = stream_seeker(seed)[0]
     alphas = draw_noise_power(prior, gen, size=mc_draws)
     gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
              else np.ones(mc_draws, dtype=complex))

@@ -80,8 +80,9 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
 
     `obs[TIME]` holds the squared envelopes r and `obs[FREQ]` the split
     bins (x in-band, y excess-band), for each domain of `domains`.  Trial
-    i reads the stream `RngStream(cfg.master_seed, (phase << 48) | i)`,
-    so its row depends on (cfg, phase, i) alone.
+    i reads stream `(phase << 48) | i` of
+    `numerics.stream_seeker(cfg.master_seed)`, so its row depends on
+    (cfg, phase, i) alone.
 
     Each trial's stream is read in this order: its noise precision
     (unless the noise power is pinned), its channel gain (occupied

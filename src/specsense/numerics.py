@@ -2,19 +2,19 @@
 
 Everything downstream (signal generation, closed-form performance, the
 Monte Carlo engine) is built on the routines here.  Random sampling goes
-through counter-based streams (`RngStream`) so that trials are
-reproducible and order-independent: two streams with the same
-(master_seed, stream_index) yield bit-identical draws, and distinct
-stream indices give statistically independent sequences.
+through the counter-based streams of `stream_seeker`, so that trials are
+reproducible and order-independent: the same (master_seed, stream_index)
+yields bit-identical draws, and distinct stream indices give
+statistically independent sequences.  The samplers take the
+`numpy.random.Generator` to draw from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaincc
+from scipy.special import erfc, gammaincc
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +51,6 @@ def reg_upper_gamma(s, x):
     return float(out) if out.ndim == 0 else out
 
 
-def reg_lower_gamma(s, x):
-    """Regularized lower incomplete gamma P(s, x) = 1 - Q(s, x), elementwise."""
-    out = gammainc(*_gamma_args(s, x))
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian tail
 # ---------------------------------------------------------------------------
@@ -77,81 +71,43 @@ def q_function(z):
 # Seeded streams and samplers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RngStream:
-    """A reproducible, independent random stream.
-
-    Streams are derived counter-style from the master seed, so stream
-    creation commutes with execution order: a trial's draws do not depend
-    on which other trials ran before it.
-    """
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed < 1 << 128:
-            raise ValueError("master_seed must lie in [0, 2**128): the Philox "
-                             "key is its 128 low bits, so other seeds alias")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        gen, seek = stream_seeker(self.master_seed)
-        seek(self.stream_index)
-        return gen
-
-
 def stream_seeker(master_seed: int):
     """One generator over the streams of `master_seed`, and a function
     that moves it to the start of any of them.
 
-    After `seek(i)` the generator yields exactly the draws of
-    `RngStream(master_seed, i).generator()`.  The 128 bits of the master
-    seed are the Philox key, and the stream index is placed in the upper
-    half of the counter, giving every stream 2^128 draws of separation.
+    The generator starts at stream 0.  The 128 bits of the master seed
+    are the Philox key, and the stream index is placed in the upper half
+    of the counter, giving every stream 2^128 draws of separation.
     Philox is counter-based (Salmon et al., SC'11), so moving a generator
     is setting its counter and emptying its output buffer, which costs
     about a twentieth of building a new generator.
+
+    Raises
+    ------
+    ValueError : if `master_seed` lies outside [0, 2**128), where it
+        would alias a seed inside it; `seek` raises for an index outside
+        [0, 2**128)
     """
+    if not 0 <= master_seed < 1 << 128:
+        raise ValueError("master_seed must lie in [0, 2**128): the Philox "
+                         "key is its 128 low bits, so other seeds alias")
     mask = (1 << 64) - 1
-    key = (master_seed & mask, (master_seed >> 64) & mask)
+    key = (master_seed & mask, master_seed >> 64)
     bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     # a fresh generator's state: buffer_pos 4 marks the output buffer empty
     state = {"bit_generator": "Philox", "state": {"key": key},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def seek(stream_index: int) -> None:
-        if stream_index >> 128:
-            raise ValueError("stream_index exceeds the counter space")
+        if not 0 <= stream_index < 1 << 128:
+            raise ValueError("stream_index must lie in [0, 2**128)")
         state["state"]["counter"] = (0, 0, stream_index & mask, stream_index >> 64)
         bitgen.state = state
 
     return np.random.Generator(bitgen), seek
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a numpy Generator, or an int seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
-    raise TypeError(f"expected RngStream, Generator or int, got {type(rng)!r}")
-
-
-def gamma_sample(shape: float, rate: float, rng, size=None):
-    """Draw from a Gamma(shape, rate) law (density proportional to
-    t^(shape-1) exp(-rate t))."""
-    if shape <= 0 or rate <= 0:
-        raise ValueError("gamma_sample requires shape > 0 and rate > 0")
-    gen = as_generator(rng)
-    return gen.gamma(shape, 1.0 / rate, size=size)
-
-
-def complex_gaussian(variance: float, rng, size=None):
+def complex_gaussian(variance: float, gen: np.random.Generator, size=None):
     """Circular complex Gaussian samples with E[|z|^2] = variance.
 
     Real and imaginary parts are independent N(0, variance / 2); the
@@ -160,7 +116,6 @@ def complex_gaussian(variance: float, rng, size=None):
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    gen = as_generator(rng)
     if variance == 0.0:
         return 0.0 + 0.0j if size is None else np.zeros(size, dtype=complex)
     sd = math.sqrt(variance / 2.0)

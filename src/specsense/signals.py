@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import as_generator, complex_gaussian, gamma_sample
+from .numerics import complex_gaussian
 from .observation import BandGeometry, band_split_indices
 
 H0 = "h0"
@@ -43,9 +43,9 @@ class NoisePrior:
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"prior shape offset k must be an integer >= 1, got {self.k}")
+            raise ConfigError(f"prior shape offset k must be an integer >= 1, got {self.k}")
         if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ValueError(f"prior rate theta must be positive, got {self.theta}")
+            raise ConfigError(f"prior rate theta must be positive, got {self.theta}")
 
     @property
     def precision_shape(self) -> float:
@@ -71,14 +71,14 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise ConfigError("bandwidth must be positive")
         if not (0.0 < self.rolloff <= 1.0):
-            raise ValueError(f"rolloff must lie in (0, 1], got {self.rolloff}")
+            raise ConfigError(f"rolloff must lie in (0, 1], got {self.rolloff}")
         if self.sample_rate_hz < (1.0 + self.rolloff) * self.bandwidth_hz * (1 - 1e-12):
-            raise ValueError("sample rate must cover the occupied band "
-                             "(at least (1 + rolloff) * bandwidth)")
+            raise ConfigError("sample rate must cover the occupied band "
+                              "(at least (1 + rolloff) * bandwidth)")
         if self.snr_linear < 0:
-            raise ValueError("snr must be nonnegative")
+            raise ConfigError("snr must be nonnegative")
 
     @classmethod
     def critically_sampled(cls, bandwidth_hz: float, rolloff: float,
@@ -95,10 +95,10 @@ class ChannelSpec:
 
     def __post_init__(self):
         if self.kind not in (AWGN, RAYLEIGH, NAKAGAMI):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+            raise ConfigError(f"unknown channel kind {self.kind!r}")
         if self.kind == NAKAGAMI:
             if self.nakagami_m is None or self.nakagami_m < 0.5:
-                raise ValueError("nakagami shape m must be >= 0.5")
+                raise ConfigError("nakagami shape m must be >= 0.5")
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,12 @@ class ScenarioConfig:
         return mask, float(np.sum(mask**2)) / n**2
 
 
-def draw_noise_power(prior: NoisePrior, rng, size=None):
+def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size=None):
     """Noise power alpha = 1/lambda with lambda ~ Gamma(k+1, theta)."""
-    lam = gamma_sample(prior.precision_shape, prior.precision_rate, rng, size=size)
-    return 1.0 / lam
+    return 1.0 / gen.gamma(prior.precision_shape, 1.0 / prior.precision_rate, size)
 
 
-def channel_gain(channel: ChannelSpec, rng, size=None):
+def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size=None):
     """Complex channel gain h.
 
     AWGN is the unfaded reference (h = 1 exactly).  Rayleigh draws a
@@ -177,10 +176,9 @@ def channel_gain(channel: ChannelSpec, rng, size=None):
     """
     if channel.kind == AWGN:
         return 1.0 + 0.0j if size is None else np.ones(size, dtype=complex)
-    gen = as_generator(rng)
     if channel.kind == RAYLEIGH:
         return complex_gaussian(1.0, gen, size=size)
-    amp = np.sqrt(gamma_sample(channel.nakagami_m, channel.nakagami_m, gen, size=size))
+    amp = np.sqrt(gen.gamma(channel.nakagami_m, 1.0 / channel.nakagami_m, size))
     phase = gen.uniform(-math.pi, math.pi, size=size)
     return amp * np.exp(1j * phase)
 

@@ -27,7 +27,7 @@ from specsense.montecarlo import (
     roc_sweep_channels,
     trial_statistics,
 )
-from specsense.numerics import RngStream, reg_upper_gamma
+from specsense.numerics import reg_upper_gamma, stream_seeker
 from specsense.signals import (
     AWGN,
     ChannelSpec,
@@ -185,7 +185,8 @@ def test_criterion_06_clt_pd_pinned():
 def test_criterion_07_h1_moments():
     n, alpha, snr = 20, 1.0, 1.0
     l, p, eta = 16, 4, 4.0
-    rng = RngStream(SEED, 70).generator()
+    rng, seek = stream_seeker(SEED)
+    seek(70)
     trials = 1_000_000
 
     stat = rng.exponential(alpha * (1 + snr), (trials, n)).sum(axis=1)

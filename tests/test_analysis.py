@@ -19,7 +19,7 @@ from specsense.analysis import (
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
-from specsense.numerics import RngStream, complex_gaussian
+from specsense.numerics import complex_gaussian, stream_seeker
 from specsense.signals import (
     AWGN,
     H0,
@@ -75,14 +75,14 @@ class TestMapEstimates:
         assert est == pytest.approx(19.0 / 22.0)
 
     def test_zero_snr_hypotheses_agree(self):
-        rng = RngStream(501).generator()
+        rng = stream_seeker(501)[0]
         r = rng.exponential(1.0, 20)
         prior = NoisePrior(k=4, theta=4.0)
         assert map_noise_power(prior, 0.0, H0, r=r) == pytest.approx(
             map_noise_power(prior, 0.0, H1, r=r))
 
     def test_grid_argmax_time(self):
-        rng = RngStream(502).generator()
+        rng = stream_seeker(502)[0]
         prior = NoisePrior(k=4, theta=2.0)
         r = rng.exponential(1.2, 20)
         for hyp, gain in ((H0, 1.0), (H1, 2.0)):
@@ -94,7 +94,7 @@ class TestMapEstimates:
             assert est == pytest.approx(ref, abs=1e-4)
 
     def test_grid_argmax_freq(self):
-        rng = RngStream(503).generator()
+        rng = stream_seeker(503)[0]
         prior = NoisePrior(k=3, theta=1.0)
         x = rng.exponential(25.0, 16)
         y = rng.exponential(20.0, 4)
@@ -109,6 +109,13 @@ class TestMapEstimates:
     def test_requires_time_samples_or_both_bands(self):
         with pytest.raises(ValueError):
             map_noise_power(NoisePrior(k=3, theta=1.0), 1.0, H0, x=np.ones(16))
+
+    def test_rejects_an_unknown_hypothesis(self):
+        prior, r = NoisePrior(k=3, theta=3.0), np.full(20, 2.0)
+        assert map_noise_power(prior, 1.0, H1, r=r) == pytest.approx(1.0)
+        for hyp in ("H1", "h2", ""):
+            with pytest.raises(ValueError, match="hypothesis"):
+                map_noise_power(prior, 1.0, hyp, r=r)
 
 
 class TestIncompleteGammaForms:
@@ -125,7 +132,7 @@ class TestIncompleteGammaForms:
         assert pfa_opt(20, 1.0, 20.0) == pytest.approx(0.4703, abs=5e-5)
 
     def test_opt_matches_simulation(self):
-        rng = RngStream(504).generator()
+        rng = stream_seeker(504)[0]
         n, alpha, snr = 20, 1.0, 1.0
         s0 = rng.gamma(n, alpha, 100_000)
         s1 = rng.gamma(n, alpha * (1 + snr), 100_000)
@@ -140,7 +147,7 @@ class TestIncompleteGammaForms:
                 pfa_opt(20, 1.0, eta * prior.theta))
 
     def test_alrd1_matches_simulation(self):
-        rng = RngStream(505).generator()
+        rng = stream_seeker(505)[0]
         n, alpha, prior = 20, 1.0, NoisePrior(k=4, theta=2.0)
         stats0 = rng.gamma(n, alpha, 100_000) / prior.theta
         stats1 = rng.gamma(n, alpha * 2.0, 100_000) / prior.theta
@@ -176,7 +183,7 @@ class TestCltForms:
         assert vals[-1] < 0.03
 
     def test_pfa_reference_against_simulation(self):
-        rng = RngStream(506).generator()
+        rng = stream_seeker(506)[0]
         l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
         x = rng.exponential(n * alpha, (100_000, l)).sum(axis=1)
         y = rng.exponential(n * alpha, (100_000, p)).sum(axis=1)
@@ -188,7 +195,7 @@ class TestCltForms:
         # With only 20 bins the Gaussian approximation is loose away from
         # the small-eta regime; its error stays within 0.05 over the
         # working threshold range (worst near the distribution center).
-        rng = RngStream(536).generator()
+        rng = stream_seeker(536)[0]
         l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
         x = rng.exponential(n * alpha, (100_000, l)).sum(axis=1)
         y = rng.exponential(n * alpha, (100_000, p)).sum(axis=1)
@@ -211,7 +218,7 @@ class TestCltForms:
         assert rot == pytest.approx(base, rel=1e-12)
 
     def test_pd_pinned_against_simulation(self):
-        rng = RngStream(507).generator()
+        rng = stream_seeker(507)[0]
         l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
         scale = n * alpha
         for h, s in ((1 + 0j, 1 + 0j), (1 + 0j, 5 + 2j), (0.6 + 0.3j, 6 - 1j)):
@@ -342,11 +349,10 @@ def _power(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def per_draw_reference(point_fn, prior, mc_draws, rng, channel=None,
+def per_draw_reference(point_fn, prior, mc_draws, gen, channel=None,
                        draw_signal=False):
     """Reference: the per-draw loop, one `point_fn` call per prior draw
     on Python scalars, over the same draws in the same order."""
-    gen = rng.generator()
     alphas = draw_noise_power(prior, gen, size=mc_draws)
     gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
              else np.ones(mc_draws, dtype=complex))
@@ -366,7 +372,7 @@ class TestAverageOverPrior:
             return 0.37  # a scalar counts for every draw
 
         res = average_over_prior(fn, NoisePrior(k=2, theta=2.0),
-                                 mc_draws=500, rng=RngStream(508))
+                                 mc_draws=500, seed=508)
         assert shapes == [((500,), (500,), (500,))]
         assert res.value == pytest.approx(0.37)
         assert res.stderr == pytest.approx(0.0, abs=1e-15)
@@ -374,7 +380,7 @@ class TestAverageOverPrior:
     def test_concentrated_prior_recovers_conditional(self):
         prior = NoisePrior(k=400, theta=400.0)  # mean 1, tight
         fn = lambda a, h, s: pfa_alrd1(20, a, prior, 10.0)
-        res = average_over_prior(fn, prior, mc_draws=20_000, rng=RngStream(509))
+        res = average_over_prior(fn, prior, mc_draws=20_000, seed=509)
         conditional = pfa_alrd1(20, 1.0, prior, 10.0)
         assert res.value == pytest.approx(conditional, rel=0.01)
 
@@ -382,8 +388,8 @@ class TestAverageOverPrior:
         prior = NoisePrior(k=4, theta=4.0)
         n, eta = 20, 8.0
         fn = lambda a, h, s: pfa_alrd1(n, a, prior, eta)
-        res = average_over_prior(fn, prior, mc_draws=100_000, rng=RngStream(510))
-        gen = RngStream(511).generator()
+        res = average_over_prior(fn, prior, mc_draws=100_000, seed=510)
+        gen = stream_seeker(511)[0]
         alphas = 1.0 / gen.gamma(prior.precision_shape, 1 / prior.theta, 100_000)
         stats = gen.gamma(n, 1.0, 100_000) * alphas / prior.theta
         emp = np.mean(stats > eta)
@@ -392,8 +398,8 @@ class TestAverageOverPrior:
     def test_stderr_shrinks_with_draws(self):
         prior = NoisePrior(k=4, theta=4.0)
         fn = lambda a, h, s: pfa_alrd1(20, a, prior, 8.0)
-        small = average_over_prior(fn, prior, 2_000, RngStream(512))
-        large = average_over_prior(fn, prior, 32_000, RngStream(513))
+        small = average_over_prior(fn, prior, 2_000, 512)
+        large = average_over_prior(fn, prior, 32_000, 513)
         assert large.stderr < small.stderr
         assert large.stderr == pytest.approx(small.stderr / 4.0, rel=0.35)
 
@@ -401,7 +407,7 @@ class TestAverageOverPrior:
         prior = NoisePrior(k=4, theta=4.0)
         seen = []
         fn = lambda a, h, s: seen.append((h, s)) or 0.5
-        average_over_prior(fn, prior, 10, RngStream(514),
+        average_over_prior(fn, prior, 10, 514,
                            channel=ChannelSpec(RAYLEIGH), draw_signal=True)
         [(h, s)] = seen  # one call with every draw
         assert h.shape == s.shape == (10,)
@@ -418,9 +424,9 @@ class TestAverageOverPrior:
         prior = NoisePrior(k=3, theta=3.0)
         fn = lambda a, h, s: pd_alrd1(20, a, prior, 1.5 * _power(h) * (1.0 + _power(s)),
                                       16.0)
-        res = average_over_prior(fn, prior, 3_000, RngStream(517), channel=channel,
+        res = average_over_prior(fn, prior, 3_000, 517, channel=channel,
                                  draw_signal=draw_signal)
-        value, stderr = per_draw_reference(fn, prior, 3_000, RngStream(517), channel,
+        value, stderr = per_draw_reference(fn, prior, 3_000, stream_seeker(517)[0], channel,
                                            draw_signal)
         assert (res.value, res.stderr, res.draws) == (value, stderr, 3_000)
         assert 0.0 < value < 1.0
@@ -428,7 +434,7 @@ class TestAverageOverPrior:
     def test_rejects_a_result_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             average_over_prior(lambda a, h, s: a[:-1], NoisePrior(k=3, theta=3.0),
-                               50, RngStream(518))
+                               50, 518)
 
 
 class TestStatisticMoments:
@@ -437,7 +443,7 @@ class TestStatisticMoments:
         assert (m.mean, m.variance) == (20.0, 20.0)
 
     def test_traditional_against_simulation(self):
-        rng = RngStream(515).generator()
+        rng = stream_seeker(515)[0]
         n, alpha, snr = 20, 1.0, 1.0
         stat = rng.exponential(alpha * (1 + snr), (1_000_000, n)).sum(axis=1)
         ref = traditional_statistic_moments(n, alpha, snr)
@@ -448,7 +454,7 @@ class TestStatisticMoments:
         assert abs(var - ref.variance) < 3 * se_var
 
     def test_proposed_derived_against_simulation(self):
-        rng = RngStream(516).generator()
+        rng = stream_seeker(516)[0]
         l, p, n, alpha, snr, eta = 16, 4, 20, 1.0, 1.0, 4.0
         x = rng.exponential(n * alpha * (1 + snr), (1_000_000, l)).sum(axis=1)
         y = rng.exponential(n * alpha, (1_000_000, p)).sum(axis=1)

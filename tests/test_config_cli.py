@@ -482,6 +482,27 @@ class TestCliValidate:
         assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("command, preset, key, value", [
+    ("roc", "fig6", "rolloff", "0"),
+    ("roc", "fig6", "prior_k", "0"),
+    ("roc", "fig6", "prior_theta", "-1"),
+    ("roc", "fig6", "nakagami_m", "0.3"),
+    ("roc", "fig6", "bandwidth_hz", "-5"),
+    ("roc", "fig6", "sample_rate_hz", "60000"),
+    ("curves", "curves_awgn", "rolloff", "1.5"),
+])
+def test_out_of_range_spec_value_is_a_config_error(tmp_path, capsys, command, preset,
+                                                   key, value):
+    # the prior, signal and channel specs check their own ranges
+    lines = [line for line in (Path("presets") / f"{preset}.conf").read_text().splitlines()
+             if not line.startswith(f"{key} =")]
+    conf = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    assert main([command, str(conf), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 CROSS_CONF = """
 detectors = optimal, alrd1
 n_samples = 20

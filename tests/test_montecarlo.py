@@ -22,7 +22,7 @@ from specsense.montecarlo import (
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import RngStream, complex_gaussian, reg_upper_gamma
+from specsense.numerics import complex_gaussian, reg_upper_gamma, stream_seeker
 from specsense.observation import band_split_indices, spectrum_bins, squared_envelope
 from specsense.signals import (
     AWGN,
@@ -86,12 +86,18 @@ def reference_bins(cfg, alpha, h, gen, s_amp=None):
     return np.abs(e + v) ** 2, y
 
 
+def trial_stream(seed, phase, trial):
+    gen, seek = stream_seeker(seed)
+    seek((phase << 48) | trial)
+    return gen
+
+
 def reference_observation(cfg, domains, phase, trial):
     """One trial's observations and noise power, computed the per-trial
     way: a fresh generator on the trial's own stream, and one scalar
     draw or one block of variates at a time.  This defines the stream
     layout; `observe` must match it bit for bit."""
-    gen = RngStream(cfg.master_seed, (phase << 48) | trial).generator()
+    gen = trial_stream(cfg.master_seed, phase, trial)
     if cfg.noise_power is not None:
         alpha = cfg.noise_power
     else:
@@ -232,7 +238,7 @@ class TestTrialEngine:
         assert x.shape == (5, cfg.geometry.l_inband)
         assert y.shape == (5, cfg.geometry.p_excess)
         for i in range(5):
-            gen = RngStream(99, (PHASE_EVAL_H1 << 48) | i).generator()
+            gen = trial_stream(99, PHASE_EVAL_H1, i)
             w = spectrum_bins(reference_time_block(cfg, 1.3, 0.8 + 0.2j, gen))
             assert np.array_equal(x[i], w[inband]) and np.array_equal(y[i], w[excess])
         # and the engine computes the same statistics from them
@@ -351,7 +357,7 @@ class TestEmpiricalCdf:
         assert cdf.evaluate(2.0) == 0.5
 
     def test_evaluate_is_elementwise(self):
-        cdf = EmpiricalCdf.from_samples(RngStream(540).generator().standard_normal(999))
+        cdf = EmpiricalCdf.from_samples(stream_seeker(540)[0].standard_normal(999))
         ts = np.linspace(-4.0, 4.0, 301)
         assert np.array_equal(cdf.evaluate(ts), [cdf.evaluate(t) for t in ts])
         assert cdf.evaluate(ts.reshape(7, 43)).shape == (7, 43)

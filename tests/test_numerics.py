@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaincc
 
-from specsense.numerics import (
-    RngStream,
-    complex_gaussian,
-    gamma_sample,
-    q_function,
-    reg_lower_gamma,
-    reg_upper_gamma,
-)
+from specsense.numerics import complex_gaussian, q_function, reg_upper_gamma, stream_seeker
 
 
 def quad_upper_gamma(s: float, x: float) -> float:
@@ -47,10 +40,6 @@ class TestRegUpperGamma:
             assert reg_upper_gamma(s, x) == pytest.approx(
                 float(gammaincc(s, x)), rel=1e-11, abs=1e-300)
 
-    def test_lower_complements_upper(self):
-        for s, x in [(4.0, 2.0), (20.0, 30.0), (0.7, 0.1)]:
-            assert reg_lower_gamma(s, x) + reg_upper_gamma(s, x) == pytest.approx(1.0)
-
     @given(s=st.floats(0.1, 60.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_x_and_bounded(self, s):
@@ -78,11 +67,11 @@ class TestRegUpperGamma:
     @settings(max_examples=60, deadline=None)
     def test_elementwise_equals_scalar_calls(self, pairs):
         s, x = np.array(pairs).T
-        for fn in (reg_upper_gamma, reg_lower_gamma):
-            want = np.array([fn(a, b) for a, b in pairs])
-            assert np.array_equal(fn(s, x), want)
-            assert np.array_equal(fn(s[0], x), [fn(s[0], b) for b in x])  # broadcast
-            assert type(fn(s[0], x[0])) is float
+        want = np.array([reg_upper_gamma(a, b) for a, b in pairs])
+        assert np.array_equal(reg_upper_gamma(s, x), want)
+        assert np.array_equal(reg_upper_gamma(s[0], x),
+                              [reg_upper_gamma(s[0], b) for b in x])  # broadcast
+        assert type(reg_upper_gamma(s[0], x[0])) is float
 
     @pytest.mark.parametrize("bad", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
                                      (float("nan"), 1.0), (1.0, float("nan")),
@@ -91,11 +80,10 @@ class TestRegUpperGamma:
     def test_one_bad_element_raises(self, bad, where):
         s, x = np.full(10, 3.0), np.linspace(0.0, 9.0, 10)
         s[where], x[where] = bad
-        for fn in (reg_upper_gamma, reg_lower_gamma):
-            with pytest.raises(ValueError):
-                fn(s, x)
-            with pytest.raises(ValueError):
-                fn(s.reshape(2, 5), x.reshape(2, 5))
+        with pytest.raises(ValueError):
+            reg_upper_gamma(s, x)
+        with pytest.raises(ValueError):
+            reg_upper_gamma(s.reshape(2, 5), x.reshape(2, 5))
 
 
 class TestQFunction:
@@ -121,85 +109,87 @@ class TestQFunction:
             q_function(float("nan"))
 
 
-class TestGammaSample:
-    def test_mean_and_variance(self):
-        draws = gamma_sample(3.0, 2.0, RngStream(101), size=1_000_000)
-        n = draws.size
-        # mean  3/2, variance 3/4
-        se_mean = math.sqrt(0.75 / n)
-        assert abs(draws.mean() - 1.5) < 3 * se_mean
-        var = draws.var(ddof=1)
-        se_var = math.sqrt(np.var((draws - draws.mean()) ** 2) / n)
-        assert abs(var - 0.75) < 3 * se_var
-
-    def test_ks_against_analytic_cdf(self):
-        draws = gamma_sample(2.5, 1.7, RngStream(102), size=100_000)
-        res = stats.kstest(draws, lambda t: np.vectorize(reg_lower_gamma)(2.5, 1.7 * t))
-        assert res.pvalue > 0.01
-
-    def test_integer_shape_equals_sum_of_units(self):
-        n = 3
-        a = gamma_sample(float(n), 1.0, RngStream(103), size=100_000)
-        g = RngStream(104).generator()
-        b = gamma_sample(1.0, 1.0, g, size=(100_000, n)).sum(axis=1)
-        assert stats.ks_2samp(a, b).pvalue > 0.01
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_sample(0.0, 1.0, RngStream(1))
-        with pytest.raises(ValueError):
-            gamma_sample(1.0, -1.0, RngStream(1))
-
-
 class TestComplexGaussian:
     def test_zero_variance(self):
-        assert complex_gaussian(0.0, RngStream(1)) == 0j
-        z = complex_gaussian(0.0, RngStream(1), size=5)
+        assert complex_gaussian(0.0, stream_seeker(1)[0]) == 0j
+        z = complex_gaussian(0.0, stream_seeker(1)[0], size=5)
         assert np.all(z == 0)
 
     def test_power(self):
-        z = complex_gaussian(2.0, RngStream(105), size=1_000_000)
+        z = complex_gaussian(2.0, stream_seeker(105)[0], size=1_000_000)
         p = np.abs(z) ** 2
         # |z|^2 exponential with mean 2, sd 2
         assert abs(p.mean() - 2.0) < 3 * 2.0 / math.sqrt(p.size)
 
     def test_phase_uniform(self):
-        z = complex_gaussian(1.0, RngStream(106), size=200_000)
+        z = complex_gaussian(1.0, stream_seeker(106)[0], size=200_000)
         phases = np.angle(z)
         counts, _ = np.histogram(phases, bins=16, range=(-math.pi, math.pi))
         res = stats.chisquare(counts)
         assert res.pvalue > 0.01
 
     def test_magnitude_exponential(self):
-        z = complex_gaussian(3.0, RngStream(107), size=100_000)
+        z = complex_gaussian(3.0, stream_seeker(107)[0], size=100_000)
         res = stats.kstest(np.abs(z) ** 2, "expon", args=(0, 3.0))
         assert res.pvalue > 0.01
 
 
+def stream(seed: int, index: int) -> np.random.Generator:
+    gen, seek = stream_seeker(seed)
+    seek(index)
+    return gen
+
+
 class TestRngStream:
+    """The counter-based streams of `stream_seeker`."""
+
     def test_reproducible(self):
-        a = RngStream(7, 3).generator().standard_normal(16)
-        b = RngStream(7, 3).generator().standard_normal(16)
+        a = stream(7, 3).standard_normal(16)
+        b = stream(7, 3).standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(7, 3).generator().standard_normal(16)
-        b = RngStream(7, 4).generator().standard_normal(16)
+        a = stream(7, 3).standard_normal(16)
+        b = stream(7, 4).standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_streams_uncorrelated(self):
-        xs = np.array([RngStream(11, i).generator().standard_normal() for i in range(4000)])
-        ys = np.array([RngStream(11, i + 4000).generator().standard_normal() for i in range(4000)])
+        gen, seek = stream_seeker(11)
+        xs, ys = np.empty(4000), np.empty(4000)
+        for i in range(4000):
+            seek(i)
+            xs[i] = gen.standard_normal()
+            seek(i + 4000)
+            ys[i] = gen.standard_normal()
         assert abs(np.corrcoef(xs, ys)[0, 1]) < 0.05
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            RngStream(1, -1)
+        seek = stream_seeker(1)[1]
+        for index in (-1, 2**128):
+            with pytest.raises(ValueError):
+                seek(index)
 
     def test_master_seed_outside_key_space_rejected(self):
         # the Philox key holds 128 bits: -1 would alias 2**128 - 1, and
         # 5 + 2**128 would alias 5
-        RngStream(2**128 - 1).generator()
+        stream_seeker(2**128 - 1)[1](2**128 - 1)
         for seed in (-1, 2**128, 5 + 2**128):
             with pytest.raises(ValueError, match="master_seed"):
-                RngStream(seed)
+                stream_seeker(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**127 + 5])
+    def test_seek_matches_philox_built_directly(self, seed):
+        # stream i of seed s: Philox keyed by s, with i in the counter's
+        # upper half; a fresh generator stands at stream 0
+        m = (1 << 64) - 1
+
+        def philox(i):
+            return np.random.Generator(np.random.Philox(
+                key=[seed & m, seed >> 64], counter=[0, 0, i & m, i >> 64]))
+
+        gen, seek = stream_seeker(seed)
+        assert np.array_equal(gen.standard_normal(9), philox(0).standard_normal(9))
+        for i in (0, 5, (3 << 48) | 7, 2**64 + 3):
+            gen.standard_normal(3)  # leave the generator mid-buffer
+            seek(i)
+            assert np.array_equal(gen.standard_normal(9), philox(i).standard_normal(9))

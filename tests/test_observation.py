@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from specsense.errors import ConfigError
-from specsense.numerics import RngStream, complex_gaussian
+from specsense.numerics import complex_gaussian, stream_seeker
 from specsense.observation import (
     BandGeometry,
     band_split_indices,
@@ -28,7 +28,7 @@ class TestSquaredEnvelope:
         assert r[0] == pytest.approx(25.0)
 
     def test_noise_mean(self):
-        gen = RngStream(201).generator()
+        gen = stream_seeker(201)[0]
         z = complex_gaussian(1.0, gen, size=(5000, 20))
         r = squared_envelope(z)
         assert abs(r.mean() - 1.0) < 3 * 1.0 / np.sqrt(r.size)
@@ -44,14 +44,14 @@ class TestSpectrumBins:
         np.testing.assert_allclose(spectrum_bins(z), np.ones(20))
 
     def test_parseval(self):
-        gen = RngStream(202).generator()
+        gen = stream_seeker(202)[0]
         z = complex_gaussian(2.0, gen, size=31)
         w = spectrum_bins(z)
         ratio = w.sum() / (z.size * (np.abs(z) ** 2).sum())
         assert ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_white_noise_bins_exponential(self):
-        gen = RngStream(203).generator()
+        gen = stream_seeker(203)[0]
         alpha, n = 1.3, 20
         z = complex_gaussian(alpha, gen, size=(5000, n))
         w = np.abs(np.fft.fft(z, axis=1)) ** 2
@@ -105,7 +105,7 @@ class TestSplitBands:
 
     def test_h0_band_halves_identically_distributed(self):
         spec = critical_spec()
-        gen = RngStream(204).generator()
+        gen = stream_seeker(204)[0]
         z = complex_gaussian(1.0, gen, size=(6000, 20))
         w = np.abs(np.fft.fft(z, axis=1)) ** 2
         inband, excess = band_split_indices(20, spec)
