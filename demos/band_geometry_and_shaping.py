@@ -8,7 +8,7 @@ raised-cosine profile while the excess band stays noise-dominated.
 import numpy as np
 
 from specsense.detectors import FREQ
-from specsense.montecarlo import PHASE_EVAL_H1, observe
+from specsense.montecarlo import PHASE_EVAL_H1, TRIAL_CHUNK, observe
 from specsense.signals import (
     ChannelSpec,
     NoisePrior,
@@ -40,8 +40,9 @@ def main():
               f"P={geom.p_excess} excess-band bins")
 
     cfg = scenario[20]
-    x, y = (bins.mean(axis=0)
-            for bins in observe(cfg, {FREQ}, PHASE_EVAL_H1, range(blocks))[0][FREQ])
+    parts = [observe(cfg, {FREQ}, PHASE_EVAL_H1, b)[0][FREQ]
+             for b in range(-(-blocks // TRIAL_CHUNK))]
+    x, y = (np.concatenate(bins).mean(axis=0) for bins in zip(*parts))
 
     freqs = np.fft.fftfreq(20, d=1.0 / spec.sample_rate_hz)
     profile = raised_cosine_profile(freqs, BANDWIDTH, ROLLOFF)

@@ -28,7 +28,7 @@ def main():
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr_linear=1.0)
     cfg = ScenarioConfig(n_samples=20, prior=prior, signal=spec,
                          channel=ChannelSpec("awgn"), trials=1, master_seed=7)
-    obs, alphas = observe(cfg, {TIME, FREQ}, PHASE_EVAL_H1, range(1))
+    obs, alphas = observe(cfg, {TIME, FREQ}, PHASE_EVAL_H1, 0)  # block 0: trial 0
     r = obs[TIME][0]
     x, y = (bins[0] for bins in obs[FREQ])
     alpha = float(alphas[0])

@@ -7,4 +7,4 @@ roll-off (excess-bandwidth) region of the occupied spectrum, plus their
 closed-form performance and a reproducible Monte Carlo harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import replace
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__, analysis, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
@@ -115,7 +117,10 @@ def _run(args, command: str, header: list[str],
         svgplot.write_line_plot(out_dir / f"{stem}.svg", series, xlabel, ylabel,
                                 f"{title} ({config_stem})",
                                 comment=f"manifest: {digest}")
+    # not hashed: the hash names the experiment, not the machine that ran it
     manifest["duration_seconds"] = round(time.perf_counter() - started, 3)
+    manifest["versions"] = {"python": platform.python_version(),
+                            "numpy": np.__version__, "scipy": scipy.__version__}
     (out_dir / f"{stem}_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} ({len(table)} rows)")

@@ -1,30 +1,26 @@
 """Monte Carlo trial engine: observations, statistic sampling, threshold
 calibration, empirical CDFs and ROC sweeps.
 
-`observe` is the library's one observation model.  Every trial owns its
-own counter-based random stream, indexed by (phase, trial): calibration,
-H0 evaluation and H1 evaluation never share randomness, results do not
-depend on execution order or on the trial count, and rerunning with the
-same configuration and master seed is bit-identical.  The phase also
+`observe` is the library's one observation model.  Trials run in blocks
+of `TRIAL_CHUNK`, and each (phase, block, kind of variate) owns its own
+counter-based random stream: calibration, H0 evaluation and H1
+evaluation never share randomness, results do not depend on execution
+order, on the trial count or on the detector list, and rerunning with
+the same configuration and master seed is bit-identical.  The phase also
 picks the hypothesis: only `PHASE_EVAL_H1` trials see an occupied
 channel.  Calibration and H0 evaluation trials draw no channel gain and
 read no channel field, so they are the same for every channel, and
 `roc_sweep_channels` runs them once for all the channels of one
 `n_samples` value.
 
-`observe` reaches each trial's stream by moving one Philox generator to
-the trial's counter, not by building a generator per trial.  Only the
-draws run trial by trial: the noise precision, the channel gain and the
-raw normal or exponential variates, each into its row of a buffer.
-Scaling, mixing, FFTs, the band split and the statistics then run on
-whole chunks of `TRIAL_CHUNK` trials, one row per trial.
+Every buffer of a block is one whole-array draw, and the scaling,
+mixing, FFTs, band split and statistics run on the whole block, one row
+per trial.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
 thresholds off those CDFs; `roc_sweep_channels` and the `roc`,
-`calibrate` and `cdf` commands all go through it.  The list matters: on
-the model source a trial draws its bins after its time samples only when
-a time-domain detector shares the run.
+`calibrate` and `cdf` commands all go through it.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,14 +44,22 @@ PHASE_EVAL_H0 = 2
 PHASE_EVAL_H1 = 3
 
 # share of a band rule's false-alarm budget placed above its upper edge
-_UPPER_SHARE = 0.1
+_UPPER_SHARE = Fraction(1, 10)
 
-# A trial's stream index is (phase << _TRIAL_BITS) | trial.
-_TRIAL_BITS = 48
-
-# Trials whose arithmetic runs as one block.  It is fixed, never derived
-# from the trial count, so peak memory stays flat as trials grow.
+# Trials per block.  It is part of the stream layout: every block draws
+# its variates for TRIAL_CHUNK trials, so changing it moves every output.
+# It is fixed, never derived from the trial count, so trial i does not
+# depend on the trial count and peak memory stays flat as trials grow.
 TRIAL_CHUNK = 1024
+
+# The kinds of variate a block draws, each from its own stream.
+KIND_PRIOR = 0  # noise precision, then channel gain
+KIND_TIME = 1   # time samples: noise, then signal
+KIND_BINS = 2   # model-source frequency bins
+
+# Stream index bits below the phase: block, then kind.
+_BLOCK_BITS = 38
+_KIND_BITS = 2
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
@@ -73,114 +78,94 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 # Trial engine
 # ---------------------------------------------------------------------------
 
+def stream_index(phase: int, block: int, kind: int) -> int:
+    """The `numerics.stream_seeker` stream of kind `kind` (`KIND_PRIOR`,
+    `KIND_TIME` or `KIND_BINS`) of block `block` in `phase`:
+    (phase << 40) | (block << 2) | kind.  A block outside [0, 2**38), the
+    blocks of 2**48 trials, is a `ConfigError`."""
+    if not 0 <= block < 1 << _BLOCK_BITS:
+        raise ConfigError("block index out of range")
+    return (((phase << _BLOCK_BITS) | block) << _KIND_BITS) | kind
+
+
 def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
-            trials: range) -> tuple[dict, np.ndarray]:
-    """Observations of the ascending range `trials` in `phase`, one row
-    per trial, plus their noise powers alpha.
+            block: int) -> tuple[dict, np.ndarray]:
+    """Observations of block `block` of `phase`, trials block * TRIAL_CHUNK
+    up to the next block or cfg.trials, one row per trial, plus their
+    noise powers alpha.
 
     `obs[TIME]` holds the squared envelopes r and `obs[FREQ]` the split
-    bins (x in-band, y excess-band), for each domain of `domains`.  Trial
-    i reads stream `(phase << 48) | i` of
-    `numerics.stream_seeker(cfg.master_seed)`, so its row depends on
-    (cfg, phase, i) alone.
+    bins (x in-band, y excess-band), for each domain of `domains`.  Each
+    kind of variate reads its own stream (`stream_index`), in this order:
 
-    Each trial's stream is read in this order: its noise precision
-    (unless the noise power is pinned), its channel gain (occupied
-    channel only, unless pinned), then the raw variates of each
-    observation form.  Model source: white time samples, noise then
-    signal; then the excess bins and either the in-band bins (idle) or
-    in-band noise and signal (occupied).  Waveform source: one block of
-    noise then signal symbols, shaped by the square root of the
-    raised-cosine profile (`cfg.shaping`) and transformed into both forms.
+    - `KIND_PRIOR`: the noise precisions (unless the noise power is
+      pinned), then the channel gains (occupied channel, unless pinned);
+    - `KIND_TIME`: the time samples' white noise, then their signal
+      (occupied channel, nonzero SNR).  On the waveform source the signal
+      is white symbols shaped by the square root of the raised-cosine
+      profile (`cfg.shaping`), and both observation forms come from it;
+    - `KIND_BINS` (model source): the excess-band exponentials, then the
+      in-band exponentials (idle channel) or the in-band noise and then
+      the signal (occupied channel, unless the signal is pinned).
 
-    Every row is bit-identical to drawing its trial alone, one
-    `numerics.complex_gaussian` block at a time on a fresh generator; the
-    tests hold the engine to that per-trial reference.  A zero-variance
-    complex Gaussian draws nothing, which a zero SNR mirrors here; an SNR
-    so small that alpha * snr underflows to 0 is not mirrored.
+    Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
+    short last block: numpy's gamma sampler rejects a varying number of
+    candidates, so drawing fewer rows would shift every later buffer.  A
+    row thus depends on (cfg, phase, trial) alone, not on the trial count
+    or on the other domains observed.  A block holding none of the
+    trials 0 .. cfg.trials - 1 is a `ConfigError`.
     """
-    if trials and not 0 <= trials[0] <= trials[-1] < 1 << _TRIAL_BITS:
-        raise ConfigError("trial index out of range")
+    start = block * TRIAL_CHUNK
+    if not 0 <= start < cfg.trials:
+        raise ConfigError("block index out of range")
+    rows = min(TRIAL_CHUNK, cfg.trials - start)
     gen, seek = stream_seeker(cfg.master_seed)
-    base = phase << _TRIAL_BITS
     occupied = phase == PHASE_EVAL_H1
-    m, n = len(trials), cfg.n_samples
-    snr = cfg.signal.snr_linear
-    draws = []  # (sampler, buffer) in stream order
+    n, snr = cfg.n_samples, cfg.signal.snr_linear
+    signal = occupied and snr != 0.0
 
-    def raw(sampler: str, width: int) -> np.ndarray:
-        buf = np.empty((m, width))
-        draws.append((getattr(gen, sampler), buf))
-        return buf
+    def normals(width: int) -> np.ndarray:
+        """The stream's next complex normals, E|c|^2 = 2, one row per trial."""
+        return gen.standard_normal((TRIAL_CHUNK, 2 * width))[:rows].view(complex)
 
-    if cfg.source == sig.WAVEFORM:
-        t_raw = raw("standard_normal", 4 * n if occupied else 2 * n)
-    else:
-        if det.TIME in domains:
-            t_raw = raw("standard_normal", 4 * n if occupied and snr != 0.0 else 2 * n)
-        if det.FREQ in domains:
-            geom = cfg.geometry
-            p, l = geom.p_excess, geom.l_inband
-            e_raw = raw("standard_exponential", p if occupied else p + l)
-            if occupied:
-                signal = snr != 0.0 and cfg.pinned_signal is None
-                b_raw = raw("standard_normal", 4 * l if signal else 2 * l)
+    seek(stream_index(phase, block, KIND_PRIOR))
+    alpha = (np.full(rows, cfg.noise_power) if cfg.noise_power is not None
+             else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK)[:rows])
+    if cfg.pinned_channel is not None:
+        h = complex(cfg.pinned_channel)
+    elif occupied:
+        h = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)[:rows, None]
 
-    lam = np.empty(m)
-    h = np.full(m, complex(cfg.pinned_channel if cfg.pinned_channel is not None
-                           else 1.0))
-    draw_lam = cfg.noise_power is None
-    draw_h = occupied and cfg.pinned_channel is None
-    shape, scale = cfg.prior.precision_shape, 1.0 / cfg.prior.precision_rate
-    for j, i in enumerate(trials):
-        seek(base | i)
-        if draw_lam:
-            lam[j] = gen.gamma(shape, scale)
-        if draw_h:
-            h[j] = sig.channel_gain(cfg.channel, gen)
-        for fill, buf in draws:
-            fill(out=buf[j])
-
-    alpha = 1.0 / lam if draw_lam else np.full(m, cfg.noise_power)
-    hc = h[:, None]
     obs = {}
-    if cfg.source == sig.WAVEFORM:
-        c = t_raw.view(complex)
-        z = np.sqrt(alpha / 2.0)[:, None] * c[:, :n]
-        if occupied:
-            mask, power = cfg.shaping
-            s = np.fft.ifft(mask * (math.sqrt(0.5) * c[:, n:]), axis=1)
-            s *= np.sqrt(alpha * snr / power)[:, None]
-            z = hc * s + z
+    if cfg.source == sig.WAVEFORM or det.TIME in domains:
+        seek(stream_index(phase, block, KIND_TIME))
+        z = np.sqrt(alpha / 2.0)[:, None] * normals(n)
+        if signal:
+            s, power = normals(n), 2.0
+            if cfg.source == sig.WAVEFORM:
+                mask, power = cfg.shaping
+                s = np.fft.ifft(mask * (math.sqrt(0.5) * s), axis=1)
+            z = h * (np.sqrt(alpha * snr / power)[:, None] * s) + z
         if det.TIME in domains:
             obs[det.TIME] = squared_envelope(z)
-        if det.FREQ in domains:
+        if det.FREQ in domains and cfg.source == sig.WAVEFORM:
             w = spectrum_bins(z)
             inband, excess = cfg.bands
             # take keeps each trial's bins contiguous, so each row sums as alone
             obs[det.FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)
-        return obs, alpha
-
-    if det.TIME in domains:
-        c = t_raw.view(complex)
-        z = np.sqrt(alpha / 2.0)[:, None] * c[:, :n]
-        if occupied and snr != 0.0:
-            z = hc * (np.sqrt(alpha * snr / 2.0)[:, None] * c[:, n:]) + z
-        obs[det.TIME] = squared_envelope(z)
-    if det.FREQ in domains:
-        bin_scale = (n * alpha)[:, None]
-        y = bin_scale * e_raw[:, :p]
+    if det.FREQ in domains and cfg.source == sig.MODEL:
+        seek(stream_index(phase, block, KIND_BINS))
+        geom = cfg.geometry
+        scale = (n * alpha)[:, None]
+        y = scale * gen.standard_exponential((TRIAL_CHUNK, geom.p_excess))[:rows]
         if not occupied:
-            x = bin_scale * e_raw[:, p:]
+            x = scale * gen.standard_exponential((TRIAL_CHUNK, geom.l_inband))[:rows]
         else:
-            c = b_raw.view(complex)
-            v = np.sqrt(bin_scale / 2.0) * c[:, :l]
+            v = np.sqrt(scale / 2.0) * normals(geom.l_inband)
             if cfg.pinned_signal is not None:
-                # a Python complex product, as the per-trial reference forms
-                # it: numpy's complex multiply may round differently
-                v = np.array([complex(g) * cfg.pinned_signal for g in h])[:, None] + v
-            elif snr != 0.0:
-                v = hc * (np.sqrt(bin_scale * snr / 2.0) * c[:, l:]) + v
+                v = h * cfg.pinned_signal + v
+            elif signal:
+                v = h * (np.sqrt(scale * snr / 2.0) * normals(geom.l_inband)) + v
             x = np.abs(v) ** 2
         obs[det.FREQ] = x, y
     return obs, alpha
@@ -191,19 +176,19 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     """Statistic samples for several detectors over the same trials.
 
     Trials 0 .. cfg.trials - 1 of `phase` are observed (`observe`) one
-    chunk of `TRIAL_CHUNK` trials at a time and reduced by the detector
+    block of `TRIAL_CHUNK` trials at a time and reduced by the detector
     table.  Returns one array of length cfg.trials per detector name.
     """
-    if cfg.trials > 1 << _TRIAL_BITS:
+    if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
         raise ConfigError("trial index out of range")
     rows = {name: det.detector(name) for name in detector_names}
     domains = {row.domain for row in rows.values()}
     out = {name: np.empty(cfg.trials) for name in rows}
     for start in range(0, cfg.trials, TRIAL_CHUNK):
-        stop = min(start + TRIAL_CHUNK, cfg.trials)
-        obs, alpha = observe(cfg, domains, phase, range(start, stop))
+        obs, alpha = observe(cfg, domains, phase, start // TRIAL_CHUNK)
         for name, row in rows.items():
-            out[name][start:stop] = row.statistic(obs[row.domain], alpha, cfg.prior)
+            out[name][start:start + alpha.size] = row.statistic(
+                obs[row.domain], alpha, cfg.prior)
     for name, vals in out.items():
         if not np.all(np.isfinite(vals)):
             raise NumericFailure(f"non-finite statistic produced by {name!r}")
@@ -228,9 +213,10 @@ class EmpiricalCdf:
         """Fraction of samples <= t, elementwise over an array of t."""
         return np.searchsorted(self.values, t, side="right") / self.values.size
 
-    def quantile(self, q: float) -> float:
-        """Smallest sample value v with evaluate(v) >= q."""
-        if not (0.0 < q <= 1.0):
+    def quantile(self, q: float | Fraction) -> float:
+        """Smallest sample value v with evaluate(v) >= q.  A `Fraction`
+        level is exact: the rank ceil(q * n) is then not rounded."""
+        if not (0 < q <= 1):
             raise ValueError("quantile level must lie in (0, 1]")
         n = self.values.size
         idx = max(0, math.ceil(q * n) - 1)
@@ -250,17 +236,20 @@ def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
 
     One-sided: P(stat > eta1 | H0) = p.  Banded: the upper tail gets
     `_UPPER_SHARE` of the budget, P(stat > eta2 | H0) = _UPPER_SHARE * p
-    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p.
+    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p.  A threshold of
+    upper mass m leaves floor(m * n) of the n samples above it, with m
+    taken exactly from the decimal p (in floats, 1.0 - 0.7 overshoots).
     """
+    mass = Fraction(repr(p))
     if not banded:
-        return det.ThresholdSpec(eta1=cdf.quantile(1.0 - p))
-    p_lo = (1.0 + _UPPER_SHARE) * p
-    if p_lo >= 1.0:
+        return det.ThresholdSpec(eta1=cdf.quantile(1 - mass))
+    p_lo = (1 + _UPPER_SHARE) * mass
+    if p_lo >= 1:
         raise ConfigError(
             f"target false-alarm probability {p:g} too large for a band rule "
-            f"(need below {1.0 / (1.0 + _UPPER_SHARE):.4g})")
-    return det.ThresholdSpec(eta1=cdf.quantile(1.0 - p_lo),
-                             eta2=cdf.quantile(1.0 - _UPPER_SHARE * p))
+            f"(need below {float(1 / (1 + _UPPER_SHARE)):.4g})")
+    return det.ThresholdSpec(eta1=cdf.quantile(1 - p_lo),
+                             eta2=cdf.quantile(1 - _UPPER_SHARE * mass))
 
 
 def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],

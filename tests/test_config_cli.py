@@ -1,8 +1,11 @@
 import json
+import platform
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from specsense.cli import main
 from specsense.config import (
@@ -11,6 +14,8 @@ from specsense.config import (
     parse_config_text,
 )
 from specsense.errors import ConfigError
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 MINIMAL = """
 # comment line
@@ -188,6 +193,23 @@ class TestCliRoc:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["roc", str(conf), "--out", str(out1)]) == 0
         assert main(["roc", str(conf), "--out", str(out2)]) == 0
+        assert (out1 / "exp_roc.csv").read_bytes() == (out2 / "exp_roc.csv").read_bytes()
+
+    def test_library_versions_stay_out_of_the_hash(self, tmp_path, monkeypatch):
+        # the manifest records the versions, outside the hashed part
+        conf = write_config(tmp_path, ROC_CONF)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["roc", str(conf), "--out", str(out1)]) == 0
+        monkeypatch.setattr(platform, "python_version", lambda: "3.99.0")
+        monkeypatch.setattr(np, "__version__", "9.9.9")
+        monkeypatch.setattr(scipy, "__version__", "8.8.8")
+        assert main(["roc", str(conf), "--out", str(out2)]) == 0
+        first, second = (json.loads((out / "exp_roc_manifest.json").read_text())
+                         for out in (out1, out2))
+        assert second["versions"] == {"python": "3.99.0", "numpy": "9.9.9",
+                                      "scipy": "8.8.8"}
+        assert first["versions"]["numpy"] != "9.9.9"
+        assert first["manifest_hash"] == second["manifest_hash"]
         assert (out1 / "exp_roc.csv").read_bytes() == (out2 / "exp_roc.csv").read_bytes()
 
     def test_seed_override_changes_rows(self, tmp_path):
@@ -567,6 +589,23 @@ class TestCrossCommandConsistency:
         for line in rows:
             det, n, channel, _, thr = line.split(",")
             assert thr == roc[det, n, channel], (det, n)
+
+
+    def test_calibrate_threshold_ignores_the_other_detectors(self, tmp_path, capsys):
+        # each kind of variate has its own stream, so alrd2 calibrates on
+        # the same bins alone as next to the time-domain detectors
+        text = (PRESETS / "fig4.conf").read_text()
+        alone = write_config(tmp_path, re.sub(r"(?m)^detectors = .*$",
+                                              "detectors = alrd2", text))
+        printed = {}
+        for conf in (PRESETS / "fig4.conf", alone):
+            capsys.readouterr()
+            assert main(["calibrate", str(conf), "--pfa", "0.1",
+                         "--out", str(tmp_path)]) == 0
+            printed[conf] = [line for line in capsys.readouterr().out.splitlines()
+                             if line.startswith("alrd2 ")]
+        assert len(printed[alone]) == 2
+        assert printed[alone] == printed[PRESETS / "fig4.conf"]
 
 
 class TestNumericFailureExit:

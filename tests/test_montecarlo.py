@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from specsense.analysis import pfa_alrd1, pfa_opt
 from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
 from specsense.errors import ConfigError
 from specsense.montecarlo import (
+    KIND_BINS,
+    KIND_PRIOR,
+    KIND_TIME,
     PHASE_CALIBRATION,
     PHASE_EVAL_H0,
     PHASE_EVAL_H1,
@@ -19,10 +23,11 @@ from specsense.montecarlo import (
     calibration_cdfs,
     observe,
     roc_sweep_channels,
+    stream_index,
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import complex_gaussian, reg_upper_gamma, stream_seeker
+from specsense.numerics import reg_upper_gamma, stream_seeker
 from specsense.observation import band_split_indices, spectrum_bins, squared_envelope
 from specsense.signals import (
     AWGN,
@@ -51,96 +56,117 @@ def make_cfg(snr=1.0, n=20, trials=5000, seed=99,
                           master_seed=seed, noise_power=noise_power, source=source)
 
 
-def reference_time_block(cfg, alpha, h, gen):
-    """One waveform block of N samples: white noise of per-sample
-    variance alpha, plus on an occupied channel (h not None) white
-    symbols shaped by `cfg.shaping`, scaled to per-sample power
-    alpha * snr and multiplied by h."""
-    n = cfg.n_samples
-    noise = complex_gaussian(alpha, gen, size=n)
-    if h is None:
-        return noise
-    mask, power = cfg.shaping
-    s = np.fft.ifft(mask * complex_gaussian(1.0, gen, size=n))
-    s *= math.sqrt(alpha * cfg.signal.snr_linear / power)
-    return h * s + noise
+def kind_generator(seed, phase, block, kind):
+    """A generator on the stream of one kind of variate of one block,
+    built directly on its Philox key and counter.  The stream index is
+    (phase << 40) | (block << 2) | kind, in the upper half of the
+    counter; the master seed is the key."""
+    index = (phase << 40) | (block << 2) | kind
+    mask = (1 << 64) - 1
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & mask, seed >> 64], dtype=np.uint64),
+        counter=np.array([0, 0, index & mask, index >> 64], dtype=np.uint64)))
 
 
-def reference_bins(cfg, alpha, h, gen, s_amp=None):
-    """Model-source bins (x in-band, y excess-band): exponential of mean
-    N*alpha, except that on an occupied channel each in-band bin is
-    |e + v|^2 with v a noise bin and e the signal, a fresh circular
-    Gaussian of power N*alpha*snr or the pinned amplitude h*s_amp."""
-    geom = cfg.geometry
-    scale = cfg.n_samples * alpha
-    y = gen.exponential(scale, size=geom.p_excess)
-    if h is None:
-        x = gen.exponential(scale, size=geom.l_inband)
-        return x, y
-    v = complex_gaussian(scale, gen, size=geom.l_inband)
-    if s_amp is not None:
-        e = h * s_amp
+def reference_time_samples(cfg, phase, block, alpha, h):
+    """A block's N time samples per trial, for all TRIAL_CHUNK rows:
+    white noise of per-sample variance alpha, plus on an occupied
+    channel with a nonzero SNR a signal of per-sample power alpha * snr
+    multiplied by h.  The signal is white (model source) or white symbols
+    shaped by `cfg.shaping` (waveform source).  `alpha` and `h` are
+    columns."""
+    n, snr = cfg.n_samples, cfg.signal.snr_linear
+    gen = kind_generator(cfg.master_seed, phase, block, KIND_TIME)
+    z = np.sqrt(alpha / 2.0) * gen.standard_normal((TRIAL_CHUNK, 2 * n)).view(complex)
+    if phase != PHASE_EVAL_H1 or snr == 0.0:
+        return z
+    sym = gen.standard_normal((TRIAL_CHUNK, 2 * n)).view(complex)
+    if cfg.source == MODEL:
+        s = np.sqrt(alpha * snr / 2.0) * sym
     else:
-        e = h * complex_gaussian(scale * cfg.signal.snr_linear, gen,
-                                 size=geom.l_inband)
-    return np.abs(e + v) ** 2, y
+        mask, power = cfg.shaping
+        s = np.fft.ifft(mask * (math.sqrt(0.5) * sym), axis=1)
+        s = s * np.sqrt(alpha * snr / power)
+    return h * s + z
 
 
-def trial_stream(seed, phase, trial):
-    gen, seek = stream_seeker(seed)
-    seek((phase << 48) | trial)
-    return gen
-
-
-def reference_observation(cfg, domains, phase, trial):
-    """One trial's observations and noise power, computed the per-trial
-    way: a fresh generator on the trial's own stream, and one scalar
-    draw or one block of variates at a time.  This defines the stream
-    layout; `observe` must match it bit for bit."""
-    gen = trial_stream(cfg.master_seed, phase, trial)
-    if cfg.noise_power is not None:
-        alpha = cfg.noise_power
+def reference_block(cfg, domains, phase, block):
+    """One block's observations and noise powers, computed the plain way:
+    a generator built directly on each kind's stream, every buffer drawn
+    and every row computed for all TRIAL_CHUNK trials, and the rows past
+    cfg.trials dropped at the end.  This defines the stream layout;
+    `observe` must match it bit for bit."""
+    prior = kind_generator(cfg.master_seed, phase, block, KIND_PRIOR)
+    if cfg.noise_power is None:
+        alpha = draw_noise_power(cfg.prior, prior, TRIAL_CHUNK)
     else:
-        alpha = float(draw_noise_power(cfg.prior, gen))
-    h = None
+        alpha = np.full(TRIAL_CHUNK, cfg.noise_power)
+    h = np.ones(TRIAL_CHUNK, dtype=complex)
     if phase == PHASE_EVAL_H1:
-        h = complex(cfg.pinned_channel if cfg.pinned_channel is not None
-                    else channel_gain(cfg.channel, gen))
+        h = (np.full(TRIAL_CHUNK, complex(cfg.pinned_channel))
+             if cfg.pinned_channel is not None
+             else channel_gain(cfg.channel, prior, TRIAL_CHUNK))
+    a, hc = alpha[:, None], h[:, None]
 
     obs = {}
-    if cfg.source == WAVEFORM:
-        z = reference_time_block(cfg, alpha, h, gen)
+    if cfg.source == WAVEFORM or TIME in domains:
+        z = reference_time_samples(cfg, phase, block, a, hc)
         if TIME in domains:
             obs[TIME] = squared_envelope(z)
-        if FREQ in domains:
+        if FREQ in domains and cfg.source == WAVEFORM:
             w = spectrum_bins(z)
             inband, excess = cfg.bands
-            obs[FREQ] = w[inband], w[excess]
-        return obs, alpha
+            # contiguous rows, so that each row sums as it would alone
+            obs[FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)
+    if FREQ in domains and cfg.source == MODEL:
+        gen = kind_generator(cfg.master_seed, phase, block, KIND_BINS)
+        geom, scale = cfg.geometry, cfg.n_samples * a
+        y = scale * gen.standard_exponential((TRIAL_CHUNK, geom.p_excess))
+        if phase != PHASE_EVAL_H1:
+            x = scale * gen.standard_exponential((TRIAL_CHUNK, geom.l_inband))
+        else:
+            def normals():
+                return gen.standard_normal((TRIAL_CHUNK, 2 * geom.l_inband)).view(complex)
+            v = np.sqrt(scale / 2.0) * normals()
+            e = 0.0
+            if cfg.pinned_signal is not None:
+                e = hc * cfg.pinned_signal
+            elif cfg.signal.snr_linear != 0.0:
+                e = hc * (np.sqrt(scale * cfg.signal.snr_linear / 2.0) * normals())
+            x = np.abs(e + v) ** 2
+        obs[FREQ] = x, y
 
-    n = cfg.n_samples
-    if TIME in domains:
-        z = complex_gaussian(alpha, gen, size=n)
-        if h is not None:
-            z = h * complex_gaussian(alpha * cfg.signal.snr_linear, gen, size=n) + z
-        obs[TIME] = squared_envelope(z)
-    if FREQ in domains:
-        obs[FREQ] = reference_bins(cfg, alpha, h, gen, s_amp=cfg.pinned_signal)
-    return obs, alpha
+    rows = min(TRIAL_CHUNK, cfg.trials - block * TRIAL_CHUNK)
+    obs = {k: v[:rows] if k == TIME else tuple(part[:rows] for part in v)
+           for k, v in obs.items()}
+    return obs, alpha[:rows]
 
 
-def reference_statistics(cfg, names, phase, trials=None):
-    """Statistics of the given trials (default: all of cfg's), one
-    reference trial at a time."""
+def blocks(cfg):
+    return range(-(-cfg.trials // TRIAL_CHUNK))
+
+
+def reference_statistics(cfg, names, phase):
+    """Statistics of all of cfg's trials, one reference block at a time."""
     rows = {name: DETECTORS[name] for name in names}
     domains = {row.domain for row in rows.values()}
-    trials = range(cfg.trials) if trials is None else trials
-    out = {name: np.empty(len(trials)) for name in names}
-    for j, i in enumerate(trials):
-        obs, alpha = reference_observation(cfg, domains, phase, i)
+    out = {name: [] for name in names}
+    for block in blocks(cfg):
+        obs, alpha = reference_block(cfg, domains, phase, block)
         for name, row in rows.items():
-            out[name][j] = row.statistic(obs[row.domain], alpha, cfg.prior)
-    return out
+            out[name].append(row.statistic(obs[row.domain], alpha, cfg.prior))
+    return {name: np.concatenate(parts) for name, parts in out.items()}
+
+
+def assert_same_block(got, want):
+    (obs, alpha), (ref, ref_alpha) = got, want
+    assert np.array_equal(alpha, ref_alpha)
+    assert obs.keys() == ref.keys()
+    if TIME in ref:
+        assert np.array_equal(obs[TIME], ref[TIME])
+    if FREQ in ref:
+        for g, w in zip(obs[FREQ], ref[FREQ], strict=True):
+            assert np.array_equal(g, w)
 
 
 def roc_sweep(cfg, names, grid):
@@ -227,20 +253,21 @@ class TestTrialEngine:
     def test_waveform_bins_match_split_bands(self, n, rate):
         # the engine's bins are the block's DFT bins at the band split's
         # indices, including when an oversampled block discards bins
-        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3),
+        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5),
                       pinned_channel=0.8 + 0.2j)
         if rate is not None:
             cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
         inband, excess = band_split_indices(n, cfg.signal)
-        obs, alpha = observe(cfg, {FREQ}, PHASE_EVAL_H1, range(5))
+        obs, alpha = observe(cfg, {FREQ}, PHASE_EVAL_H1, 0)
         x, y = obs[FREQ]
         assert np.array_equal(alpha, np.full(5, 1.3))
         assert x.shape == (5, cfg.geometry.l_inband)
         assert y.shape == (5, cfg.geometry.p_excess)
-        for i in range(5):
-            gen = trial_stream(99, PHASE_EVAL_H1, i)
-            w = spectrum_bins(reference_time_block(cfg, 1.3, 0.8 + 0.2j, gen))
-            assert np.array_equal(x[i], w[inband]) and np.array_equal(y[i], w[excess])
+        column = np.ones((TRIAL_CHUNK, 1))
+        z = reference_time_samples(cfg, PHASE_EVAL_H1, 0, 1.3 * column,
+                                   (0.8 + 0.2j) * column)
+        w = spectrum_bins(z[:5])
+        assert np.array_equal(x, w[:, inband]) and np.array_equal(y, w[:, excess])
         # and the engine computes the same statistics from them
         cfg = replace(cfg, trials=40)
         assert_same_statistics(trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1),
@@ -269,7 +296,7 @@ class TestTrialEngine:
 
 
 class TestBlockEngine:
-    """The chunked engine against the per-trial reference, bit for bit."""
+    """The block engine against the per-block reference, bit for bit."""
 
     VARIANTS = {
         "awgn": {},
@@ -285,7 +312,10 @@ class TestBlockEngine:
     @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
     def test_matches_reference(self, source, variant, names):
         cfg = make_cfg(trials=40, source=source, **self.VARIANTS[variant])
+        domains = {DETECTORS[name].domain for name in names}
         for phase in PHASES:
+            assert_same_block(observe(cfg, domains, phase, 0),
+                              reference_block(cfg, domains, phase, 0))
             assert_same_statistics(trial_statistics(cfg, names, phase),
                                    reference_statistics(cfg, names, phase))
 
@@ -297,12 +327,14 @@ class TestBlockEngine:
             cfg = replace(cfg, pinned_signal=2 + 1j)
         names = ["optimal", "alrd1", "alrd2"]
         for phase in PHASES:
+            assert_same_block(observe(cfg, {TIME, FREQ}, phase, 0),
+                              reference_block(cfg, {TIME, FREQ}, phase, 0))
             assert_same_statistics(trial_statistics(cfg, names, phase),
                                    reference_statistics(cfg, names, phase))
 
     @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
     def test_matches_reference_across_chunks(self, source):
-        # counts on both sides of every chunk boundary; each is a prefix
+        # counts on both sides of every block boundary; each is a prefix
         # of the longest run's reference
         names = ["optimal", "alrd1", "alrd2"]
         counts = [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3]
@@ -315,38 +347,77 @@ class TestBlockEngine:
                 assert_same_statistics(got, {k: v[:count] for k, v in ref.items()})
 
     @given(trials=st.integers(1, 2 * TRIAL_CHUNK + 8),
-           seed=st.integers(0, (1 << 128) - 1), data=st.data())
+           seed=st.integers(0, (1 << 128) - 1))
     @settings(max_examples=15, deadline=None)
-    def test_prefix_stable_across_chunk_boundaries(self, trials, seed, data):
+    def test_prefix_stable_across_chunk_boundaries(self, trials, seed):
         names = ["optimal", "alrd2"]
         cfg = make_cfg(trials=trials, seed=seed, channel=ChannelSpec(RAYLEIGH))
+        full = replace(cfg, trials=2 * TRIAL_CHUNK + 8)
         part = trial_statistics(cfg, names, PHASE_EVAL_H1)
-        full = trial_statistics(replace(cfg, trials=2 * TRIAL_CHUNK + 8), names,
-                                PHASE_EVAL_H1)
-        assert_same_statistics(part, {k: v[:trials] for k, v in full.items()})
-        # the last trial is the reference's trial of that index
-        last = reference_statistics(cfg, names, PHASE_EVAL_H1, [trials - 1])
-        assert_same_statistics({k: v[-1:] for k, v in part.items()}, last)
-        # any range [a, b) of `observe` is rows a..b of one range [0, b)
-        a = data.draw(st.integers(0, trials - 1), label="a")
+        assert_same_statistics(part, {k: v[:trials] for k, v in
+                                      trial_statistics(full, names, PHASE_EVAL_H1).items()})
+        # every block is the reference's block, and its rows are the first
+        # rows of the same block of a longer run
         for phase in PHASES:
-            got, alpha = observe(cfg, {TIME, FREQ}, phase, range(a, trials))
-            want, alpha0 = observe(cfg, {TIME, FREQ}, phase, range(trials))
-            assert np.array_equal(alpha, alpha0[a:])
-            assert np.array_equal(got[TIME], want[TIME][a:])
-            for g, w in zip(got[FREQ], want[FREQ]):
-                assert np.array_equal(g, w[a:])
+            for block in blocks(cfg):
+                obs, alpha = observe(cfg, {TIME, FREQ}, phase, block)
+                assert_same_block((obs, alpha),
+                                  reference_block(cfg, {TIME, FREQ}, phase, block))
+                rows = alpha.size
+                longer, alpha_longer = observe(full, {TIME, FREQ}, phase, block)
+                assert np.array_equal(alpha, alpha_longer[:rows])
+                assert np.array_equal(obs[TIME], longer[TIME][:rows])
+                for g, w in zip(obs[FREQ], longer[FREQ]):
+                    assert np.array_equal(g, w[:rows])
 
     def test_trial_count_beyond_stream_layout_rejected(self):
         with pytest.raises(ConfigError, match="trial index"):
             trial_statistics(make_cfg(trials=(1 << 48) + 1), ["alrd1"],
                              PHASE_EVAL_H0)
-        # a range reaching past the stream layout is rejected before any draw
-        last = 1 << 48
-        for trials in (range(last - 2, last + 1), range(-1, 2)):
-            with pytest.raises(ConfigError, match="trial index"):
-                observe(make_cfg(), {TIME}, PHASE_EVAL_H0, trials)
-        observe(make_cfg(), {TIME}, PHASE_EVAL_H0, range(last - 2, last))
+        # a block outside the trials or the stream layout is rejected
+        # before any draw
+        last = (1 << 48) // TRIAL_CHUNK
+        for trials, block in ((5, 1), (5, -1), (1 << 48, last), (1 << 50, last)):
+            with pytest.raises(ConfigError, match="block index"):
+                observe(make_cfg(trials=trials), {TIME}, PHASE_EVAL_H0, block)
+        observe(make_cfg(trials=1 << 48), {TIME}, PHASE_EVAL_H0, last - 1)
+
+
+class TestStreamLayout:
+    """Properties of the (phase, block, kind) stream layout."""
+
+    NAMES = ["optimal", "alrd1", "glrd1", "alrd2", "glrd2"]
+
+    @given(phases=st.lists(st.sampled_from(PHASES), min_size=2, max_size=2, unique=True),
+           block_ids=st.lists(st.integers(0, (1 << 38) - 1), min_size=2, max_size=2),
+           kinds=st.lists(st.sampled_from([KIND_PRIOR, KIND_TIME, KIND_BINS]),
+                          min_size=2, max_size=2))
+    def test_phases_never_share_a_stream(self, phases, block_ids, kinds):
+        a, b = (stream_index(*key) for key in zip(phases, block_ids, kinds))
+        assert a != b
+        assert 0 <= a < 1 << 128 and 0 <= b < 1 << 128
+
+    def test_streams_are_distinct_within_a_phase(self):
+        keys = [(phase, block, kind) for phase in PHASES
+                for block in (0, 1, 2, (1 << 38) - 1)
+                for kind in (KIND_PRIOR, KIND_TIME, KIND_BINS)]
+        assert len({stream_index(*key) for key in keys}) == len(keys)
+
+    @pytest.fixture(scope="class")
+    def whole_list(self):
+        cfgs = {source: make_cfg(trials=TRIAL_CHUNK + 5, source=source,
+                                 channel=ChannelSpec(RAYLEIGH))
+                for source in (MODEL, WAVEFORM)}
+        return cfgs, {(source, phase): trial_statistics(cfg, self.NAMES, phase)
+                      for source, cfg in cfgs.items() for phase in PHASES}
+
+    @given(names=st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    @settings(max_examples=10, deadline=None)
+    def test_values_do_not_depend_on_the_detector_list(self, whole_list, names):
+        cfgs, whole = whole_list
+        for (source, phase), want in whole.items():
+            got = trial_statistics(cfgs[source], names, phase)
+            assert_same_statistics(got, {name: want[name] for name in names})
 
 
 class TestEmpiricalCdf:
@@ -391,6 +462,26 @@ class TestCalibration:
         thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0].eta1
         stats = trial_statistics(cfg, ["alrd1"], PHASE_CALIBRATION)["alrd1"]
         assert thr == np.sort(stats)[math.ceil(0.5 * stats.size) - 1]
+
+    @pytest.mark.filterwarnings("ignore:glrd1. two-sided thresholds")
+    @pytest.mark.parametrize("trials", [1000, 10_000, 40_000])
+    def test_threshold_leaves_floor_p_n_samples_above(self, trials):
+        # the presets' target grid, as far as the trial count admits it;
+        # in floats, 1.0 - 0.7 = 0.30000000000000004 took one rank too many
+        grid = [p for p in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+                if p * trials >= 100]
+        cfg = replace(make_cfg(trials=trials), glr_two_sided=True)
+        cdfs = calibration_cdfs(cfg, ["alrd1", "glrd1"])
+        specs = calibrate(cfg, ["alrd1", "glrd1"], grid)
+
+        def above(name, eta):
+            return int(np.sum(cdfs[name].values > eta))
+
+        for p, one, band in zip(grid, specs["alrd1"], specs["glrd1"], strict=True):
+            mass = Fraction(str(p))
+            assert above("alrd1", one.eta1) == math.floor(mass * trials), p
+            assert above("glrd1", band.eta1) == math.floor(mass * 11 / 10 * trials), p
+            assert above("glrd1", band.eta2) == math.floor(mass / 10 * trials), p
 
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from scipy.special import gammainc
 
 from specsense.detectors import FREQ, TIME
 from specsense.errors import ConfigError
-from specsense.montecarlo import PHASE_EVAL_H0, PHASE_EVAL_H1, observe
+from specsense.montecarlo import PHASE_EVAL_H0, PHASE_EVAL_H1, TRIAL_CHUNK, observe
 from specsense.numerics import stream_seeker
 from specsense.signals import (
     AWGN,
@@ -37,7 +37,12 @@ def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
 
 def draw(cfg, domain, phase, trials):
     """`trials` trials of one observation form through the engine."""
-    return observe(cfg, {domain}, phase, range(trials))[0][domain]
+    cfg = replace(cfg, trials=trials)
+    parts = [observe(cfg, {domain}, phase, block)[0][domain]
+             for block in range(-(-trials // TRIAL_CHUNK))]
+    if domain == TIME:
+        return np.concatenate(parts)
+    return tuple(np.concatenate(form) for form in zip(*parts))
 
 
 class TestPriorTypes:
@@ -201,13 +206,8 @@ class TestGenerateBins:
 
     def test_noise_and_signal_bins_uncorrelated(self):
         cfg = make_cfg(snr=1.0, noise_power=1.0, seed=315)
-        mx, my = [], []
-        for start in range(0, 100_000, 10_000):
-            x, y = observe(cfg, {FREQ}, PHASE_EVAL_H1,
-                           range(start, start + 10_000))[0][FREQ]
-            mx.append(x.mean(axis=1))
-            my.append(y.mean(axis=1))
-        assert abs(np.corrcoef(np.concatenate(mx), np.concatenate(my))[0, 1]) < 0.01
+        x, y = draw(cfg, FREQ, PHASE_EVAL_H1, 100_000)
+        assert abs(np.corrcoef(x.mean(axis=1), y.mean(axis=1))[0, 1]) < 0.01
 
     def test_noise_power_scaling(self):
         # the same trials at another pinned noise power scale by it
