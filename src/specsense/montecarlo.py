@@ -17,6 +17,16 @@ Every buffer of a block is one whole-array draw, and the scaling,
 mixing, FFTs, band split and statistics run on the whole block, one row
 per trial.
 
+The blocks of a call run on a thread pool: every (phase, channel, block)
+of a `trial_statistics` call or of a `roc_sweep_channels` leg is one
+task.  numpy releases the GIL in the draws, FFTs and arithmetic, so the
+blocks run side by side.  The pool has one worker per CPU the process
+may use, at most one per task, and no setting changes that.  It is
+opened and joined inside the call.  A block's values depend on (cfg,
+phase, block) alone and each block writes its own slice of the output,
+so the bytes are the same on any CPU count.  A worker holds one block
+at a time, so at most one block per worker is in flight.
+
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
 thresholds off those CDFs; `roc_sweep_channels` and the `roc`,
@@ -26,7 +36,9 @@ thresholds off those CDFs; `roc_sweep_channels` and the `roc`,
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -139,17 +151,27 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     obs = {}
     if cfg.source == sig.WAVEFORM or det.TIME in domains:
         seek(stream_index(phase, block, KIND_TIME))
-        z = np.sqrt(alpha / 2.0)[:, None] * normals(n)
+        # in place, in the operand order of z = sqrt(alpha / 2) * noise and
+        # z = h * (sqrt(alpha * snr / power) * s) + z: complex products
+        # can round apart when their operands swap
+        z = normals(n)
+        np.multiply(np.sqrt(alpha / 2.0)[:, None], z, out=z)
         if signal:
             s, power = normals(n), 2.0
             if cfg.source == sig.WAVEFORM:
                 mask, power = cfg.shaping
-                s = np.fft.ifft(mask * (math.sqrt(0.5) * s), axis=1)
-            z = h * (np.sqrt(alpha * snr / power)[:, None] * s) + z
+                np.multiply(math.sqrt(0.5), s, out=s)
+                np.multiply(mask, s, out=s)
+                np.fft.ifft(s, axis=1, out=s)
+            np.multiply(np.sqrt(alpha * snr / power)[:, None], s, out=s)
+            np.multiply(h, s, out=s)
+            np.add(s, z, out=z)
+            del s  # free the signal buffer before the envelopes are taken
         if det.TIME in domains:
             obs[det.TIME] = squared_envelope(z)
         if det.FREQ in domains and cfg.source == sig.WAVEFORM:
-            w = spectrum_bins(z)
+            w = spectrum_bins(z, overwrite=True)
+            del z  # the DFT overwrote it: free it before the split
             inband, excess = cfg.bands
             # take keeps each trial's bins contiguous, so each row sums as alone
             obs[det.FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)
@@ -171,28 +193,63 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     return obs, alpha
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: Sequence[tuple[sig.ScenarioConfig, int]],
+              detector_names: Sequence[str]) -> list[dict[str, np.ndarray]]:
+    """Statistic samples of each (cfg, phase) job: trials 0 .. cfg.trials - 1
+    of `phase`, one array of length cfg.trials per detector name.
+
+    Every block of `TRIAL_CHUNK` trials of every job is one task:
+    `observe`, then the detector table, written into the block's own
+    slice of arrays allocated before the run.  The tasks run on a thread
+    pool of `_usable_cpus()` workers, at most one per task, that is
+    joined before the call returns.  When tasks fail, the first failure
+    in job and block order reaches the caller and the tasks not yet
+    started are dropped.
+    """
+    for cfg, _ in jobs:
+        if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
+            raise ConfigError("trial index out of range")
+    rows = {name: det.detector(name) for name in detector_names}
+    domains = {row.domain for row in rows.values()}
+    outs = [{name: np.empty(cfg.trials) for name in rows} for cfg, _ in jobs]
+    tasks = [(cfg, phase, block, out) for (cfg, phase), out in zip(jobs, outs)
+             for block in range(-(-cfg.trials // TRIAL_CHUNK))]
+
+    def run(task) -> None:
+        cfg, phase, block, out = task
+        obs, alpha = observe(cfg, domains, phase, block)
+        start = block * TRIAL_CHUNK
+        for name, row in rows.items():
+            out[name][start:start + alpha.size] = row.statistic(
+                obs[row.domain], alpha, cfg.prior)
+
+    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
+        for _ in pool.map(run, tasks):
+            pass
+    for out in outs:
+        for name, vals in out.items():
+            if not np.all(np.isfinite(vals)):
+                raise NumericFailure(f"non-finite statistic produced by {name!r}")
+    return outs
+
+
 def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                      phase: int) -> dict[str, np.ndarray]:
     """Statistic samples for several detectors over the same trials.
 
     Trials 0 .. cfg.trials - 1 of `phase` are observed (`observe`) one
-    block of `TRIAL_CHUNK` trials at a time and reduced by the detector
-    table.  Returns one array of length cfg.trials per detector name.
+    block of `TRIAL_CHUNK` trials at a time, on the thread pool of
+    `_run_jobs`, and reduced by the detector table.  Returns one array of
+    length cfg.trials per detector name.
     """
-    if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
-        raise ConfigError("trial index out of range")
-    rows = {name: det.detector(name) for name in detector_names}
-    domains = {row.domain for row in rows.values()}
-    out = {name: np.empty(cfg.trials) for name in rows}
-    for start in range(0, cfg.trials, TRIAL_CHUNK):
-        obs, alpha = observe(cfg, domains, phase, start // TRIAL_CHUNK)
-        for name, row in rows.items():
-            out[name][start:start + alpha.size] = row.statistic(
-                obs[row.domain], alpha, cfg.prior)
-    for name, vals in out.items():
-        if not np.all(np.isfinite(vals)):
-            raise NumericFailure(f"non-finite statistic produced by {name!r}")
-    return out
+    return _run_jobs([(cfg, phase)], detector_names)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +293,29 @@ def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
 
     One-sided: P(stat > eta1 | H0) = p.  Banded: the upper tail gets
     `_UPPER_SHARE` of the budget, P(stat > eta2 | H0) = _UPPER_SHARE * p
-    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p.  A threshold of
-    upper mass m leaves floor(m * n) of the n samples above it, with m
-    taken exactly from the decimal p (in floats, 1.0 - 0.7 overshoots).
+    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p, which `_target_grid`
+    keeps below 1.  A threshold of upper mass m leaves floor(m * n) of the
+    n samples above it, with m taken exactly from the decimal p (in
+    floats, 1.0 - 0.7 overshoots).
     """
     mass = Fraction(repr(p))
     if not banded:
         return det.ThresholdSpec(eta1=cdf.quantile(1 - mass))
-    p_lo = (1 + _UPPER_SHARE) * mass
-    if p_lo >= 1:
-        raise ConfigError(
-            f"target false-alarm probability {p:g} too large for a band rule "
-            f"(need below {float(1 / (1 + _UPPER_SHARE)):.4g})")
-    return det.ThresholdSpec(eta1=cdf.quantile(1 - p_lo),
+    return det.ThresholdSpec(eta1=cdf.quantile(1 - (1 + _UPPER_SHARE) * mass),
                              eta2=cdf.quantile(1 - _UPPER_SHARE * mass))
 
 
-def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
-              pfa_grid: Iterable[float]) -> dict[str, list[det.ThresholdSpec]]:
-    """Thresholds per detector at each target false-alarm probability,
-    calibrated on the shared H0 calibration trials.
+def _banded(cfg: sig.ScenarioConfig, name: str) -> bool:
+    """Whether `name` is calibrated with the band rule of `_thresholds`."""
+    return cfg.glr_two_sided and det.detector(name).peak is not None
 
-    GLR detectors use the one-sided rule unless cfg.glr_two_sided is
-    set, in which case the band rule of `_thresholds` is calibrated, with
-    one warning per detector when some band misses the likelihood peak.
-    """
+
+def _target_grid(cfg: sig.ScenarioConfig, names: Sequence[str],
+                 pfa_grid: Iterable[float]) -> list[float]:
+    """The target false-alarm probabilities as floats, checked before any
+    trial runs: each in (0, 1), ascending, the smallest one leaving at
+    least 100 calibration trials above its threshold, and each within the
+    budget of a band rule when one of `names` is banded."""
     grid = [float(p) for p in pfa_grid]
     if any(not (0.0 < p < 1.0) for p in grid):
         raise ConfigError("pfa targets must lie in (0, 1)")
@@ -268,15 +323,33 @@ def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
         raise ConfigError("pfa targets must be ascending")
     if grid and min(grid) * cfg.trials < 100:
         raise ConfigError("not enough trials for the smallest pfa target")
+    if any(_banded(cfg, name) for name in names):
+        for p in grid:
+            if (1 + _UPPER_SHARE) * Fraction(repr(p)) >= 1:
+                raise ConfigError(
+                    f"target false-alarm probability {p:g} too large for a band "
+                    f"rule (need below {float(1 / (1 + _UPPER_SHARE)):.4g})")
+    return grid
 
+
+def _calibrated(cfg: sig.ScenarioConfig, grid: list[float],
+                cdfs: Mapping[str, EmpiricalCdf]) -> dict[str, list[det.ThresholdSpec]]:
+    """Thresholds per detector at each target of a `_target_grid` grid,
+    read off calibration CDFs computed beforehand.
+
+    GLR detectors use the one-sided rule unless cfg.glr_two_sided is
+    set, in which case the band rule of `_thresholds` is read, with one
+    warning per detector when some band misses the likelihood peak.  The
+    warning names the caller of the public function that called this one.
+    """
     snr = cfg.signal.snr_linear
     specs = {}
-    for name, cdf in calibration_cdfs(cfg, names).items():
-        row = det.detector(name)
-        banded = cfg.glr_two_sided and row.peak is not None
+    for name, cdf in cdfs.items():
+        banded = _banded(cfg, name)
         specs[name] = [_thresholds(cdf, p, banded) for p in grid]
         if not banded or snr == 0.0:  # no likelihood peak without signal
             continue
+        row = det.detector(name)
         geom = cfg.geometry if row.domain == det.FREQ else None
         peak = row.peak(cfg.n_samples, geom, cfg.prior.k, snr)
         missed = [f"{p:g}" for p, spec in zip(grid, specs[name])
@@ -285,8 +358,23 @@ def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
             warnings.warn(
                 f"{name}: two-sided thresholds at targets {', '.join(missed)} "
                 f"do not bracket the likelihood peak at {peak:.4g}; the band "
-                f"rule is not operating in its intended regime", stacklevel=2)
+                f"rule is not operating in its intended regime", stacklevel=3)
     return specs
+
+
+def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
+              pfa_grid: Iterable[float]) -> dict[str, list[det.ThresholdSpec]]:
+    """Thresholds per detector at each target false-alarm probability,
+    calibrated on the shared H0 calibration trials (`calibration_cdfs`).
+
+    A target grid that no calibration could meet is a `ConfigError`
+    raised before any trial runs (`_target_grid`).  GLR detectors use the
+    one-sided rule unless cfg.glr_two_sided is set, in which case the
+    band rule of `_thresholds` is calibrated, with one warning per
+    detector when some band misses the likelihood peak.
+    """
+    grid = _target_grid(cfg, names, pfa_grid)
+    return _calibrated(cfg, grid, calibration_cdfs(cfg, names))
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +403,22 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     the detection probability (with Wilson interval) on H1 trials.  The
     three phases use disjoint random streams.  Calibration and H0
     evaluation read no channel field, so they run once for every
-    channel; only the H1 phase runs per channel.  Thresholds come from
-    `calibrate`; a band rule reports its lower edge.
+    channel; only the H1 phase runs per channel.  The blocks of all those
+    phases and channels share one run of the thread pool.  Thresholds
+    follow `calibrate`, which rejects the same target grids before any
+    trial runs; a band rule reports its lower edge.
     """
-    grid = [float(p) for p in pfa_grid]
-    specs = calibrate(cfg, detector_names, grid)
-    s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
+    grid = _target_grid(cfg, detector_names, pfa_grid)
+    jobs = [(cfg, PHASE_CALIBRATION), (cfg, PHASE_EVAL_H0)]
+    jobs += [(replace(cfg, channel=channel), PHASE_EVAL_H1) for channel in channels]
+    cal, s0, *s1s = _run_jobs(jobs, detector_names)
+    specs = _calibrated(cfg, grid, {name: EmpiricalCdf.from_samples(vals)
+                                    for name, vals in cal.items()})
     pfa = {name: [float(np.mean(spec.decide(s0[name]))) for spec in specs[name]]
            for name in detector_names}
 
     sweeps = []
-    for channel in channels:
-        s1 = trial_statistics(replace(cfg, channel=channel), detector_names,
-                              PHASE_EVAL_H1)
+    for s1 in s1s:
         out: dict[str, list[RocPoint]] = {}
         for name in detector_names:
             points = []

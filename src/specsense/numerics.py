@@ -107,8 +107,9 @@ def stream_seeker(master_seed: int):
     return np.random.Generator(bitgen), seek
 
 
-def complex_gaussian(variance: float, gen: np.random.Generator, size=None):
-    """Circular complex Gaussian samples with E[|z|^2] = variance.
+def complex_gaussian(variance: float, gen: np.random.Generator, size) -> np.ndarray:
+    """Circular complex Gaussian samples with E[|z|^2] = variance, an
+    array of shape `size`.
 
     Real and imaginary parts are independent N(0, variance / 2); the
     squared magnitude is exponential with mean `variance` and the phase
@@ -117,11 +118,8 @@ def complex_gaussian(variance: float, gen: np.random.Generator, size=None):
     if variance < 0:
         raise ValueError("variance must be nonnegative")
     if variance == 0.0:
-        return 0.0 + 0.0j if size is None else np.zeros(size, dtype=complex)
+        return np.zeros(size, dtype=complex)
     sd = math.sqrt(variance / 2.0)
-    if size is None:
-        re, im = gen.standard_normal(2)
-        return complex(sd * re, sd * im)
     n = size if isinstance(size, (int, np.integer)) else int(np.prod(size))
     z = gen.standard_normal(2 * n).view(np.complex128)
     return sd * z.reshape(size)

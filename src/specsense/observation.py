@@ -38,19 +38,21 @@ class BandGeometry:
 
 def squared_envelope(z: np.ndarray) -> np.ndarray:
     """Elementwise |z(n)|^2 of a complex sample block."""
-    z = np.asarray(z)
-    return np.abs(z) ** 2
+    r = np.abs(np.asarray(z))
+    r *= r
+    return r
 
 
-def spectrum_bins(z: np.ndarray) -> np.ndarray:
+def spectrum_bins(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Magnitude-squared bins of the unnormalized forward DFT over the last axis.
 
     With this convention sum(w) = N * sum(|z|^2) (Parseval), and white
     noise of per-sample variance a yields i.i.d. exponential bins of
-    mean N*a.
+    mean N*a.  With `overwrite`, the DFT is taken in the memory of z, a
+    complex array, which then holds the DFT.
     """
     z = np.asarray(z, dtype=complex)
-    return np.abs(np.fft.fft(z)) ** 2
+    return squared_envelope(np.fft.fft(z, out=z if overwrite else None))
 
 
 def band_split_indices(n_bins: int, spec) -> tuple[np.ndarray, np.ndarray]:

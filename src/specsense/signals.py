@@ -161,13 +161,14 @@ class ScenarioConfig:
         return mask, float(np.sum(mask**2)) / n**2
 
 
-def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size=None):
-    """Noise power alpha = 1/lambda with lambda ~ Gamma(k+1, theta)."""
+def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size) -> np.ndarray:
+    """Noise powers alpha = 1/lambda with lambda ~ Gamma(k+1, theta), an
+    array of shape `size`."""
     return 1.0 / gen.gamma(prior.precision_shape, 1.0 / prior.precision_rate, size)
 
 
-def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size=None):
-    """Complex channel gain h.
+def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size) -> np.ndarray:
+    """Complex channel gains h, an array of shape `size`.
 
     AWGN is the unfaded reference (h = 1 exactly).  Rayleigh draws a
     circular complex Gaussian with E[|h|^2] = 1.  Nakagami-m draws the
@@ -175,7 +176,7 @@ def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size=None):
     independent uniform phase; m = 1 coincides with Rayleigh.
     """
     if channel.kind == AWGN:
-        return 1.0 + 0.0j if size is None else np.ones(size, dtype=complex)
+        return np.ones(size, dtype=complex)
     if channel.kind == RAYLEIGH:
         return complex_gaussian(1.0, gen, size=size)
     amp = np.sqrt(gen.gamma(channel.nakagami_m, 1.0 / channel.nakagami_m, size))

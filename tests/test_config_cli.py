@@ -1,6 +1,7 @@
 import json
 import platform
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -290,25 +291,31 @@ class TestCliRoc:
         assert len(rows) == 2 * 3 * 2 * 2
 
     def test_h0_phases_run_once_per_n_samples(self, tmp_path, monkeypatch):
+        # every block the engine draws, keyed by (N, phase, channel, block):
+        # calibration and H0 blocks once per N, H1 blocks once per channel
         from specsense import montecarlo
 
-        calls = []
-        engine = montecarlo.trial_statistics
+        calls = Counter()
+        observe = montecarlo.observe
 
-        def counted(cfg, names, phase):
-            calls.append((cfg.n_samples, phase))
-            return engine(cfg, names, phase)
+        def counted(cfg, domains, phase, block):
+            calls[cfg.n_samples, phase, cfg.channel.kind, block] += 1
+            return observe(cfg, domains, phase, block)
 
-        monkeypatch.setattr(montecarlo, "trial_statistics", counted)
+        monkeypatch.setattr(montecarlo, "observe", counted)
+        kinds = ("awgn", "rayleigh", "nakagami")
         conf = write_config(tmp_path, self.CHANNELS_CONF.replace(
-            "channels = awgn", "channels = awgn, rayleigh, nakagami")
+            "channels = awgn", "channels = " + ", ".join(kinds))
             + "nakagami_m = 2\n")
         assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        blocks = range(-(-1000 // montecarlo.TRIAL_CHUNK))
         for n in (20, 40):
-            assert calls.count((n, montecarlo.PHASE_CALIBRATION)) == 1
-            assert calls.count((n, montecarlo.PHASE_EVAL_H0)) == 1
-            assert calls.count((n, montecarlo.PHASE_EVAL_H1)) == 3
-        assert len(calls) == 10
+            for block in blocks:
+                for phase in (montecarlo.PHASE_CALIBRATION, montecarlo.PHASE_EVAL_H0):
+                    assert sum(calls[n, phase, kind, block] for kind in kinds) == 1
+                for kind in kinds:
+                    assert calls[n, montecarlo.PHASE_EVAL_H1, kind, block] == 1
+        assert sum(calls.values()) == 2 * (2 + len(kinds)) * len(blocks)
 
 
 CDF_CONF = """

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsense import montecarlo
 from specsense.analysis import pfa_alrd1, pfa_opt
 from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
-from specsense.errors import ConfigError
+from specsense.errors import ConfigError, NumericFailure
 from specsense.montecarlo import (
     KIND_BINS,
     KIND_PRIOR,
@@ -383,6 +385,93 @@ class TestBlockEngine:
         observe(make_cfg(trials=1 << 48), {TIME}, PHASE_EVAL_H0, last - 1)
 
 
+class TestThreadPool:
+    """The blocks of a call run on a thread pool sized to the usable CPUs;
+    the bytes do not depend on its size."""
+
+    CHANNELS = [ChannelSpec(RAYLEIGH), ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
+    NAMES = ["optimal", "alrd1", "alrd2"]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Forces the pool to `n` workers; records each pool's size."""
+        sizes = []
+
+        class Recorded(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorded)
+
+        def force(n):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: n)
+
+        return force, sizes
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_same_bytes_on_any_pool_size(self, source, pool_sizes):
+        # 2500 trials: three blocks per phase, the last one short
+        force, sizes = pool_sizes
+        cfg = make_cfg(trials=2500, source=source, n=16)
+        grid = [0.05, 0.1, 0.5]
+        runs = []
+        for workers in (1, 2, 3):
+            force(workers)
+            stats = {phase: trial_statistics(cfg, self.NAMES, phase)
+                     for phase in PHASES}
+            runs.append((stats, roc_sweep_channels(cfg, self.NAMES, grid,
+                                                    self.CHANNELS)))
+        # each phase of trial_statistics is 3 tasks, a sweep is 4 jobs of 3
+        assert sizes == [1] * 4 + [2] * 4 + [3] * 4
+        (stats, sweeps), *others = runs
+        for other_stats, other_sweeps in others:
+            for phase in PHASES:
+                assert_same_statistics(other_stats[phase], stats[phase])
+            assert other_sweeps == sweeps
+        # and the one-worker run is the per-block reference
+        for phase in PHASES:
+            assert_same_statistics(stats[phase],
+                                   reference_statistics(cfg, self.NAMES, phase))
+
+    def test_pool_is_capped_by_the_task_count(self, pool_sizes):
+        force, sizes = pool_sizes
+        force(64)
+        trial_statistics(make_cfg(trials=TRIAL_CHUNK + 1), ["alrd1"], PHASE_EVAL_H0)
+        roc_sweep_channels(make_cfg(trials=1000), ["alrd1"], [0.1], self.CHANNELS)
+        assert sizes == [2, 4]
+
+    def test_block_failure_reaches_the_caller(self, pool_sizes, monkeypatch):
+        force, _ = pool_sizes
+        force(3)
+        failure = NumericFailure("block 1 failed")
+        observe = montecarlo.observe
+
+        def failing(cfg, domains, phase, block):
+            if block == 1:
+                raise failure
+            return observe(cfg, domains, phase, block)
+
+        monkeypatch.setattr(montecarlo, "observe", failing)
+        cfg = make_cfg(trials=2500)
+        before = threading.active_count()
+        with pytest.raises(NumericFailure) as caught:
+            trial_statistics(cfg, self.NAMES, PHASE_EVAL_H0)
+        assert caught.value is failure
+        with pytest.raises(NumericFailure) as caught:
+            roc_sweep_channels(cfg, self.NAMES, [0.1], self.CHANNELS)
+        assert caught.value is failure
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self):
+        cfg = make_cfg(trials=2500, source=WAVEFORM, n=16)
+        before = threading.active_count()
+        trial_statistics(cfg, self.NAMES, PHASE_EVAL_H1)
+        assert threading.active_count() == before
+        roc_sweep_channels(cfg, self.NAMES, [0.1], self.CHANNELS)
+        assert threading.active_count() == before
+
+
 class TestStreamLayout:
     """Properties of the (phase, block, kind) stream layout."""
 
@@ -486,6 +575,21 @@ class TestCalibration:
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigError):
             calibrate(make_cfg(trials=500), ["alrd1"], [0.05])
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.5, 0.1], "ascending"), ([0.0, 0.5], r"\(0, 1\)"),
+        ([0.01], "not enough trials"), ([0.1, 0.95], "band rule")])
+    def test_bad_grid_rejected_before_any_trial(self, monkeypatch, grid, match):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "observe", no_trials)
+        cfg = replace(make_cfg(trials=2000), glr_two_sided=True)
+        names = ["alrd1", "glrd1"]
+        with pytest.raises(ConfigError, match=match):
+            calibrate(cfg, names, grid)
+        with pytest.raises(ConfigError, match=match):
+            roc_sweep_channels(cfg, names, grid, [cfg.channel])
 
     def test_matches_analytic_inversion_at_fixed_alpha(self):
         cfg = make_cfg(trials=100_000, noise_power=1.0)

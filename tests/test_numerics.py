@@ -111,8 +111,8 @@ class TestQFunction:
 
 class TestComplexGaussian:
     def test_zero_variance(self):
-        assert complex_gaussian(0.0, stream_seeker(1)[0]) == 0j
-        z = complex_gaussian(0.0, stream_seeker(1)[0], size=5)
+        z = complex_gaussian(0.0, stream_seeker(1)[0], size=(2, 5))
+        assert z.shape == (2, 5) and z.dtype == complex
         assert np.all(z == 0)
 
     def test_power(self):

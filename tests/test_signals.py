@@ -104,7 +104,9 @@ class TestDrawNoisePower:
 
 class TestChannelGain:
     def test_awgn_is_unity(self):
-        assert channel_gain(ChannelSpec(AWGN), stream_seeker(1)[0]) == 1.0 + 0.0j
+        h = channel_gain(ChannelSpec(AWGN), stream_seeker(1)[0], size=(2, 5))
+        assert h.dtype == complex
+        assert np.array_equal(h, np.ones((2, 5)))
 
     def test_rayleigh_unit_power(self):
         h = channel_gain(ChannelSpec(RAYLEIGH), stream_seeker(304)[0], size=1_000_000)
