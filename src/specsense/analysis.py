@@ -55,13 +55,12 @@ class PosteriorPrecision:
     rate: float
 
     def pdf(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros_like(lam)
-        pos = lam > 0
-        out[pos] = np.exp(self.shape * math.log(self.rate)
-                          + (self.shape - 1.0) * np.log(lam[pos])
-                          - self.rate * lam[pos] - math.lgamma(self.shape))
-        return out if out.ndim else float(out)
+        # imported here: scipy.stats takes longer to import than all of
+        # specsense.cli, and only the validation battery calls pdf
+        from scipy.stats import gamma
+
+        out = gamma.pdf(lam, self.shape, scale=1.0 / self.rate)
+        return out if np.ndim(out) else float(out)
 
 
 def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> PosteriorPrecision:
@@ -176,8 +175,9 @@ def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
     Each in-band bin is |h*s + v|^2 with noise power N*alpha, so it has
     mean |h*s|^2 + N*alpha and variance N^2*alpha^2 + 2*N*alpha*|h*s|^2;
-    only |h*s|^2 enters.  With h = s = 0 this reduces exactly to
-    `pfa_alrd2_clt`.
+    only |h*s|^2 enters.  With h = s = 0 it agrees with `pfa_alrd2_clt`
+    up to rounding (about 2e-16): the two forms group the same terms
+    differently.
     """
     ps = abs(h * s) ** 2
     na = n_samples * alpha

@@ -16,7 +16,6 @@ import math
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -72,16 +71,10 @@ def _write_csv(path: Path, digest: str, header: list[str],
 
 
 def _load(args) -> ExperimentConfig:
-    exp = load_experiment(args.config)
-    if getattr(args, "seed", None) is not None:
-        exp = replace(exp, master_seed=args.seed,
-                      echo={**exp.echo, "master_seed": str(args.seed)})
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be positive")
-        exp = replace(exp, trials=args.trials,
-                      echo={**exp.echo, "trials": str(args.trials)})
-    return exp
+    flags = {"master_seed": getattr(args, "seed", None),
+             "trials": getattr(args, "trials", None)}
+    return load_experiment(args.config, {key: str(value) for key, value
+                                         in flags.items() if value is not None})
 
 
 def _check_finite(*values) -> None:
@@ -95,21 +88,23 @@ def _run(args, command: str, header: list[str],
          plot: tuple[str, str, str] | None = None) -> int:
     """Run one file-emitting command.
 
-    `check(exp)` rejects the experiment before anything is written;
+    Loading the config checks every scenario leg, and `check(exp)` rejects
+    what the command cannot run, before anything is drawn or printed;
     `rows(exp)` returns the CSV rows and the (label, xs, ys) series that
-    `--svg` draws with the `plot` x label, y label and title.
+    `--svg` draws with the `plot` x label, y label and title.  Nothing is
+    written, and `--out` is not created, until `rows` returns.
     """
     started = time.perf_counter()
     exp = _load(args)
     if check is not None:
         check(exp)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_stem = Path(args.config).stem
     stem = f"{config_stem}_{command}"
     manifest, digest = _manifest(command, exp)
 
     table, series = rows(exp)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, digest, header, table)
     if plot is not None and args.svg:
@@ -138,11 +133,11 @@ def cmd_roc(args) -> int:
 
     def rows(exp):
         table, series = [], []
-        for n in exp.n_samples:
+        for cfg in exp.scenarios:
+            n = cfg.n_samples
             # one calibration and H0 evaluation per N, shared by its channels
             sweeps = montecarlo.roc_sweep_channels(
-                exp.scenario(n, exp.channels[0]), exp.detectors, exp.pfa_targets,
-                exp.channels)
+                cfg, exp.detectors, exp.pfa_targets, exp.channels)
             for ch, points in zip(exp.channels, sweeps):
                 for name in exp.detectors:
                     pts = points[name]
@@ -167,12 +162,11 @@ def cmd_roc(args) -> int:
 
 def cmd_cdf(args) -> int:
     def check(exp):
-        if len(exp.n_samples) != 1 or len(exp.channels) != 1:
+        if len(exp.scenarios) != 1 or len(exp.channels) != 1:
             raise ConfigError("cdf expects a single n_samples value and channel")
 
     def rows(exp):
-        cdfs = montecarlo.calibration_cdfs(
-            exp.scenario(exp.n_samples[0], exp.channels[0]), exp.detectors)
+        cdfs = montecarlo.calibration_cdfs(exp.scenarios[0], exp.detectors)
         table, series = [], []
         for name, cdf in cdfs.items():
             grid = np.linspace(cdf.values[0], cdf.values[-1], exp.cdf_points)
@@ -188,29 +182,26 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    def geometry(exp):
-        return exp.scenario(exp.n_samples[0], exp.channels[0]).geometry
-
     def check(exp):
-        if len(exp.n_samples) != 1 or len(exp.channels) != 1:
+        if len(exp.scenarios) != 1 or len(exp.channels) != 1:
             raise ConfigError("curves expects a single n_samples value and channel")
         if exp.threshold_grid is None:
             raise ConfigError(
                 "curves requires threshold_min/threshold_max/threshold_points")
-        if exp.source != MODEL or exp.glr_two_sided:
+        cfg = exp.scenarios[0]
+        if cfg.source != MODEL or cfg.glr_two_sided:
             raise ConfigError("curves evaluates the model source's one-sided closed "
                               "forms; source = waveform and glr_two_sided do not apply")
-        geometry(exp)
 
     def rows(exp):
-        n = exp.n_samples[0]
-        geom = geometry(exp)
-        alpha = (exp.noise_power if exp.noise_power is not None
+        cfg = exp.scenarios[0]
+        n = cfg.n_samples
+        alpha = (cfg.noise_power if cfg.noise_power is not None
                  else exp.prior.mean_noise_power)
         snr = exp.snr_linear
-        h = exp.pinned_channel if exp.pinned_channel is not None else 1.0 + 0.0j
+        h = cfg.pinned_channel if cfg.pinned_channel is not None else 1.0 + 0.0j
         snr_h = snr * abs(h) ** 2  # the time samples' SNR through the gain
-        s = (exp.pinned_signal if exp.pinned_signal is not None
+        s = (cfg.pinned_signal if cfg.pinned_signal is not None
              else complex(math.sqrt(n * alpha * snr)))
         grid = np.linspace(*exp.threshold_grid)
         table = []
@@ -222,6 +213,7 @@ def cmd_curves(args) -> int:
                 pfa = analysis.pfa_alrd1(n, alpha, exp.prior, grid)
                 pd = analysis.pd_alrd1(n, alpha, exp.prior, snr_h, grid)
             else:
+                geom = cfg.geometry
                 pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
                                              alpha, exp.prior.theta, grid)
                 pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
@@ -238,10 +230,10 @@ def cmd_curves(args) -> int:
 def cmd_calibrate(args) -> int:
     def rows(exp):
         table = []
-        for n in exp.n_samples:
+        for cfg in exp.scenarios:
+            n = cfg.n_samples
             # calibration reads no channel field: one run per N
-            specs = montecarlo.calibrate(exp.scenario(n, exp.channels[0]),
-                                         exp.detectors, [args.pfa])
+            specs = montecarlo.calibrate(cfg, exp.detectors, [args.pfa])
             for ch in exp.channels:
                 for name in exp.detectors:
                     thr = specs[name][0].eta1

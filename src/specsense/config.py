@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .detectors import TIME, detector
+from .detectors import FREQ, TIME, detector
 from .errors import ConfigError
 from .signals import (
     AWGN,
@@ -93,52 +93,23 @@ def _parse_list(value: str) -> list[str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description covering one or more scenario legs."""
+    """Parsed experiment description: one checked scenario leg per
+    `n_samples` value, each with the first of `channels`."""
 
     detectors: tuple[str, ...]
-    n_samples: tuple[int, ...]
-    trials: int
+    scenarios: tuple[ScenarioConfig, ...]
+    channels: tuple[ChannelSpec, ...]
     master_seed: int
     snr_db: float
     prior: NoisePrior
-    channels: tuple[ChannelSpec, ...]
-    bandwidth_hz: float
-    rolloff: float
-    sample_rate_hz: float | None
     pfa_targets: tuple[float, ...]
-    noise_power: float | None
-    pinned_channel: complex | None
-    pinned_signal: complex | None
-    source: str
-    glr_two_sided: bool
     threshold_grid: tuple[float, float, int] | None
     cdf_points: int
     echo: dict[str, str]
 
     @property
     def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
-    def signal_spec(self) -> SignalSpec:
-        rate = self.sample_rate_hz
-        if rate is None:
-            rate = (1.0 + self.rolloff) * self.bandwidth_hz
-        return SignalSpec(self.bandwidth_hz, self.rolloff, rate, self.snr_linear)
-
-    def scenario(self, n_samples: int, channel: ChannelSpec) -> ScenarioConfig:
-        return ScenarioConfig(
-            n_samples=n_samples,
-            prior=self.prior,
-            signal=self.signal_spec(),
-            channel=channel,
-            trials=self.trials,
-            master_seed=self.master_seed,
-            noise_power=self.noise_power,
-            pinned_channel=self.pinned_channel,
-            pinned_signal=self.pinned_signal,
-            source=self.source,
-            glr_two_sided=self.glr_two_sided,
-        )
+        return self.scenarios[0].signal.snr_linear
 
 
 def _build_channel(name: str, nakagami_m: float | None) -> ChannelSpec:
@@ -215,8 +186,6 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("threshold_min must be >= 0: statistics are nonnegative")
 
     source = raw.get("source", MODEL).lower()
-    if source not in (MODEL, WAVEFORM):
-        raise ConfigError(f"source must be {MODEL!r} or {WAVEFORM!r}")
     if pinned_signal is not None and (
             source == WAVEFORM or any(row.domain == TIME for row in rows)):
         raise ConfigError("pinned_signal_re/_im apply to the model source and "
@@ -229,35 +198,47 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     if cdf_points < 200:
         raise ConfigError(f"cdf_points must be at least 200, got {cdf_points}")
 
+    master_seed = _parse_int(raw["master_seed"], "master_seed")
+    snr_db = _parse_float(raw["snr_db"], "snr_db")
+    bandwidth = _parse_float(raw.get("bandwidth_hz", "54000"), "bandwidth_hz")
+    rolloff = _parse_float(raw.get("rolloff", "0.25"), "rolloff")
+    rate = (_parse_float(raw["sample_rate_hz"], "sample_rate_hz")
+            if "sample_rate_hz" in raw else (1.0 + rolloff) * bandwidth)
+    signal = SignalSpec(bandwidth, rolloff, rate, 10.0 ** (snr_db / 10.0))
+    trials = _parse_int(raw["trials"], "trials")
+    noise_power = (_parse_float(raw["noise_power"], "noise_power")
+                   if "noise_power" in raw else None)
+    scenarios = tuple(
+        ScenarioConfig(n_samples=n, prior=prior, signal=signal, channel=channels[0],
+                       trials=trials, master_seed=master_seed, noise_power=noise_power,
+                       pinned_channel=pinned_channel, pinned_signal=pinned_signal,
+                       source=source, glr_two_sided=glr_two_sided)
+        for n in n_samples)
+    if any(row.domain == FREQ for row in rows):
+        for cfg in scenarios:
+            _ = cfg.geometry  # rejects a band split with too few bins
+
     return ExperimentConfig(
         detectors=detectors,
-        n_samples=n_samples,
-        trials=_parse_int(raw["trials"], "trials"),
-        master_seed=_parse_int(raw["master_seed"], "master_seed"),
-        snr_db=_parse_float(raw["snr_db"], "snr_db"),
-        prior=prior,
+        scenarios=scenarios,
         channels=channels,
-        bandwidth_hz=_parse_float(raw.get("bandwidth_hz", "54000"), "bandwidth_hz"),
-        rolloff=_parse_float(raw.get("rolloff", "0.25"), "rolloff"),
-        sample_rate_hz=(_parse_float(raw["sample_rate_hz"], "sample_rate_hz")
-                        if "sample_rate_hz" in raw else None),
+        master_seed=master_seed,
+        snr_db=snr_db,
+        prior=prior,
         pfa_targets=pfa_targets,
-        noise_power=(_parse_float(raw["noise_power"], "noise_power")
-                     if "noise_power" in raw else None),
-        pinned_channel=pinned_channel,
-        pinned_signal=pinned_signal,
-        source=source,
-        glr_two_sided=glr_two_sided,
         threshold_grid=threshold_grid,
         cdf_points=cdf_points,
         echo=dict(sorted(raw.items())),
     )
 
 
-def load_experiment(path: str | Path) -> ExperimentConfig:
+def load_experiment(path: str | Path,
+                    overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse and check the config at `path`; `overrides` replace raw
+    values of the file's keys before parsing."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return experiment_from_mapping(parse_config_text(text))
+    return experiment_from_mapping({**parse_config_text(text), **(overrides or {})})

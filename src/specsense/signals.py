@@ -52,10 +52,6 @@ class NoisePrior:
         return self.k + 1.0
 
     @property
-    def precision_rate(self) -> float:
-        return self.theta
-
-    @property
     def mean_noise_power(self) -> float:
         return self.theta / self.k
 
@@ -164,7 +160,7 @@ class ScenarioConfig:
 def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size) -> np.ndarray:
     """Noise powers alpha = 1/lambda with lambda ~ Gamma(k+1, theta), an
     array of shape `size`."""
-    return 1.0 / gen.gamma(prior.precision_shape, 1.0 / prior.precision_rate, size)
+    return 1.0 / gen.gamma(prior.precision_shape, 1.0 / prior.theta, size)
 
 
 def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size) -> np.ndarray:

@@ -67,6 +67,16 @@ class TestPosteriorUpdate:
         tv = 0.5 * np.trapezoid(np.abs(quad - post.pdf(lam)), lam)
         assert tv < 1e-3
 
+    def test_pdf_scalar_and_support(self):
+        # a scalar gives a Python float; the density is zero off lam > 0
+        post = posterior_update(NoisePrior(k=3, theta=2.0), 4.0, 6)
+        at_one = post.pdf(1.0)
+        assert type(at_one) is float
+        assert at_one == pytest.approx(math.exp(
+            post.shape * math.log(post.rate) - post.rate - math.lgamma(post.shape)))
+        assert post.pdf(0.0) == 0.0 and post.pdf(-1.0) == 0.0
+        assert post.pdf(np.array([-1.0, 1.0]))[1] == at_one
+
 
 class TestMapEstimates:
     def test_reference_value(self):

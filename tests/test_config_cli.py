@@ -93,7 +93,7 @@ class TestParsing:
         raw = parse_config_text(MINIMAL.replace(
             "detectors = alrd1, alrd2", "detectors = alrd2, glrd2")
             + "pinned_signal_re = 100\n")
-        assert experiment_from_mapping(raw).pinned_signal == 100
+        assert experiment_from_mapping(raw).scenarios[0].pinned_signal == 100
 
     def test_pinned_channel_requires_a_single_channel(self, tmp_path):
         # the pinned gain replaces every channel's draw, so a channel list
@@ -109,7 +109,7 @@ class TestParsing:
         assert not (tmp_path / "exp_roc.csv").exists()
         raw = parse_config_text(MINIMAL.replace("channels = awgn", "channels = rayleigh")
                                 + pinned)
-        assert experiment_from_mapping(raw).pinned_channel == 0.5
+        assert experiment_from_mapping(raw).scenarios[0].pinned_channel == 0.5
 
     def test_glr_two_sided_requires_glr_detector(self):
         raw = parse_config_text(MINIMAL + "glr_two_sided = true\n")
@@ -119,7 +119,7 @@ class TestParsing:
             raw = parse_config_text(MINIMAL.replace(
                 "detectors = alrd1, alrd2", f"detectors = {listed}")
                 + "glr_two_sided = true\n")
-            assert experiment_from_mapping(raw).glr_two_sided
+            assert experiment_from_mapping(raw).scenarios[0].glr_two_sided
 
     def test_duplicate_detector(self):
         raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
@@ -144,12 +144,12 @@ class TestParsing:
 
     def test_default_sample_rate_is_critical(self):
         exp = experiment_from_mapping(parse_config_text(MINIMAL))
-        spec = exp.signal_spec()
+        spec = exp.scenarios[0].signal
         assert spec.sample_rate_hz == pytest.approx(1.25 * 54_000.0)
 
     def test_scenario_construction(self):
         exp = experiment_from_mapping(parse_config_text(MINIMAL))
-        cfg = exp.scenario(20, exp.channels[0])
+        cfg = exp.scenarios[0]
         assert cfg.trials == 4000
         assert cfg.signal.snr_linear == pytest.approx(10 ** 0.3)
 
@@ -157,7 +157,7 @@ class TestParsing:
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                      "curves_awgn"):
             exp = load_experiment(Path("presets") / f"{name}.conf")
-            assert exp.trials >= 1000
+            assert exp.scenarios[0].trials >= 1000
 
 
 ROC_CONF = """
@@ -522,14 +522,68 @@ class TestCliValidate:
 ])
 def test_out_of_range_spec_value_is_a_config_error(tmp_path, capsys, command, preset,
                                                    key, value):
-    # the prior, signal and channel specs check their own ranges
+    # the prior, signal and channel specs check their own ranges, when the
+    # config loads: the output directory is not even created
     lines = [line for line in (Path("presets") / f"{preset}.conf").read_text().splitlines()
              if not line.startswith(f"{key} =")]
     conf = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
-    assert main([command, str(conf), "--out", str(tmp_path)]) == 1
+    assert main([command, str(conf), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "out").exists()
+
+
+def _preset_with(tmp_path, preset, key, value):
+    text = (PRESETS / f"{preset}.conf").read_text()
+    return write_config(tmp_path, re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+
+
+class TestConfigErrorStopsTheRun:
+    # every n_samples leg is built and checked when the config loads, so a
+    # bad leg stops the command before it prints, writes or draws anything
+
+    def test_calibrate_prints_nothing_before_a_bad_leg(self, tmp_path, capsys):
+        conf = _preset_with(tmp_path, "fig4", "n_samples", "20, 1")
+        assert main(["calibrate", str(conf), "--pfa", "0.1",
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least two samples per block" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_roc_draws_no_block_before_a_bad_leg(self, tmp_path, monkeypatch):
+        from specsense import montecarlo
+
+        def refuse(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "observe", refuse)
+        conf = _preset_with(tmp_path, "fig4", "n_samples", "20, 1")
+        assert main(["roc", str(conf), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_target_creates_no_out_dir(self, tmp_path, capsys):
+        conf = PRESETS / "fig4.conf"
+        assert main(["calibrate", str(conf), "--pfa", "1.5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_trials_flag_is_checked_with_the_config(self, tmp_path, capsys):
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["roc", str(conf), "--trials", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "trials must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_band_split_is_checked_only_for_excess_band_detectors(self):
+        # sampled at 1 MHz, 20 bins are 50 kHz apart: only DC is in the band
+        text = MINIMAL + "sample_rate_hz = 1000000\n"
+        with pytest.raises(ConfigError, match="too few bins"):
+            experiment_from_mapping(parse_config_text(text))
+        exp = experiment_from_mapping(parse_config_text(
+            text.replace("detectors = alrd1, alrd2", "detectors = alrd1")))
+        assert exp.scenarios[0].signal.sample_rate_hz == 1e6
 
 
 CROSS_CONF = """
