@@ -63,8 +63,8 @@ def main():
           f"observed excess-bin mean {np.mean(y):7.2f}   "
           f"true bin-scale power {n * alpha:7.2f}")
 
-    for hyp in ("h0", "h1"):
-        est = map_noise_power(prior, spec.snr_linear, hyp, x=x, y=y)
+    for hyp, snr in (("h0", 0.0), ("h1", spec.snr_linear)):
+        est = map_noise_power(prior, snr, x=x, y=y)
         print(f"MAP bin-scale noise power assuming {hyp}: {est:7.2f}")
 
     stat = t_alrd2(x, y, prior)

@@ -1,32 +1,34 @@
 """Closed-form performance: posterior update, MAP noise estimates,
-false-alarm and detection probabilities, prior averaging, moments.
+detection probabilities, prior averaging, moments.
 
-Conventions.  All detection/false-alarm expressions are conditional on
-the true noise power alpha unless averaged explicitly.  Thresholds are
-on the statistic scales defined in `detectors`: the optimal detector's
-threshold applies to the energy sum divided by the true noise power
-(`pfa_opt`/`pd_opt` at alpha = 1; other alpha values describe the raw
-energy sum), the ALRD1/GLRD1 threshold to sum(r)/theta (so its tail
-argument is eta*theta/alpha), and the ALRD2/GLRD2 threshold to
-sum(x)/(theta + sum(y)).
+Conventions.  All detection expressions are conditional on the true
+noise power alpha unless averaged explicitly.  Each statistic has one
+law: its detection probability at zero signal (snr = 0, or h*s = 0) is
+its false-alarm probability.  Thresholds are on the statistic scales
+defined in `detectors`: the optimal detector's threshold applies to the
+energy sum divided by the true noise power (`pd_opt` at alpha = 1; other
+alpha values describe the raw energy sum), the ALRD1/GLRD1 threshold to
+sum(r)/theta (so its tail argument is eta*theta/(alpha*(1+snr))), and
+the ALRD2/GLRD2 threshold to sum(x)/(theta + sum(y)).
 
-The incomplete-gamma and Gaussian forms (`pfa_opt` to `pd_alrd2_clt`)
+The incomplete-gamma and Gaussian forms (`pd_opt` to `pd_alrd2_clt`)
 are elementwise: eta, alpha, snr, h and s may be arrays that broadcast,
-so a threshold grid or a set of prior draws is one scipy call; squares
-are written x*x, which rounds the same on scalars and arrays.
+so a threshold grid, a set of prior draws or an (idle, occupied) signal
+axis is one scipy call; squares are written x*x, which rounds the same
+on scalars and arrays.
 
-The Gaussian (CLT) expressions for the excess-band detectors use the
+The Gaussian (CLT) expression for the excess-band detectors uses the
 linearized statistic sum(x) - eta*sum(y) compared against eta*theta,
 with bin model: excess bins exponential of mean N*alpha; in-band bins
 |e + v|^2 with noise bin v of power N*alpha and signal contribution e
 (fixed amplitude h*s per bin when conditioning, Gaussian of power
 N*alpha*snr otherwise).
 
-Next to them, `pfa_alrd2_exact` gives the exact H0 false-alarm
+Next to it, `pfa_alrd2_exact` gives the exact H0 false-alarm
 probability of the ALRD2 ratio as a finite sum (integer L).  The tests
 hold the exact form to 1e-10 against an mpmath quadrature oracle and to
-0.03 against simulation (acceptance criterion 6); the Gaussian forms are
-held to a 0.05 envelope at 20 bins, since with so few bins their own
+0.03 against simulation (acceptance criterion 6); the Gaussian form is
+held to a 0.05 envelope at 20 bins, since with so few bins its own
 approximation error reaches about 0.045.
 """
 
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln, nbdtr, xlogy
 
 from .numerics import complex_gaussian, q_function, reg_upper_gamma, stream_seeker
-from .signals import H0, H1, ChannelSpec, NoisePrior, channel_gain, draw_noise_power
+from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +76,17 @@ def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> Posteri
                               rate=prior.theta + p_excess * float(y_mean))
 
 
-def map_noise_power(prior: NoisePrior, snr: float, hypothesis: str, *,
+def map_noise_power(prior: NoisePrior, snr: float, *,
                     r: np.ndarray | None = None, x: np.ndarray | None = None,
                     y: np.ndarray | None = None) -> float:
-    """MAP estimate of the noise power under the given hypothesis.
+    """MAP estimate of the noise power when the signal has the given snr;
+    snr = 0 is the idle channel (H0).
 
-    Time-domain envelopes r give (theta + sum(r)/(1+snr under H1)) /
-    (N + k); in-band and excess-band bins x, y give
-    (theta + sum(y) + sum(x)/(1+snr under H1)) / (L + k + P).
-    `hypothesis` is `signals.H0` or `signals.H1`.
+    Time-domain envelopes r give (theta + sum(r)/(1+snr)) / (N + k);
+    in-band and excess-band bins x, y give
+    (theta + sum(y) + sum(x)/(1+snr)) / (L + k + P).
     """
-    if hypothesis not in (H0, H1):
-        raise ValueError(f"hypothesis must be {H0!r} or {H1!r}, got {hypothesis!r}")
-    gain = 1.0 + snr if hypothesis == H1 else 1.0
+    gain = 1.0 + snr
     if r is not None:
         return (prior.theta + float(np.sum(r)) / gain) / (np.size(r) + prior.k)
     if x is None or y is None:
@@ -99,45 +99,26 @@ def map_noise_power(prior: NoisePrior, snr: float, hypothesis: str, *,
 # Incomplete-gamma performance of the known-noise and time-domain detectors
 # ---------------------------------------------------------------------------
 
-def pfa_opt(n_samples: int, alpha: float, eta: float) -> float:
-    """False-alarm probability of the energy sum at threshold eta."""
-    return reg_upper_gamma(n_samples, eta / alpha)
-
-
 def pd_opt(n_samples: int, alpha: float, snr: float, eta: float) -> float:
-    """Detection probability of the energy sum at threshold eta."""
+    """Detection probability of the energy sum at threshold eta; at
+    snr = 0 the false-alarm probability."""
     return reg_upper_gamma(n_samples, eta / (alpha * (1.0 + snr)))
-
-
-def pfa_alrd1(n_samples: int, alpha: float, prior: NoisePrior, eta: float) -> float:
-    """False-alarm probability of sum(r)/theta at threshold eta.
-
-    The statistic is the energy sum scaled by 1/theta, so the tail
-    argument is eta*theta/alpha.
-    """
-    return reg_upper_gamma(n_samples, eta * prior.theta / alpha)
 
 
 def pd_alrd1(n_samples: int, alpha: float, prior: NoisePrior, snr: float,
              eta: float) -> float:
+    """Detection probability of sum(r)/theta at threshold eta; at snr = 0
+    the false-alarm probability.
+
+    The statistic is the energy sum scaled by 1/theta, so the tail
+    argument is eta*theta/(alpha*(1+snr)).
+    """
     return reg_upper_gamma(n_samples, eta * prior.theta / (alpha * (1.0 + snr)))
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-approximation performance of the excess-band detectors
+# Exact and Gaussian-approximation performance of the excess-band detectors
 # ---------------------------------------------------------------------------
-
-def pfa_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
-                  theta: float, eta: float) -> float:
-    """Gaussian approximation of P(sum(x) - eta*sum(y) > eta*theta | H0).
-
-    Under H0 the linearized statistic has mean N*alpha*(L - P*eta) and
-    variance N^2*alpha^2*(L + P*eta^2).
-    """
-    num = theta * eta - alpha * n_samples * (l_inband - p_excess * eta)
-    den = alpha * n_samples * np.sqrt(l_inband + p_excess * (eta * eta))
-    return q_function(num / den)
-
 
 def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
                     theta: float, eta):
@@ -175,9 +156,9 @@ def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
     Each in-band bin is |h*s + v|^2 with noise power N*alpha, so it has
     mean |h*s|^2 + N*alpha and variance N^2*alpha^2 + 2*N*alpha*|h*s|^2;
-    only |h*s|^2 enters.  With h = s = 0 it agrees with `pfa_alrd2_clt`
-    up to rounding (about 2e-16): the two forms group the same terms
-    differently.
+    only |h*s|^2 enters.  At h*s = 0 it is the Gaussian approximation of
+    the false-alarm probability, with mean N*alpha*(L - P*eta) and
+    variance N^2*alpha^2*(L + P*eta^2).
     """
     ps = abs(h * s) ** 2
     na = n_samples * alpha

@@ -88,8 +88,9 @@ def _run(args, command: str, header: list[str],
          plot: tuple[str, str, str] | None = None) -> int:
     """Run one file-emitting command.
 
-    Loading the config checks every scenario leg, and `check(exp)` rejects
-    what the command cannot run, before anything is drawn or printed;
+    Loading the config checks every scenario leg, `check(exp)` rejects
+    what the command cannot run, and `--out` must name a directory or a
+    path that can become one, before anything is drawn or printed;
     `rows(exp)` returns the CSV rows and the (label, xs, ys) series that
     `--svg` draws with the `plot` x label, y label and title.  Nothing is
     written, and `--out` is not created, until `rows` returns.
@@ -98,12 +99,15 @@ def _run(args, command: str, header: list[str],
     exp = _load(args)
     if check is not None:
         check(exp)
+    out_dir = Path(args.out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
     config_stem = Path(args.config).stem
     stem = f"{config_stem}_{command}"
     manifest, digest = _manifest(command, exp)
 
     table, series = rows(exp)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, digest, header, table)
@@ -204,21 +208,19 @@ def cmd_curves(args) -> int:
         s = (cfg.pinned_signal if cfg.pinned_signal is not None
              else complex(math.sqrt(n * alpha * snr)))
         grid = np.linspace(*exp.threshold_grid)
+        occupied = np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         table = []
         for name in exp.detectors:
             if name == "optimal":
-                pfa = analysis.pfa_opt(n, 1.0, grid)
-                pd = analysis.pd_opt(n, 1.0, snr_h, grid)
+                cf = analysis.pd_opt(n, 1.0, snr_h * occupied, grid)
             elif name in ("alrd1", "glrd1"):
-                pfa = analysis.pfa_alrd1(n, alpha, exp.prior, grid)
-                pd = analysis.pd_alrd1(n, alpha, exp.prior, snr_h, grid)
+                cf = analysis.pd_alrd1(n, alpha, exp.prior, snr_h * occupied, grid)
             else:
                 geom = cfg.geometry
-                pfa = analysis.pfa_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                             alpha, exp.prior.theta, grid)
-                pd = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                           alpha, exp.prior.theta, grid, h, s)
-            _check_finite(pfa, pd)
+                cf = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n, alpha,
+                                           exp.prior.theta, grid, h, s * occupied)
+            _check_finite(cf)
+            pfa, pd = cf
             table.extend([name, _fmt(thr), _fmt(a), _fmt(b)] for thr, a, b
                          in zip(grid.tolist(), pfa.tolist(), pd.tolist()))
         return table, []

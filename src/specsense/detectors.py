@@ -128,9 +128,10 @@ class Detector:
     `statistic(obs, alpha, prior)` reduces the squared envelopes r (TIME)
     or the split bins (x, y) (FREQ) over the last axis; only `optimal`
     reads alpha, normalizing its energy sum by the true noise power so one
-    threshold applies across trials with varying noise.  `peak(n, geom, k,
-    snr)` locates the likelihood maximum of a GLR detector; a row with a
-    peak takes the band rule when two-sided operation is requested.
+    threshold applies across trials with varying noise.  `peak(cfg)`
+    locates the likelihood maximum of a GLR detector in the scenario cfg;
+    a row with a peak takes the band rule when two-sided operation is
+    requested.
     """
 
     domain: str
@@ -142,11 +143,13 @@ DETECTORS = {
     "optimal": Detector(TIME, lambda r, alpha, prior: t_opt(r) / alpha),
     "alrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior)),
     "glrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior),
-                      peak=lambda n, geom, k, snr: mu_glrd1(n, k, snr)),
+                      peak=lambda cfg: mu_glrd1(cfg.n_samples, cfg.prior.k,
+                                                cfg.signal.snr_linear)),
     "alrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior)),
     "glrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior),
-                      peak=lambda n, geom, k, snr: rho_glrd2(
-                          geom.l_inband, geom.p_excess, k, snr)),
+                      peak=lambda cfg: rho_glrd2(
+                          cfg.geometry.l_inband, cfg.geometry.p_excess,
+                          cfg.prior.k, cfg.signal.snr_linear)),
 }
 
 

@@ -342,16 +342,13 @@ def _calibrated(cfg: sig.ScenarioConfig, grid: list[float],
     warning per detector when some band misses the likelihood peak.  The
     warning names the caller of the public function that called this one.
     """
-    snr = cfg.signal.snr_linear
     specs = {}
     for name, cdf in cdfs.items():
         banded = _banded(cfg, name)
         specs[name] = [_thresholds(cdf, p, banded) for p in grid]
-        if not banded or snr == 0.0:  # no likelihood peak without signal
+        if not banded or cfg.signal.snr_linear == 0.0:  # no peak without signal
             continue
-        row = det.detector(name)
-        geom = cfg.geometry if row.domain == det.FREQ else None
-        peak = row.peak(cfg.n_samples, geom, cfg.prior.k, snr)
+        peak = det.detector(name).peak(cfg)
         missed = [f"{p:g}" for p, spec in zip(grid, specs[name])
                   if not spec.eta1 < peak < spec.eta2]
         if missed:

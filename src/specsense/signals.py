@@ -20,9 +20,6 @@ from .errors import ConfigError
 from .numerics import complex_gaussian
 from .observation import BandGeometry, band_split_indices
 
-H0 = "h0"
-H1 = "h1"
-
 AWGN = "awgn"
 RAYLEIGH = "rayleigh"
 NAKAGAMI = "nakagami"

@@ -14,9 +14,7 @@ import pytest
 from specsense.analysis import (
     pd_alrd2_clt,
     pd_opt,
-    pfa_alrd2_clt,
     pfa_alrd2_exact,
-    pfa_opt,
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
@@ -80,8 +78,8 @@ def test_criterion_01_optimal_closed_forms():
     s1 = trial_statistics(cfg, ["optimal"], PHASE_EVAL_H1)["optimal"]
     worst = 0.0
     for target in targets:
-        eta = invert_tail(lambda e: pfa_opt(n, alpha, e), target)
-        gap_fa = abs(float(np.mean(s0 > eta)) - pfa_opt(n, alpha, eta))
+        eta = invert_tail(lambda e: pd_opt(n, alpha, 0.0, e), target)
+        gap_fa = abs(float(np.mean(s0 > eta)) - pd_opt(n, alpha, 0.0, eta))
         gap_d = abs(float(np.mean(s1 > eta)) - pd_opt(n, alpha, snr, eta))
         worst = max(worst, gap_fa, gap_d)
     print(f"criterion 1: max |empirical - closed form| = {worst:.4f} (tol 0.01)")
@@ -134,11 +132,12 @@ def test_criterion_06_clt_pfa_as_stated():
     The thresholds invert the exact closed form `pfa_alrd2_exact`, so
     they really span the stated range, and the exact form must match the
     simulation within 0.03 at every target.  The Gaussian form
-    `pfa_alrd2_clt` is evaluated at the same thresholds and its gap to
-    the exact value is printed; with only 20 bins that gap is a genuine
-    approximation error of about 0.044 near the ends of the range, and
-    it must stay within the 0.05 envelope documented for the Gaussian
-    form.  That comparison is deterministic (no Monte Carlo noise).
+    `pd_alrd2_clt` at zero signal is evaluated at the same thresholds and
+    its gap to the exact value is printed; with only 20 bins that gap is
+    a genuine approximation error of about 0.044 near the ends of the
+    range, and it must stay within the 0.05 envelope documented for the
+    Gaussian form.  That comparison is deterministic (no Monte Carlo
+    noise).
     """
     l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
     prior = NoisePrior(k=3, theta=theta)
@@ -152,7 +151,7 @@ def test_criterion_06_clt_pfa_as_stated():
                           target, lo=0.0, hi=100.0)
         emp = float(np.mean(stats > eta))
         exact = pfa_alrd2_exact(l, p, n, alpha, theta, eta)
-        clt = pfa_alrd2_clt(l, p, n, alpha, theta, eta)
+        clt = pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j)
         worst = max(worst, abs(emp - exact))
         worst_clt = max(worst_clt, abs(clt - exact))
         print(f"criterion 6 (pfa): {target:5.2f}  {eta:7.3f}  {emp:.4f}     "

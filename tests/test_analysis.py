@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
+from scipy.stats import norm
 
 from specsense.analysis import (
     average_over_prior,
@@ -11,10 +13,7 @@ from specsense.analysis import (
     pd_alrd1,
     pd_alrd2_clt,
     pd_opt,
-    pfa_alrd1,
-    pfa_alrd2_clt,
     pfa_alrd2_exact,
-    pfa_opt,
     posterior_update,
     proposed_statistic_moments,
     traditional_statistic_moments,
@@ -22,8 +21,6 @@ from specsense.analysis import (
 from specsense.numerics import complex_gaussian, stream_seeker
 from specsense.signals import (
     AWGN,
-    H0,
-    H1,
     NAKAGAMI,
     RAYLEIGH,
     ChannelSpec,
@@ -80,27 +77,20 @@ class TestPosteriorUpdate:
 
 class TestMapEstimates:
     def test_reference_value(self):
-        est = map_noise_power(NoisePrior(k=2, theta=1.0), snr=1.0, hypothesis=H0,
+        est = map_noise_power(NoisePrior(k=2, theta=1.0), snr=0.0,
                               x=np.full(16, 1.0), y=np.full(4, 0.5))
         assert est == pytest.approx(19.0 / 22.0)
-
-    def test_zero_snr_hypotheses_agree(self):
-        rng = stream_seeker(501)[0]
-        r = rng.exponential(1.0, 20)
-        prior = NoisePrior(k=4, theta=4.0)
-        assert map_noise_power(prior, 0.0, H0, r=r) == pytest.approx(
-            map_noise_power(prior, 0.0, H1, r=r))
 
     def test_grid_argmax_time(self):
         rng = stream_seeker(502)[0]
         prior = NoisePrior(k=4, theta=2.0)
         r = rng.exponential(1.2, 20)
-        for hyp, gain in ((H0, 1.0), (H1, 2.0)):
-            c = prior.theta + r.sum() / gain
+        for snr in (0.0, 1.0):
+            c = prior.theta + r.sum() / (1.0 + snr)
             alphas = np.arange(1e-4, 2.0, 1e-4)
             objective = -(20 + prior.k) * np.log(alphas) - c / alphas
             ref = alphas[np.argmax(objective)]
-            est = map_noise_power(prior, 1.0, hyp, r=r)
+            est = map_noise_power(prior, snr, r=r)
             assert est == pytest.approx(ref, abs=1e-4)
 
     def test_grid_argmax_freq(self):
@@ -108,38 +98,43 @@ class TestMapEstimates:
         prior = NoisePrior(k=3, theta=1.0)
         x = rng.exponential(25.0, 16)
         y = rng.exponential(20.0, 4)
-        for hyp, gain in ((H0, 1.0), (H1, 2.0)):
-            c = prior.theta + y.sum() + x.sum() / gain
+        for snr in (0.0, 1.0):
+            c = prior.theta + y.sum() + x.sum() / (1.0 + snr)
             lams = np.linspace(1e-6, 4 * (16 + 3 + 4) / c, 400_001)
             objective = (16 + 3 + 4) * np.log(lams) - c * lams
             ref = 1.0 / lams[np.argmax(objective)]
-            est = map_noise_power(prior, 1.0, hyp, x=x, y=y)
+            est = map_noise_power(prior, snr, x=x, y=y)
             assert est == pytest.approx(ref, rel=1e-4)
 
     def test_requires_time_samples_or_both_bands(self):
         with pytest.raises(ValueError):
-            map_noise_power(NoisePrior(k=3, theta=1.0), 1.0, H0, x=np.ones(16))
+            map_noise_power(NoisePrior(k=3, theta=1.0), 0.0, x=np.ones(16))
 
-    def test_rejects_an_unknown_hypothesis(self):
-        prior, r = NoisePrior(k=3, theta=3.0), np.full(20, 2.0)
-        assert map_noise_power(prior, 1.0, H1, r=r) == pytest.approx(1.0)
-        for hyp in ("H1", "h2", ""):
-            with pytest.raises(ValueError, match="hypothesis"):
-                map_noise_power(prior, 1.0, hyp, r=r)
+
+class TestZeroSignal:
+    def test_matches_the_h0_oracles(self):
+        # each detection form at zero signal is its false-alarm law
+        n, l, p, alpha, theta = 20, 16, 4, 1.3, 3.0
+        prior = NoisePrior(k=3, theta=theta)
+        eta = np.linspace(0.0, 60.0, 2_001)
+        assert np.array_equal(pd_opt(n, 1.0, 0.0, eta), gammaincc(n, eta))
+        assert np.array_equal(pd_alrd1(n, alpha, prior, 0.0, eta),
+                              gammaincc(n, eta * theta / alpha))
+        na = n * alpha
+        h0 = norm.sf(theta * eta, loc=na * (l - p * eta),
+                     scale=na * np.sqrt(l + p * eta * eta))
+        np.testing.assert_allclose(
+            pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j), h0, rtol=0, atol=1e-13)
 
 
 class TestIncompleteGammaForms:
     def test_zero_threshold(self):
-        assert pfa_opt(20, 1.0, 0.0) == 1.0
+        assert pd_opt(20, 1.0, 0.0, 0.0) == 1.0
         assert pd_opt(20, 1.0, 1.0, 0.0) == 1.0
-        assert pfa_alrd1(20, 1.0, NoisePrior(k=4, theta=4.0), 0.0) == 1.0
-
-    def test_zero_snr_collapses(self):
-        for eta in (5.0, 20.0, 35.0):
-            assert pd_opt(20, 1.0, 0.0, eta) == pfa_opt(20, 1.0, eta)
+        assert pd_alrd1(20, 1.0, NoisePrior(k=4, theta=4.0), 0.0, 0.0) == 1.0
 
     def test_reference_value(self):
-        assert pfa_opt(20, 1.0, 20.0) == pytest.approx(0.4703, abs=5e-5)
+        assert pd_opt(20, 1.0, 0.0, 20.0) == pytest.approx(0.4703, abs=5e-5)
 
     def test_opt_matches_simulation(self):
         rng = stream_seeker(504)[0]
@@ -147,14 +142,14 @@ class TestIncompleteGammaForms:
         s0 = rng.gamma(n, alpha, 100_000)
         s1 = rng.gamma(n, alpha * (1 + snr), 100_000)
         for eta in (14.0, 20.0, 27.0):
-            assert abs(np.mean(s0 > eta) - pfa_opt(n, alpha, eta)) < 0.01
+            assert abs(np.mean(s0 > eta) - pd_opt(n, alpha, 0.0, eta)) < 0.01
             assert abs(np.mean(s1 > eta) - pd_opt(n, alpha, snr, eta)) < 0.01
 
     def test_alrd1_scaling_identity(self):
         prior = NoisePrior(k=4, theta=2.0)
         for eta in (3.0, 10.0, 18.0):
-            assert pfa_alrd1(20, 1.0, prior, eta) == pytest.approx(
-                pfa_opt(20, 1.0, eta * prior.theta))
+            assert pd_alrd1(20, 1.0, prior, 0.0, eta) == pytest.approx(
+                pd_opt(20, 1.0, 0.0, eta * prior.theta))
 
     def test_alrd1_matches_simulation(self):
         rng = stream_seeker(505)[0]
@@ -162,16 +157,16 @@ class TestIncompleteGammaForms:
         stats0 = rng.gamma(n, alpha, 100_000) / prior.theta
         stats1 = rng.gamma(n, alpha * 2.0, 100_000) / prior.theta
         for eta in (8.0, 10.0, 14.0):
-            assert abs(np.mean(stats0 > eta) - pfa_alrd1(n, alpha, prior, eta)) < 0.01
+            assert abs(np.mean(stats0 > eta) - pd_alrd1(n, alpha, prior, 0.0, eta)) < 0.01
             assert abs(np.mean(stats1 > eta)
                        - pd_alrd1(n, alpha, prior, 1.0, eta)) < 0.01
 
     def test_outputs_in_unit_interval_and_monotone(self):
         prior = NoisePrior(k=2, theta=2.0)
         etas = np.linspace(0.0, 40.0, 81)
-        for fn in (lambda e: pfa_opt(20, 1.0, e),
-                   lambda e: pfa_alrd1(20, 1.0, prior, e),
-                   lambda e: pfa_alrd2_clt(16, 4, 20, 1.0, prior.theta, e)):
+        for fn in (lambda e: pd_opt(20, 1.0, 0.0, e),
+                   lambda e: pd_alrd1(20, 1.0, prior, 0.0, e),
+                   lambda e: pd_alrd2_clt(16, 4, 20, 1.0, prior.theta, e, 0j, 0j)):
             vals = [fn(e) for e in etas]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -182,13 +177,13 @@ class TestCltForms:
         # eta solving theta*eta = alpha*N*(L - P*eta) centers the statistic
         l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
         eta = n * alpha * l / (theta + n * alpha * p)
-        assert pfa_alrd2_clt(l, p, n, alpha, theta, eta) == pytest.approx(0.5)
+        assert pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j) == pytest.approx(0.5)
 
     def test_tail_decreases_on_grid(self):
         # The Gaussian form keeps a small positive asymptote as eta grows
         # (it puts mass below zero where the exponential sum has none), so
         # the tail statement is monotone decrease over the working range.
-        vals = [pfa_alrd2_clt(16, 4, 20, 1.0, 1.0, eta) for eta in (5, 20, 80, 300)]
+        vals = [pd_alrd2_clt(16, 4, 20, 1.0, 1.0, eta, 0j, 0j) for eta in (5, 20, 80, 300)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.03
 
@@ -199,7 +194,7 @@ class TestCltForms:
         y = rng.exponential(n * alpha, (100_000, p)).sum(axis=1)
         for eta in (1.2, 1.6, 2.0):
             emp = np.mean(x - eta * y > eta * theta)
-            assert abs(emp - pfa_alrd2_clt(l, p, n, alpha, theta, eta)) < 0.03
+            assert abs(emp - pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j)) < 0.03
 
     def test_pfa_approximation_envelope(self):
         # With only 20 bins the Gaussian approximation is loose away from
@@ -211,12 +206,7 @@ class TestCltForms:
         y = rng.exponential(n * alpha, (100_000, p)).sum(axis=1)
         for eta in (3.5, 4.0, 5.0, 8.0, 12.0):
             emp = np.mean(x - eta * y > eta * theta)
-            assert abs(emp - pfa_alrd2_clt(l, p, n, alpha, theta, eta)) < 0.05
-
-    def test_pd_reduces_to_pfa_without_signal(self):
-        for eta in (2.0, 4.0, 7.0):
-            assert pd_alrd2_clt(16, 4, 20, 1.0, 1.0, eta, 0j, 0j) == pytest.approx(
-                pfa_alrd2_clt(16, 4, 20, 1.0, 1.0, eta))
+            assert abs(emp - pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j)) < 0.05
 
     def test_pd_phase_invariance(self):
         h = 0.8 * np.exp(1j * 0.7)
@@ -248,14 +238,15 @@ class TestCltForms:
 
 
 ELEMENTWISE_PRIOR = NoisePrior(k=3, theta=3.0)
-# every closed form as a function of (alpha, snr, eta); the Gaussian forms
-# take no snr, and pd_alrd2_clt keeps its gain and amplitude fixed
+# every closed form as a function of (alpha, snr, eta), each also at zero
+# signal, where it is the detector's false-alarm law; the Gaussian form
+# takes no snr and keeps its gain and amplitude fixed
 ELEMENTWISE_FORMS = {
-    "pfa_opt": lambda a, snr, eta: pfa_opt(20, a, eta),
+    "pfa_opt": lambda a, snr, eta: pd_opt(20, a, 0.0, eta),
     "pd_opt": lambda a, snr, eta: pd_opt(20, a, snr, eta),
-    "pfa_alrd1": lambda a, snr, eta: pfa_alrd1(20, a, ELEMENTWISE_PRIOR, eta),
+    "pfa_alrd1": lambda a, snr, eta: pd_alrd1(20, a, ELEMENTWISE_PRIOR, 0.0, eta),
     "pd_alrd1": lambda a, snr, eta: pd_alrd1(20, a, ELEMENTWISE_PRIOR, snr, eta),
-    "pfa_alrd2_clt": lambda a, snr, eta: pfa_alrd2_clt(16, 4, 20, a, 3.0, eta),
+    "pfa_alrd2_clt": lambda a, snr, eta: pd_alrd2_clt(16, 4, 20, a, 3.0, eta, 0j, 0j),
     "pd_alrd2_clt": lambda a, snr, eta: pd_alrd2_clt(16, 4, 20, a, 3.0, eta,
                                                      0.8 - 0.3j, 4.0 + 1.5j),
 }
@@ -389,15 +380,15 @@ class TestAverageOverPrior:
 
     def test_concentrated_prior_recovers_conditional(self):
         prior = NoisePrior(k=400, theta=400.0)  # mean 1, tight
-        fn = lambda a, h, s: pfa_alrd1(20, a, prior, 10.0)
+        fn = lambda a, h, s: pd_alrd1(20, a, prior, 0.0, 10.0)
         res = average_over_prior(fn, prior, mc_draws=20_000, seed=509)
-        conditional = pfa_alrd1(20, 1.0, prior, 10.0)
+        conditional = pd_alrd1(20, 1.0, prior, 0.0, 10.0)
         assert res.value == pytest.approx(conditional, rel=0.01)
 
     def test_matches_generative_pipeline(self):
         prior = NoisePrior(k=4, theta=4.0)
         n, eta = 20, 8.0
-        fn = lambda a, h, s: pfa_alrd1(n, a, prior, eta)
+        fn = lambda a, h, s: pd_alrd1(n, a, prior, 0.0, eta)
         res = average_over_prior(fn, prior, mc_draws=100_000, seed=510)
         gen = stream_seeker(511)[0]
         alphas = 1.0 / gen.gamma(prior.precision_shape, 1 / prior.theta, 100_000)
@@ -407,7 +398,7 @@ class TestAverageOverPrior:
 
     def test_stderr_shrinks_with_draws(self):
         prior = NoisePrior(k=4, theta=4.0)
-        fn = lambda a, h, s: pfa_alrd1(20, a, prior, 8.0)
+        fn = lambda a, h, s: pd_alrd1(20, a, prior, 0.0, 8.0)
         small = average_over_prior(fn, prior, 2_000, 512)
         large = average_over_prior(fn, prior, 32_000, 513)
         assert large.stderr < small.stderr

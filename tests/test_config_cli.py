@@ -569,6 +569,27 @@ class TestConfigErrorStopsTheRun:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_out_naming_a_file_stops_calibrate(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.touch()
+        assert main(["calibrate", str(PRESETS / "fig4.conf"), "--pfa", "0.1",
+                     "--out", str(afile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+        assert afile.read_bytes() == b""
+        assert list(tmp_path.iterdir()) == [afile]
+
+    def test_out_under_a_file_stops_roc(self, tmp_path, capsys):
+        conf = write_config(tmp_path, ROC_CONF)
+        afile = tmp_path / "afile"
+        afile.touch()
+        assert main(["roc", str(conf), "--out", str(afile / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.conf"]
+
     def test_trials_flag_is_checked_with_the_config(self, tmp_path, capsys):
         conf = write_config(tmp_path, ROC_CONF)
         assert main(["roc", str(conf), "--trials", "0",
@@ -673,20 +694,21 @@ class TestNumericFailureExit:
     def test_nonfinite_closed_form_exits_two(self, tmp_path, monkeypatch):
         from specsense import cli
 
-        monkeypatch.setattr(cli.analysis, "pfa_alrd1",
+        monkeypatch.setattr(cli.analysis, "pd_alrd1",
                             lambda *a, **k: float("nan"))
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
 
     def test_nan_inside_a_closed_form_column_exits_two(self, tmp_path, monkeypatch):
-        # each column is one array call; one bad element fails the command
+        # each detector's two columns are one array call; one bad element
+        # fails the command
         from specsense import cli
 
         clean = cli.analysis.pd_alrd2_clt
 
         def one_nan(*args):
             col = np.array(clean(*args))
-            col[col.size // 2] = np.nan
+            col.flat[col.size // 2] = np.nan
             return col
 
         monkeypatch.setattr(cli.analysis, "pd_alrd2_clt", one_nan)

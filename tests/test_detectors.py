@@ -21,8 +21,7 @@ from specsense.detectors import (
     t_opt,
 )
 from specsense.numerics import stream_seeker
-from specsense.observation import BandGeometry
-from specsense.signals import NoisePrior
+from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 
 PRIOR = NoisePrior(k=4, theta=2.0)
 
@@ -223,8 +222,10 @@ class TestDetectorTable:
         assert DETECTORS["optimal"].statistic(np.full(20, 2.0), 2.0, PRIOR) == 20.0
 
     def test_peaks_only_on_glr_rows(self):
-        geom = BandGeometry(n_total=20, l_inband=16, p_excess=4)
-        peaks = {name: row.peak(20, geom, 4, 1.0)
+        cfg = ScenarioConfig(20, PRIOR, SignalSpec.critically_sampled(54_000.0, 0.25, 1.0),
+                             ChannelSpec(), trials=1, master_seed=1)
+        assert (cfg.geometry.l_inband, cfg.geometry.p_excess) == (16, 4)
+        peaks = {name: row.peak(cfg)
                  for name, row in DETECTORS.items() if row.peak is not None}
         assert peaks == {"glrd1": mu_glrd1(20, 4, 1.0),
                          "glrd2": rho_glrd2(16, 4, 4, 1.0)}

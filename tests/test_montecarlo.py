@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsense import montecarlo
-from specsense.analysis import pfa_alrd1, pfa_opt
+from specsense.analysis import pd_alrd1
 from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
 from specsense.errors import ConfigError, NumericFailure
 from specsense.montecarlo import (
@@ -240,7 +240,7 @@ class TestTrialEngine:
         stats = trial_statistics(cfg, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
         for eta in (8.0, 10.0, 14.0):
             emp = float(np.mean(stats > eta))
-            assert abs(emp - pfa_alrd1(20, 1.0, PRIOR, eta)) < 0.01
+            assert abs(emp - pd_alrd1(20, 1.0, PRIOR, 0.0, eta)) < 0.01
 
     def test_waveform_source_runs_and_matches_h0_rates(self):
         cfg_m = make_cfg(trials=20_000, noise_power=1.0)
