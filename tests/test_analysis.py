@@ -133,6 +133,11 @@ class TestIncompleteGammaForms:
         assert pd_opt(20, 1.0, 1.0, 0.0) == 1.0
         assert pd_alrd1(20, 1.0, NoisePrior(k=4, theta=4.0), 0.0, 0.0) == 1.0
 
+    def test_zero_snr_collapses(self):
+        # at zero signal pd_opt is the false-alarm law Q(N, eta/alpha)
+        for eta in (5.0, 20.0, 35.0):
+            assert pd_opt(20, 1.0, 0.0, eta) == gammaincc(20, eta)
+
     def test_reference_value(self):
         assert pd_opt(20, 1.0, 0.0, 20.0) == pytest.approx(0.4703, abs=5e-5)
 
@@ -207,6 +212,13 @@ class TestCltForms:
         for eta in (3.5, 4.0, 5.0, 8.0, 12.0):
             emp = np.mean(x - eta * y > eta * theta)
             assert abs(emp - pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j)) < 0.05
+
+    def test_pd_reduces_to_pfa_without_signal(self):
+        # at h*s = 0 the statistic's mean is N*alpha*(L - P*eta) and its
+        # variance (N*alpha)^2 * (L + P*eta^2): the H0 Gaussian tail
+        for eta in (2.0, 4.0, 7.0):
+            h0 = norm.sf(eta, loc=20 * (16 - 4 * eta), scale=20 * math.sqrt(16 + 4 * eta * eta))
+            assert pd_alrd2_clt(16, 4, 20, 1.0, 1.0, eta, 0j, 0j) == pytest.approx(h0)
 
     def test_pd_phase_invariance(self):
         h = 0.8 * np.exp(1j * 0.7)
