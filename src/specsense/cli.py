@@ -77,11 +77,6 @@ def _load(args) -> ExperimentConfig:
                                          in flags.items() if value is not None})
 
 
-def _check_finite(*values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise NumericFailure("non-finite value in command output")
-
-
 def _run(args, command: str, header: list[str],
          rows: Callable[[ExperimentConfig], tuple[list[list[str]], list]],
          check: Callable[[ExperimentConfig], None] | None = None,
@@ -146,7 +141,6 @@ def cmd_roc(args) -> int:
                 for name in exp.detectors:
                     pts = points[name]
                     for pt in pts:
-                        _check_finite(pt.pfa_empirical, pt.pd_empirical, pt.threshold)
                         table.append([name, str(n), _fmt(exp.snr_db),
                                       _channel_label(ch), _fmt(pt.pfa_target),
                                       _fmt(pt.pfa_empirical), _fmt(pt.pd_empirical),
@@ -175,7 +169,6 @@ def cmd_cdf(args) -> int:
         for name, cdf in cdfs.items():
             grid = np.linspace(cdf.values[0], cdf.values[-1], exp.cdf_points)
             vals = cdf.evaluate(grid)
-            _check_finite(grid, vals)
             table.extend([name, _fmt(t), _fmt(c)]
                          for t, c in zip(grid.tolist(), vals.tolist()))
             series.append((name, list(grid), vals.tolist()))
@@ -203,23 +196,21 @@ def cmd_curves(args) -> int:
         alpha = (cfg.noise_power if cfg.noise_power is not None
                  else exp.prior.mean_noise_power)
         snr = exp.snr_linear
-        h = cfg.pinned_channel if cfg.pinned_channel is not None else 1.0 + 0.0j
-        snr_h = snr * abs(h) ** 2  # the time samples' SNR through the gain
-        s = (cfg.pinned_signal if cfg.pinned_signal is not None
-             else complex(math.sqrt(n * alpha * snr)))
+        s = math.sqrt(n * alpha * snr)  # per-bin amplitude at h = 1
         grid = np.linspace(*exp.threshold_grid)
         occupied = np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         table = []
         for name in exp.detectors:
             if name == "optimal":
-                cf = analysis.pd_opt(n, 1.0, snr_h * occupied, grid)
+                cf = analysis.pd_opt(n, 1.0, snr * occupied, grid)
             elif name in ("alrd1", "glrd1"):
-                cf = analysis.pd_alrd1(n, alpha, exp.prior, snr_h * occupied, grid)
+                cf = analysis.pd_alrd1(n, alpha, exp.prior, snr * occupied, grid)
             else:
                 geom = cfg.geometry
                 cf = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n, alpha,
-                                           exp.prior.theta, grid, h, s * occupied)
-            _check_finite(cf)
+                                           exp.prior.theta, grid, 1.0, s * occupied)
+            if not np.isfinite(cf).all():
+                raise NumericFailure("non-finite value in command output")
             pfa, pd = cf
             table.extend([name, _fmt(thr), _fmt(a), _fmt(b)] for thr, a, b
                          in zip(grid.tolist(), pfa.tolist(), pd.tolist()))
@@ -239,7 +230,6 @@ def cmd_calibrate(args) -> int:
             for ch in exp.channels:
                 for name in exp.detectors:
                     thr = specs[name][0].eta1
-                    _check_finite(thr)
                     table.append([name, str(n), _channel_label(ch),
                                   _fmt(args.pfa), _fmt(thr)])
                     print(f"{name} N={n} {_channel_label(ch)}: "

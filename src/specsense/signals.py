@@ -89,9 +89,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in (AWGN, RAYLEIGH, NAKAGAMI):
             raise ConfigError(f"unknown channel kind {self.kind!r}")
-        if self.kind == NAKAGAMI:
-            if self.nakagami_m is None or self.nakagami_m < 0.5:
-                raise ConfigError("nakagami shape m must be >= 0.5")
+        if self.kind == NAKAGAMI and not (self.nakagami_m or 0) >= 0.5:
+            raise ConfigError(f"nakagami channel requires nakagami_m >= 0.5, "
+                              f"got {self.nakagami_m}")
 
 
 @dataclass(frozen=True)

@@ -77,40 +77,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match="nakagami_m"):
             experiment_from_mapping(raw)
 
-    def test_pinned_signal_rejected_for_waveform(self):
-        raw = parse_config_text(MINIMAL + "source = waveform\npinned_signal_re = 1\n")
-        with pytest.raises(ConfigError, match="pinned_signal"):
-            experiment_from_mapping(raw)
-
-    def test_pinned_signal_rejected_for_time_domain_detectors(self):
-        # time samples are drawn without the pinned amplitude
-        for listed in ("optimal, alrd2", "alrd1", "glrd1, glrd2"):
-            raw = parse_config_text(MINIMAL.replace(
-                "detectors = alrd1, alrd2", f"detectors = {listed}")
-                + "pinned_signal_re = 100\n")
-            with pytest.raises(ConfigError, match="pinned_signal"):
-                experiment_from_mapping(raw)
-        raw = parse_config_text(MINIMAL.replace(
-            "detectors = alrd1, alrd2", "detectors = alrd2, glrd2")
-            + "pinned_signal_re = 100\n")
-        assert experiment_from_mapping(raw).scenarios[0].pinned_signal == 100
-
-    def test_pinned_channel_requires_a_single_channel(self, tmp_path):
-        # the pinned gain replaces every channel's draw, so a channel list
-        # would give rows that differ only in their channel label
-        pinned = "pinned_channel_re = 0.5\n"
-        raw = parse_config_text(MINIMAL.replace(
-            "channels = awgn", "channels = rayleigh, nakagami\nnakagami_m = 2") + pinned)
-        with pytest.raises(ConfigError, match="pinned_channel"):
-            experiment_from_mapping(raw)
-        conf = write_config(tmp_path, ROC_CONF.replace(
-            "channels = awgn", "channels = rayleigh, awgn") + pinned)
-        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 1
-        assert not (tmp_path / "exp_roc.csv").exists()
-        raw = parse_config_text(MINIMAL.replace("channels = awgn", "channels = rayleigh")
-                                + pinned)
-        assert experiment_from_mapping(raw).scenarios[0].pinned_channel == 0.5
-
     def test_glr_two_sided_requires_glr_detector(self):
         raw = parse_config_text(MINIMAL + "glr_two_sided = true\n")
         with pytest.raises(ConfigError, match="glr_two_sided"):
@@ -144,8 +110,30 @@ class TestParsing:
 
     def test_default_sample_rate_is_critical(self):
         exp = experiment_from_mapping(parse_config_text(MINIMAL))
-        spec = exp.scenarios[0].signal
+        cfg = exp.scenarios[0]
+        spec = cfg.signal
         assert spec.sample_rate_hz == pytest.approx(1.25 * 54_000.0)
+        # the other defaults of an unset key
+        assert spec.bandwidth_hz == 54_000.0
+        assert spec.rolloff == 0.25
+        assert exp.cdf_points == 200
+        assert cfg.source == "model"
+        assert cfg.glr_two_sided is False
+        assert exp.pfa_targets == ()
+        assert exp.threshold_grid is None
+        assert cfg.noise_power is None
+
+    @pytest.mark.parametrize("key", ["pinned_channel_re", "pinned_channel_im",
+                                     "pinned_signal_re", "pinned_signal_im"])
+    def test_pinned_keys_are_not_config_keys(self, tmp_path, key, capsys):
+        # the library's ScenarioConfig still pins a gain or an amplitude;
+        # a config file cannot, and curves evaluates at h = 1
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(MINIMAL + f"{key} = 0.1\n")
+        conf = write_config(tmp_path, CURVES_CONF + f"{key} = 0.1\n")
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "exp_curves.csv").exists()
 
     def test_scenario_construction(self):
         exp = experiment_from_mapping(parse_config_text(MINIMAL))
@@ -409,22 +397,6 @@ class TestCliCurves:
         assert main(["curves", str(conf), "--svg", "--out", str(tmp_path)]) == 1
         assert "unrecognized arguments: --svg" in capsys.readouterr().err
         assert not (tmp_path / "exp_curves.csv").exists()
-
-    def test_pinned_channel_moves_every_pd_column(self, tmp_path):
-        # a pinned gain h scales the SNR of the time samples by |h|^2 too
-        conf = write_config(tmp_path, CURVES_CONF)
-        assert main(["curves", str(conf), "--out", str(tmp_path / "a")]) == 0
-        conf = write_config(tmp_path, CURVES_CONF + "pinned_channel_re = 0.1\n")
-        assert main(["curves", str(conf), "--out", str(tmp_path / "b")]) == 0
-        plain, pinned = ([line.split(",") for line in
-                          (tmp_path / d / "exp_curves.csv").read_text().splitlines()[2:]]
-                         for d in ("a", "b"))
-        for det in ("optimal", "alrd1", "alrd2"):
-            a = [r for r in plain if r[0] == det]
-            b = [r for r in pinned if r[0] == det]
-            assert [r[:3] for r in a] == [r[:3] for r in b]  # same pfa
-            assert [r[3] for r in a] != [r[3] for r in b], det
-            assert all(float(rb[3]) <= float(ra[3]) + 1e-12 for ra, rb in zip(a, b))
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--trials", "5"]])
     def test_takes_no_seed_or_trials_flag(self, tmp_path, flag, capsys):
@@ -691,6 +663,21 @@ class TestCrossCommandConsistency:
 
 
 class TestNumericFailureExit:
+    @pytest.mark.parametrize("command, text", [("roc", ROC_CONF), ("cdf", CDF_CONF)],
+                             ids=["roc", "cdf"])
+    def test_nonfinite_statistic_exits_two(self, tmp_path, monkeypatch, capsys,
+                                           command, text):
+        from specsense.detectors import DETECTORS, TIME, Detector
+
+        monkeypatch.setitem(DETECTORS, "alrd1", Detector(
+            TIME, lambda r, alpha, prior: np.full(r.shape[:-1], np.nan)))
+        conf = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, str(conf), "--out", str(out)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob("**/*.csv"))
+
     def test_nonfinite_closed_form_exits_two(self, tmp_path, monkeypatch):
         from specsense import cli
 
