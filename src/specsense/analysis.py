@@ -30,6 +30,12 @@ hold the exact form to 1e-10 against an mpmath quadrature oracle and to
 0.03 against simulation (acceptance criterion 6); the Gaussian form is
 held to a 0.05 envelope at 20 bins, since with so few bins its own
 approximation error reaches about 0.045.
+
+Every `scipy` submodule is imported inside the function that calls it:
+the CLI imports this module for every command, and `roc`, `cdf` and
+`calibrate` evaluate no closed form, so they never load one.
+`tests/test_imports.py` holds `import specsense.cli` to that, and
+`validate` to loading no `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, nbdtr, xlogy
 
 from .numerics import complex_gaussian, q_function, reg_upper_gamma, stream_seeker
 from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
@@ -57,12 +62,16 @@ class PosteriorPrecision:
     rate: float
 
     def pdf(self, lam):
-        # imported here: scipy.stats takes longer to import than all of
-        # specsense.cli, and only the validation battery calls pdf
-        from scipy.stats import gamma
+        """Gamma(shape, rate) density at lam, zero for lam < 0; a scalar
+        gives a Python float.  Written in log space with `scipy.special`,
+        not `scipy.stats`, whose import costs more than the whole CLI's."""
+        from scipy.special import gammaln, xlogy
 
-        out = gamma.pdf(lam, self.shape, scale=1.0 / self.rate)
-        return out if np.ndim(out) else float(out)
+        lam = np.asarray(lam, dtype=float)
+        x = self.rate * np.maximum(lam, 0.0)
+        dens = self.rate * np.exp(xlogy(self.shape - 1.0, x) - x - gammaln(self.shape))
+        out = np.where(lam < 0.0, 0.0, dens)
+        return out if out.ndim else float(out)
 
 
 def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> PosteriorPrecision:
@@ -137,6 +146,8 @@ def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
         sum_{j<L} Poisson(j; a) * NB_cdf(L-1-j; P, 1/(1+eta)).
     """
+    from scipy.special import gammaln, nbdtr, xlogy
+
     if l_inband < 1 or p_excess < 1:
         raise ValueError("need at least one in-band and one excess-band bin")
     eta = np.asarray(eta, dtype=float)

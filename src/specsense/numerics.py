@@ -7,6 +7,11 @@ reproducible and order-independent: the same (master_seed, stream_index)
 yields bit-identical draws, and distinct stream indices give
 statistically independent sequences.  The samplers take the
 `numpy.random.Generator` to draw from.
+
+`scipy.special` is imported inside the functions that call it, not at
+module level: the Monte Carlo engine imports this module for its
+streams, so `roc`, `cdf` and `calibrate` never load a scipy submodule.
+`tests/test_imports.py` holds `import specsense.cli` to that.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +51,8 @@ def reg_upper_gamma(s, x):
     ------
     ValueError : if any element is non-finite, has s <= 0 or has x < 0
     """
+    from scipy.special import gammaincc
+
     out = gammaincc(*_gamma_args(s, x))
     return float(out) if out.ndim == 0 else out
 
@@ -60,6 +66,8 @@ def q_function(z):
 
     Accepts scalars or arrays; computed as erfc(z / sqrt(2)) / 2.
     """
+    from scipy.special import erfc
+
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("q_function requires finite input")

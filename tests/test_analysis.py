@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
-from scipy.stats import norm
+from scipy.stats import gamma, norm
 
 from specsense.analysis import (
+    PosteriorPrecision,
     average_over_prior,
     map_noise_power,
     pd_alrd1,
@@ -73,6 +74,23 @@ class TestPosteriorUpdate:
             post.shape * math.log(post.rate) - post.rate - math.lgamma(post.shape)))
         assert post.pdf(0.0) == 0.0 and post.pdf(-1.0) == 0.0
         assert post.pdf(np.array([-1.0, 1.0]))[1] == at_one
+
+    @pytest.mark.parametrize("shape, rate", [
+        (1.0, 1.0), (1.0 + 1e-9, 0.5), (1.5, 3.0), (9.0, 0.02),
+        (40.0, 2.5e4), (400.0, 7.0)])
+    def test_pdf_matches_scipy_stats_gamma(self, shape, rate):
+        # the log-space density against scipy.stats, a test-only oracle;
+        # the grid runs from below zero past the far tail
+        post = PosteriorPrecision(shape=shape, rate=rate)
+        hi = (shape + 30.0 * math.sqrt(shape) + 30.0) / rate
+        lam = np.concatenate([[-1.0, -1e-300, 0.0], np.linspace(0.0, hi, 4001)[1:]])
+        ours = post.pdf(lam)
+        oracle = gamma.pdf(lam, shape, scale=1.0 / rate)
+        assert np.all(ours[lam < 0.0] == 0.0)
+        live = oracle > 1e-250
+        assert live.sum() > 1000
+        np.testing.assert_allclose(ours[live], oracle[live], rtol=1e-12, atol=0.0)
+        assert np.all(ours[~live] <= 1e-240)
 
 
 class TestMapEstimates:

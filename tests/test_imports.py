@@ -6,18 +6,35 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# scipy submodules that take longer to import than the whole CLI; tests
-# may use them as oracles, the package must not load them on import
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+# scipy submodules whose import costs as much as a Monte Carlo command's
+# work; tests may use them as oracles.  Importing the CLI loads none of
+# them, so `roc`, `cdf` and `calibrate`, which evaluate no closed form,
+# load only top-level scipy.  `scipy.special` is the one the closed forms
+# need, and they import it inside the functions that call it.
+HEAVY = ("scipy.special", "scipy.stats", "scipy.optimize", "scipy.integrate")
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
+def _run(code: str) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    code = (f"import sys, specsense.cli; "
-            f"print(*(m for m in {HEAVY!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    done = _run(f"import sys, specsense.cli; "
+                f"print(*(m for m in {HEAVY!r} if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_validate_loads_no_scipy_stats():
+    # the battery evaluates closed forms, so it may load scipy.special,
+    # but none of the others
+    rest = tuple(m for m in HEAVY if m != "scipy.special")
+    done = _run(f"import sys, specsense.cli; code = specsense.cli.main(['validate']); "
+                f"print('exit', code); print(*(m for m in {rest!r} if m in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-2:] == ["exit 0", ""]
