@@ -40,9 +40,12 @@ def main():
               f"P={geom.p_excess} excess-band bins")
 
     cfg = scenario[20]
+    geom = cfg.geometry
+    # observe returns each trial's in-band and excess-band bin sums
     parts = [observe(cfg, {FREQ}, PHASE_EVAL_H1, b)[0][FREQ]
              for b in range(-(-blocks // TRIAL_CHUNK))]
-    x, y = (np.concatenate(bins).mean(axis=0) for bins in zip(*parts))
+    sum_x, sum_y = (np.concatenate(sums).mean() for sums in zip(*parts))
+    noise_per_bin = 20 * 1.0  # N * alpha on the unnormalized DFT
 
     freqs = np.fft.fftfreq(20, d=1.0 / spec.sample_rate_hz)
     profile = raised_cosine_profile(freqs, BANDWIDTH, ROLLOFF)
@@ -51,9 +54,10 @@ def main():
 
     print(f"\naveraged periodogram over {blocks} occupied blocks "
           f"(noise power 1, snr 4):")
-    print(f"  mean in-band bin power     {x.mean():8.2f}")
-    print(f"  mean excess-band bin power {y.mean():8.2f}")
-    sig_ratio = (y.sum() - y.size * 20.0) / (x.sum() - x.size * 20.0)
+    print(f"  mean in-band bin power     {sum_x / geom.l_inband:8.2f}")
+    print(f"  mean excess-band bin power {sum_y / geom.p_excess:8.2f}")
+    sig_ratio = ((sum_y - geom.p_excess * noise_per_bin)
+                 / (sum_x - geom.l_inband * noise_per_bin))
     print(f"  excess/in-band signal power ratio: measured {sig_ratio:.4f}, "
           f"profile predicts {py.sum() / px.sum():.4f}")
     print(f"  each excess bin carries {py.mean() / px.mean():.1%} of an in-band "

@@ -1,17 +1,19 @@
 """One sensing block through every detector.
 
-Generates a single occupied-channel trial, forms both observation
-types, evaluates each decision statistic, and shows the Bayesian
-machinery behind the excess-band detectors: the precision posterior
-and the MAP noise-power estimates.
+Draws a single occupied-channel trial, forms both observation types,
+evaluates each decision statistic, and shows the Bayesian machinery
+behind the excess-band detectors: the precision posterior and the MAP
+noise-power estimates.
+
+`montecarlo.observe` draws only the sums the detectors read (sum(r),
+sum(x) and sum(y)), so to show each sample and bin this demo draws its
+one trial itself, from the model source's law on an unfaded channel.
 """
 
 import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
 from specsense.detectors import (
-    FREQ,
-    TIME,
     ThresholdSpec,
     mu_glrd1,
     rho_glrd2,
@@ -19,8 +21,15 @@ from specsense.detectors import (
     t_alrd2,
     t_opt,
 )
-from specsense.montecarlo import PHASE_EVAL_H1, observe
-from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
+from specsense.numerics import complex_gaussian, stream_seeker
+from specsense.observation import squared_envelope
+from specsense.signals import (
+    ChannelSpec,
+    NoisePrior,
+    ScenarioConfig,
+    SignalSpec,
+    draw_noise_power,
+)
 
 
 def main():
@@ -28,16 +37,22 @@ def main():
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr_linear=1.0)
     cfg = ScenarioConfig(n_samples=20, prior=prior, signal=spec,
                          channel=ChannelSpec("awgn"), trials=1, master_seed=7)
-    obs, alphas = observe(cfg, {TIME, FREQ}, PHASE_EVAL_H1, 0)  # block 0: trial 0
-    r = obs[TIME][0]
-    x, y = (bins[0] for bins in obs[FREQ])
-    alpha = float(alphas[0])
+    n, geom = cfg.n_samples, cfg.geometry
+
+    # the trial, drawn here: a noise power from the prior, then N time
+    # samples (noise plus a white signal of power alpha * snr), and L
+    # in-band bins carrying noise and signal and P noise-only excess bins
+    gen = stream_seeker(cfg.master_seed)[0]
+    alpha = float(draw_noise_power(prior, gen, 1)[0])
+    r = squared_envelope(complex_gaussian(alpha, gen, n)
+                         + complex_gaussian(alpha * spec.snr_linear, gen, n))
+    x = squared_envelope(complex_gaussian(n * alpha, gen, geom.l_inband)
+                         + complex_gaussian(n * alpha * spec.snr_linear, gen,
+                                            geom.l_inband))
+    y = n * alpha * gen.standard_exponential(geom.p_excess)
     print(f"prior: precision ~ Gamma({prior.precision_shape:.0f}, "
           f"{prior.theta}), mean noise power {prior.mean_noise_power:.2f}")
     print(f"this trial's true noise power: {alpha:.3f}\n")
-
-    n = cfg.n_samples
-    geom = cfg.geometry
 
     print("time-domain statistics (threshold scale: energy sum):")
     print(f"  energy sum              {t_opt(r):9.3f}")

@@ -15,6 +15,8 @@ envelopes; `t_alrd1` divides it by the prior rate theta; `t_alrd2` is
 sum(x) / (theta + sum(y)).  The `DETECTORS` table maps each name to its
 statistic on these scales (for `optimal`, the energy sum divided by the
 true noise power), which is where all thresholds in this package live.
+The statistics read an observation only through these sums, so the
+table's statistics take the sums themselves.
 """
 
 from __future__ import annotations
@@ -125,10 +127,11 @@ FREQ = "freq"
 class Detector:
     """One detector: the observation form it reads and how it decides.
 
-    `statistic(obs, alpha, prior)` reduces the squared envelopes r (TIME)
-    or the split bins (x, y) (FREQ) over the last axis; only `optimal`
-    reads alpha, normalizing its energy sum by the true noise power so one
-    threshold applies across trials with varying noise.  `peak(cfg)`
+    `statistic(obs, alpha, prior)` reads the sums that
+    `montecarlo.observe` returns, elementwise over trials: sum(r) (TIME)
+    or the pair (sum(x), sum(y)) (FREQ).  Only `optimal` reads alpha,
+    normalizing its energy sum by the true noise power so one threshold
+    applies across trials with varying noise.  `peak(cfg)`
     locates the likelihood maximum of a GLR detector in the scenario cfg;
     a row with a peak takes the band rule when two-sided operation is
     requested.
@@ -140,13 +143,13 @@ class Detector:
 
 
 DETECTORS = {
-    "optimal": Detector(TIME, lambda r, alpha, prior: t_opt(r) / alpha),
-    "alrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior)),
-    "glrd1": Detector(TIME, lambda r, alpha, prior: t_alrd1(r, prior),
+    "optimal": Detector(TIME, lambda sum_r, alpha, prior: sum_r / alpha),
+    "alrd1": Detector(TIME, lambda sum_r, alpha, prior: sum_r / prior.theta),
+    "glrd1": Detector(TIME, lambda sum_r, alpha, prior: sum_r / prior.theta,
                       peak=lambda cfg: mu_glrd1(cfg.n_samples, cfg.prior.k,
                                                 cfg.signal.snr_linear)),
-    "alrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior)),
-    "glrd2": Detector(FREQ, lambda xy, alpha, prior: t_alrd2(*xy, prior),
+    "alrd2": Detector(FREQ, lambda xy, alpha, prior: xy[0] / (prior.theta + xy[1])),
+    "glrd2": Detector(FREQ, lambda xy, alpha, prior: xy[0] / (prior.theta + xy[1]),
                       peak=lambda cfg: rho_glrd2(
                           cfg.geometry.l_inband, cfg.geometry.p_excess,
                           cfg.prior.k, cfg.signal.snr_linear)),

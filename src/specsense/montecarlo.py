@@ -14,8 +14,10 @@ read no channel field, so they are the same for every channel, and
 `n_samples` value.
 
 Every buffer of a block is one whole-array draw, and the scaling,
-mixing, FFTs, band split and statistics run on the whole block, one row
-per trial.
+mixing, FFTs, band split, sums and statistics run on the whole block,
+one row per trial.  The detectors read only sums, so the model source
+draws each trial's sums as Gamma variates, at a cost that does not grow
+with the block size N; the waveform source draws the N samples.
 
 The blocks of a call run on a thread pool: every (phase, channel, block)
 of a `trial_statistics` call or of a `roc_sweep_channels` leg is one
@@ -66,8 +68,8 @@ TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
 KIND_PRIOR = 0  # noise precision, then channel gain
-KIND_TIME = 1   # time samples: noise, then signal
-KIND_BINS = 2   # model-source frequency bins
+KIND_TIME = 1   # waveform time samples (noise, then signal), or sum(r)'s G_N
+KIND_BINS = 2   # model source: sum(y)'s G_P, then sum(x)'s G_L
 
 # Stream index bits below the phase: block, then kind.
 _BLOCK_BITS = 38
@@ -103,22 +105,34 @@ def stream_index(phase: int, block: int, kind: int) -> int:
 def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
             block: int) -> tuple[dict, np.ndarray]:
     """Observations of block `block` of `phase`, trials block * TRIAL_CHUNK
-    up to the next block or cfg.trials, one row per trial, plus their
+    up to the next block or cfg.trials, one entry per trial, plus their
     noise powers alpha.
 
-    `obs[TIME]` holds the squared envelopes r and `obs[FREQ]` the split
-    bins (x in-band, y excess-band), for each domain of `domains`.  Each
-    kind of variate reads its own stream (`stream_index`), in this order:
+    The detectors read an observation only through its sums, so that is
+    what `observe` returns, for each domain of `domains`: `obs[TIME]` is
+    sum(r), the sum of the squared envelopes, and `obs[FREQ]` the pair
+    (sum(x), sum(y)) of in-band and excess-band bin sums.  Each kind of
+    variate reads its own stream (`stream_index`), in this order:
 
     - `KIND_PRIOR`: the noise precisions (unless the noise power is
-      pinned), then the channel gains (occupied channel, unless pinned);
-    - `KIND_TIME`: the time samples' white noise, then their signal
-      (occupied channel, nonzero SNR).  On the waveform source the signal
-      is white symbols shaped by the square root of the raised-cosine
-      profile (`cfg.shaping`), and both observation forms come from it;
-    - `KIND_BINS` (model source): the excess-band exponentials, then the
-      in-band exponentials (idle channel) or the in-band noise and then
-      the signal (occupied channel, unless the signal is pinned).
+      pinned), then the channel gains h (occupied channel, unless pinned);
+    - `KIND_TIME`: on the waveform source, the time samples' white noise,
+      then their signal (occupied channel, nonzero SNR): white symbols
+      shaped by the square root of the raised-cosine profile
+      (`cfg.shaping`).  Both observation forms come from these samples,
+      summed right after the squared envelope and after the FFT and band
+      split.  On the model source, the Gamma(N) variate G_N of
+      sum(r) = alpha * g * G_N;
+    - `KIND_BINS` (model source): the Gamma(P) variate G_P of
+      sum(y) = N * alpha * G_P, then the Gamma(L) variate G_L of
+      sum(x) = N * alpha * g * G_L, or, for a pinned signal s on an
+      occupied channel, the noncentral chi-square C of
+      sum(x) = (N * alpha / 2) * C, with 2L degrees of freedom and
+      noncentrality 2L * |h * s|^2 / (N * alpha).
+
+    Here g = 1 + snr * |h|^2 on occupied trials with a nonzero SNR, and
+    1 otherwise.  These are the model source's laws exactly: given alpha
+    and h its envelopes and bins are independent exponentials.
 
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
@@ -136,61 +150,61 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     n, snr = cfg.n_samples, cfg.signal.snr_linear
     signal = occupied and snr != 0.0
 
-    def normals(width: int) -> np.ndarray:
-        """The stream's next complex normals, E|c|^2 = 2, one row per trial."""
-        return gen.standard_normal((TRIAL_CHUNK, 2 * width))[:rows].view(complex)
-
     seek(stream_index(phase, block, KIND_PRIOR))
-    alpha = (np.full(rows, cfg.noise_power) if cfg.noise_power is not None
-             else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK)[:rows])
+    alpha = (np.full(TRIAL_CHUNK, cfg.noise_power) if cfg.noise_power is not None
+             else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK))
     if cfg.pinned_channel is not None:
         h = complex(cfg.pinned_channel)
     elif occupied:
-        h = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)[:rows, None]
+        h = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
 
     obs = {}
-    if cfg.source == sig.WAVEFORM or det.TIME in domains:
+    if cfg.source == sig.WAVEFORM:
+        alpha = alpha[:rows]
         seek(stream_index(phase, block, KIND_TIME))
         # in place, in the operand order of z = sqrt(alpha / 2) * noise and
         # z = h * (sqrt(alpha * snr / power) * s) + z: complex products
         # can round apart when their operands swap
-        z = normals(n)
+        z = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
         np.multiply(np.sqrt(alpha / 2.0)[:, None], z, out=z)
         if signal:
-            s, power = normals(n), 2.0
-            if cfg.source == sig.WAVEFORM:
-                mask, power = cfg.shaping
-                np.multiply(math.sqrt(0.5), s, out=s)
-                np.multiply(mask, s, out=s)
-                np.fft.ifft(s, axis=1, out=s)
+            s = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
+            mask, power = cfg.shaping
+            np.multiply(math.sqrt(0.5), s, out=s)
+            np.multiply(mask, s, out=s)
+            np.fft.ifft(s, axis=1, out=s)
             np.multiply(np.sqrt(alpha * snr / power)[:, None], s, out=s)
-            np.multiply(h, s, out=s)
+            np.multiply(h[:rows, None] if np.ndim(h) else h, s, out=s)
             np.add(s, z, out=z)
             del s  # free the signal buffer before the envelopes are taken
         if det.TIME in domains:
-            obs[det.TIME] = squared_envelope(z)
-        if det.FREQ in domains and cfg.source == sig.WAVEFORM:
+            obs[det.TIME] = squared_envelope(z).sum(axis=1)
+        if det.FREQ in domains:
             w = spectrum_bins(z, overwrite=True)
             del z  # the DFT overwrote it: free it before the split
             inband, excess = cfg.bands
             # take keeps each trial's bins contiguous, so each row sums as alone
-            obs[det.FREQ] = w.take(inband, axis=1), w.take(excess, axis=1)
-    if det.FREQ in domains and cfg.source == sig.MODEL:
+            obs[det.FREQ] = (w.take(inband, axis=1).sum(axis=1),
+                             w.take(excess, axis=1).sum(axis=1))
+        return obs, alpha
+
+    g = 1.0 + snr * np.abs(h) ** 2 if signal else 1.0
+    if det.TIME in domains:
+        seek(stream_index(phase, block, KIND_TIME))
+        obs[det.TIME] = (alpha * g * gen.standard_gamma(n, TRIAL_CHUNK))[:rows]
+    if det.FREQ in domains:
         seek(stream_index(phase, block, KIND_BINS))
-        geom = cfg.geometry
-        scale = (n * alpha)[:, None]
-        y = scale * gen.standard_exponential((TRIAL_CHUNK, geom.p_excess))[:rows]
-        if not occupied:
-            x = scale * gen.standard_exponential((TRIAL_CHUNK, geom.l_inband))[:rows]
+        geom, scale = cfg.geometry, n * alpha
+        sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
+        if occupied and cfg.pinned_signal is not None:
+            # a full-length noncentrality array: row i's draw then depends
+            # on rows 0 .. i of the block alone
+            nc = 2 * geom.l_inband * np.abs(h * cfg.pinned_signal) ** 2 / scale
+            sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
         else:
-            v = np.sqrt(scale / 2.0) * normals(geom.l_inband)
-            if cfg.pinned_signal is not None:
-                v = h * cfg.pinned_signal + v
-            elif signal:
-                v = h * (np.sqrt(scale * snr / 2.0) * normals(geom.l_inband)) + v
-            x = np.abs(v) ** 2
-        obs[det.FREQ] = x, y
-    return obs, alpha
+            sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
+        obs[det.FREQ] = sum_x[:rows], sum_y[:rows]
+    return obs, alpha[:rows]
 
 
 def _usable_cpus() -> int:

@@ -4,8 +4,9 @@ shaping laws of a trial.
 The receiver's noise power is uncertain: the noise *precision* (inverse
 power) follows a Gamma(k+1, theta) prior, so the prior mean noise power
 is theta/k.  Each trial draws a noise power from that prior, a channel
-gain, and then either a time-domain sample block or frequency-domain
-bins directly; `montecarlo.observe` draws them.
+gain, and then either a time-domain sample block (waveform source) or
+the sums of its envelopes and bins directly (model source);
+`montecarlo.observe` draws them.
 """
 
 from __future__ import annotations

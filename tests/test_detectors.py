@@ -219,7 +219,8 @@ class TestDetectorTable:
             detector("nope")
 
     def test_optimal_normalizes_by_true_noise(self):
-        assert DETECTORS["optimal"].statistic(np.full(20, 2.0), 2.0, PRIOR) == 20.0
+        # the table reads sums: 20 envelopes of 2.0 sum to 40.0
+        assert DETECTORS["optimal"].statistic(40.0, 2.0, PRIOR) == 20.0
 
     def test_peaks_only_on_glr_rows(self):
         cfg = ScenarioConfig(20, PRIOR, SignalSpec.critically_sampled(54_000.0, 0.25, 1.0),
@@ -234,9 +235,10 @@ class TestDetectorTable:
         rng = stream_seeker(407)[0]
         trials = 300
         alpha = 1.0 / rng.gamma(PRIOR.k + 1, 1.0 / PRIOR.theta, trials)
-        blocks = {TIME: rng.exponential(1.0, (trials, 20)),
-                  FREQ: (rng.exponential(20.0, (trials, 16)),
-                         rng.exponential(20.0, (trials, 4)))}
+        # the sums of each trial's envelopes and bins, as observe returns them
+        blocks = {TIME: rng.exponential(1.0, (trials, 20)).sum(axis=1),
+                  FREQ: (rng.exponential(20.0, (trials, 16)).sum(axis=1),
+                         rng.exponential(20.0, (trials, 4)).sum(axis=1))}
         for name, row in DETECTORS.items():
             block = blocks[row.domain]
             whole = row.statistic(block, alpha, PRIOR)

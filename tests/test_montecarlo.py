@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import betainc, gammainc
 
 from specsense import montecarlo
-from specsense.analysis import pd_alrd1
+from specsense.analysis import pd_alrd1, pfa_alrd2_exact
 from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
 from specsense.errors import ConfigError, NumericFailure
 from specsense.montecarlo import (
@@ -92,12 +95,10 @@ def reference_time_samples(cfg, phase, block, alpha, h):
     return h * s + z
 
 
-def reference_block(cfg, domains, phase, block):
-    """One block's observations and noise powers, computed the plain way:
-    a generator built directly on each kind's stream, every buffer drawn
-    and every row computed for all TRIAL_CHUNK trials, and the rows past
-    cfg.trials dropped at the end.  This defines the stream layout;
-    `observe` must match it bit for bit."""
+def reference_prior(cfg, phase, block):
+    """A block's noise powers and channel gains for all TRIAL_CHUNK rows,
+    from its `KIND_PRIOR` stream; h is 1 on an idle channel, and a
+    pinned channel is one complex number."""
     prior = kind_generator(cfg.master_seed, phase, block, KIND_PRIOR)
     if cfg.noise_power is None:
         alpha = draw_noise_power(cfg.prior, prior, TRIAL_CHUNK)
@@ -105,10 +106,34 @@ def reference_block(cfg, domains, phase, block):
         alpha = np.full(TRIAL_CHUNK, cfg.noise_power)
     h = np.ones(TRIAL_CHUNK, dtype=complex)
     if phase == PHASE_EVAL_H1:
-        h = (np.full(TRIAL_CHUNK, complex(cfg.pinned_channel))
-             if cfg.pinned_channel is not None
+        h = (complex(cfg.pinned_channel) if cfg.pinned_channel is not None
              else channel_gain(cfg.channel, prior, TRIAL_CHUNK))
-    a, hc = alpha[:, None], h[:, None]
+    return alpha, h
+
+
+def first_rows(cfg, block, obs, alpha):
+    """A block's observations and noise powers without the rows past
+    cfg.trials."""
+    rows = min(TRIAL_CHUNK, cfg.trials - block * TRIAL_CHUNK)
+    obs = {k: v[:rows] if k == TIME else tuple(part[:rows] for part in v)
+           for k, v in obs.items()}
+    return obs, alpha[:rows]
+
+
+def reference_block(cfg, domains, phase, block):
+    """One block's per-sample and per-bin observations and noise powers,
+    computed the plain way: a generator built directly on each kind's
+    stream, every buffer drawn and every row computed for all TRIAL_CHUNK
+    trials, and the rows past cfg.trials dropped at the end.
+
+    This is the per-bin sampler.  On the waveform source it defines the
+    stream layout, and `observe` must match its sums (`reduce_block`) bit
+    for bit.  On the model source it draws the N envelopes and the L + P
+    bins of each trial from the model's law, which `observe` replaces by
+    their Gamma sums: the two samplers are held to each other in law
+    (`TestSamplersAgree`)."""
+    alpha, h = reference_prior(cfg, phase, block)
+    a, hc = alpha[:, None], (h if np.ndim(h) == 0 else h[:, None])
 
     obs = {}
     if cfg.source == WAVEFORM or TIME in domains:
@@ -137,27 +162,78 @@ def reference_block(cfg, domains, phase, block):
                 e = hc * (np.sqrt(scale * cfg.signal.snr_linear / 2.0) * normals())
             x = np.abs(e + v) ** 2
         obs[FREQ] = x, y
+    return first_rows(cfg, block, obs, alpha)
 
-    rows = min(TRIAL_CHUNK, cfg.trials - block * TRIAL_CHUNK)
-    obs = {k: v[:rows] if k == TIME else tuple(part[:rows] for part in v)
-           for k, v in obs.items()}
-    return obs, alpha[:rows]
+
+def reduce_block(block):
+    """A per-bin block reduced to the sums `observe` returns: sum(r) per
+    trial, and sum(x) and sum(y) per trial."""
+    obs, alpha = block
+    sums = {k: v.sum(axis=1) if k == TIME else tuple(part.sum(axis=1) for part in v)
+            for k, v in obs.items()}
+    return sums, alpha
+
+
+def reference_sums(cfg, domains, phase, block):
+    """One block's sums and noise powers, computed the plain way; this
+    defines the stream layout, and `observe` must match it bit for bit.
+
+    On the waveform source they are the per-bin block's sums.  On the
+    model source each sum is one Gamma variate, drawn for all TRIAL_CHUNK
+    trials: sum(r) = alpha * g * G_N from `KIND_TIME`, then from
+    `KIND_BINS` sum(y) = N * alpha * G_P and sum(x) = N * alpha * g * G_L,
+    with g = 1 + snr * |h|^2 on occupied trials with signal; a pinned
+    signal s makes sum(x) (N * alpha / 2) times a noncentral chi-square
+    with 2L degrees of freedom and noncentrality 2L |h s|^2 / (N alpha)."""
+    if cfg.source == WAVEFORM:
+        return reduce_block(reference_block(cfg, domains, phase, block))
+    alpha, h = reference_prior(cfg, phase, block)
+    n, snr = cfg.n_samples, cfg.signal.snr_linear
+    occupied = phase == PHASE_EVAL_H1
+    g = 1.0 + snr * np.abs(h) ** 2 if occupied and snr != 0.0 else np.ones(TRIAL_CHUNK)
+    obs = {}
+    if TIME in domains:
+        gen = kind_generator(cfg.master_seed, phase, block, KIND_TIME)
+        obs[TIME] = alpha * g * gen.standard_gamma(n, TRIAL_CHUNK)
+    if FREQ in domains:
+        gen = kind_generator(cfg.master_seed, phase, block, KIND_BINS)
+        geom, scale = cfg.geometry, n * alpha
+        sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
+        if occupied and cfg.pinned_signal is not None:
+            nc = 2 * geom.l_inband * np.abs(h * cfg.pinned_signal) ** 2 / scale
+            sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
+        else:
+            sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
+        obs[FREQ] = sum_x, sum_y
+    return first_rows(cfg, block, obs, alpha)
 
 
 def blocks(cfg):
     return range(-(-cfg.trials // TRIAL_CHUNK))
 
 
-def reference_statistics(cfg, names, phase):
-    """Statistics of all of cfg's trials, one reference block at a time."""
+def block_statistics(cfg, names, phase, reference):
+    """Statistics of all of cfg's trials, one `reference` block at a time."""
     rows = {name: DETECTORS[name] for name in names}
     domains = {row.domain for row in rows.values()}
     out = {name: [] for name in names}
     for block in blocks(cfg):
-        obs, alpha = reference_block(cfg, domains, phase, block)
+        obs, alpha = reference(cfg, domains, phase, block)
         for name, row in rows.items():
             out[name].append(row.statistic(obs[row.domain], alpha, cfg.prior))
     return {name: np.concatenate(parts) for name, parts in out.items()}
+
+
+def reference_statistics(cfg, names, phase):
+    """Statistics of all of cfg's trials from the sums reference, which
+    the engine matches bit for bit."""
+    return block_statistics(cfg, names, phase, reference_sums)
+
+
+def per_bin_statistics(cfg, names, phase):
+    """Statistics of all of cfg's trials from the per-bin sampler."""
+    return block_statistics(cfg, names, phase,
+                            lambda *key: reduce_block(reference_block(*key)))
 
 
 def assert_same_block(got, want):
@@ -253,8 +329,9 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("n, rate", [(20, None), (100, None), (37, 90_000.0)])
     def test_waveform_bins_match_split_bands(self, n, rate):
-        # the engine's bins are the block's DFT bins at the band split's
-        # indices, including when an oversampled block discards bins
+        # the engine's bin sums are the sums of the block's DFT bins at the
+        # band split's indices, including when an oversampled block
+        # discards bins
         cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5),
                       pinned_channel=0.8 + 0.2j)
         if rate is not None:
@@ -263,13 +340,14 @@ class TestTrialEngine:
         obs, alpha = observe(cfg, {FREQ}, PHASE_EVAL_H1, 0)
         x, y = obs[FREQ]
         assert np.array_equal(alpha, np.full(5, 1.3))
-        assert x.shape == (5, cfg.geometry.l_inband)
-        assert y.shape == (5, cfg.geometry.p_excess)
+        assert x.shape == y.shape == (5,)
         column = np.ones((TRIAL_CHUNK, 1))
         z = reference_time_samples(cfg, PHASE_EVAL_H1, 0, 1.3 * column,
                                    (0.8 + 0.2j) * column)
         w = spectrum_bins(z[:5])
-        assert np.array_equal(x, w[:, inband]) and np.array_equal(y, w[:, excess])
+        # take keeps each row contiguous, so it sums as the engine's does
+        assert np.array_equal(x, w.take(inband, axis=1).sum(axis=1))
+        assert np.array_equal(y, w.take(excess, axis=1).sum(axis=1))
         # and the engine computes the same statistics from them
         cfg = replace(cfg, trials=40)
         assert_same_statistics(trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1),
@@ -298,7 +376,7 @@ class TestTrialEngine:
 
 
 class TestBlockEngine:
-    """The block engine against the per-block reference, bit for bit."""
+    """The block engine against the per-block sums reference, bit for bit."""
 
     VARIANTS = {
         "awgn": {},
@@ -317,7 +395,7 @@ class TestBlockEngine:
         domains = {DETECTORS[name].domain for name in names}
         for phase in PHASES:
             assert_same_block(observe(cfg, domains, phase, 0),
-                              reference_block(cfg, domains, phase, 0))
+                              reference_sums(cfg, domains, phase, 0))
             assert_same_statistics(trial_statistics(cfg, names, phase),
                                    reference_statistics(cfg, names, phase))
 
@@ -330,7 +408,7 @@ class TestBlockEngine:
         names = ["optimal", "alrd1", "alrd2"]
         for phase in PHASES:
             assert_same_block(observe(cfg, {TIME, FREQ}, phase, 0),
-                              reference_block(cfg, {TIME, FREQ}, phase, 0))
+                              reference_sums(cfg, {TIME, FREQ}, phase, 0))
             assert_same_statistics(trial_statistics(cfg, names, phase),
                                    reference_statistics(cfg, names, phase))
 
@@ -364,7 +442,7 @@ class TestBlockEngine:
             for block in blocks(cfg):
                 obs, alpha = observe(cfg, {TIME, FREQ}, phase, block)
                 assert_same_block((obs, alpha),
-                                  reference_block(cfg, {TIME, FREQ}, phase, block))
+                                  reference_sums(cfg, {TIME, FREQ}, phase, block))
                 rows = alpha.size
                 longer, alpha_longer = observe(full, {TIME, FREQ}, phase, block)
                 assert np.array_equal(alpha, alpha_longer[:rows])
@@ -507,6 +585,61 @@ class TestStreamLayout:
         for (source, phase), want in whole.items():
             got = trial_statistics(cfgs[source], names, phase)
             assert_same_statistics(got, {name: want[name] for name in names})
+
+
+class TestSamplersAgree:
+    """The engine's Gamma sums against the per-bin sampler, in law: a
+    two-sample Anderson-Darling test of each detector's statistics, per
+    phase, channel and pinned case, at fixed, independent seeds."""
+
+    NAMES = ["optimal", "alrd1", "alrd2"]
+    VARIANTS = {
+        "awgn": {},
+        "rayleigh": {"channel": ChannelSpec(RAYLEIGH)},
+        "nakagami": {"channel": ChannelSpec(NAKAGAMI, nakagami_m=2.0)},
+        "pinned-noise": {"channel": ChannelSpec(RAYLEIGH), "noise_power": 1.7},
+        "pinned-channel": {"pinned_channel": 0.3 - 0.4j},
+        "pinned-signal": {"channel": ChannelSpec(RAYLEIGH), "pinned_signal": 2 + 1j},
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_same_law_as_the_per_bin_sampler(self, phase, variant):
+        cfg = replace(make_cfg(trials=5000), **self.VARIANTS[variant])
+        engine = trial_statistics(cfg, self.NAMES, phase)
+        per_bin = per_bin_statistics(replace(cfg, master_seed=cfg.master_seed + 1),
+                                     self.NAMES, phase)
+        for name in self.NAMES:
+            with warnings.catch_warnings():
+                # the p-value is clipped to [0.001, 0.25], with a warning
+                warnings.simplefilter("ignore", UserWarning)
+                res = stats.anderson_ksamp([engine[name], per_bin[name]])
+            assert res.pvalue > 0.001, (name, res.statistic)
+
+
+class TestExactH0Laws:
+    """Calibration-phase statistics against their exact H0 laws
+    (Kolmogorov-Smirnov, at a fixed seed)."""
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_statistics_follow_their_exact_laws(self, n, source):
+        k, theta = PRIOR.k, PRIOR.theta
+        cfg = make_cfg(n=n, trials=20_000, source=source,
+                       channel=ChannelSpec(RAYLEIGH))
+        cal = trial_statistics(cfg, ["optimal", "alrd1"], PHASE_CALIBRATION)
+        # sum(r) / alpha ~ Gamma(N); sum(r) / theta = G_N / G_(k+1) under
+        # the prior is beta prime (N, k + 1)
+        laws = {"optimal": lambda t: gammainc(n, t),
+                "alrd1": lambda t: betainc(n, k + 1, t / (1.0 + t))}
+        for name, cdf in laws.items():
+            assert stats.kstest(cal[name], cdf).pvalue > 0.001, name
+        pinned = replace(cfg, noise_power=1.0)
+        geom = pinned.geometry
+        t = trial_statistics(pinned, ["alrd2"], PHASE_CALIBRATION)["alrd2"]
+        res = stats.kstest(t, lambda eta: 1.0 - pfa_alrd2_exact(
+            geom.l_inband, geom.p_excess, n, 1.0, theta, eta))
+        assert res.pvalue > 0.001
 
 
 class TestEmpiricalCdf:

@@ -24,6 +24,7 @@ from specsense.signals import (
     draw_noise_power,
     raised_cosine_profile,
 )
+from test_montecarlo import reference_block
 
 
 def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
@@ -36,7 +37,8 @@ def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
 
 
 def draw(cfg, domain, phase, trials):
-    """`trials` trials of one observation form through the engine."""
+    """`trials` trials of one observation form through the engine: sum(r)
+    for TIME, the pair (sum(x), sum(y)) for FREQ."""
     cfg = replace(cfg, trials=trials)
     parts = [observe(cfg, {domain}, phase, block)[0][domain]
              for block in range(-(-trials // TRIAL_CHUNK))]
@@ -144,28 +146,39 @@ class TestRaisedCosineProfile:
         assert raised_cosine_profile(0.63 * b, b, beta) == 0.0
 
 
+def assert_mean(sample, want):
+    """The sample mean lies within 3 standard errors of `want`."""
+    assert abs(sample.mean() - want) < 3 * sample.std() / math.sqrt(sample.size)
+
+
 class TestGenerateTimeBlock:
-    """The engine's time samples, on both sources, against their laws."""
+    """The engine's sums of squared envelopes, on both sources, against
+    their laws: E[sum(r)] = N * alpha * g, with g = 1 + snr on an occupied
+    unfaded channel."""
 
     def test_h0_power(self):
         for source in (MODEL, WAVEFORM):
             cfg = make_cfg(noise_power=1.0, seed=308, source=source)
-            total = draw(cfg, TIME, PHASE_EVAL_H0, 5000)
-            assert abs(total.mean() - 1.0) < 3 * 1.0 / math.sqrt(total.size), source
+            sums = draw(cfg, TIME, PHASE_EVAL_H0, 5000)
+            assert sums.shape == (5000,)
+            assert_mean(sums, 20.0)
 
     def test_h1_power_additive(self):
         for source in (MODEL, WAVEFORM):
             cfg = make_cfg(snr=1.0, noise_power=1.0, seed=309, source=source)
-            total = draw(cfg, TIME, PHASE_EVAL_H1, 5000)
-            assert abs(total.mean() - 2.0) < 3 * 2.0 / math.sqrt(total.size), source
+            assert_mean(draw(cfg, TIME, PHASE_EVAL_H1, 5000), 40.0)
 
     def test_h1_periodogram_matches_profile(self):
         # Excess/in-band signal power ratio of the averaged periodogram
-        # should match the shaping profile (5% relative).
+        # should match the shaping profile (5% relative).  It needs each
+        # bin, so it reads the per-bin reference sampler, which the
+        # engine's waveform sums match bit for bit.
         cfg = make_cfg(snr=8.0, noise_power=1.0, seed=310,  # noise bias is small
-                       source=WAVEFORM)
+                       source=WAVEFORM, trials=10_000)
         spec = cfg.signal
-        x, y = (b.mean(axis=0) for b in draw(cfg, FREQ, PHASE_EVAL_H1, 10_000))
+        parts = [reference_block(cfg, {FREQ}, PHASE_EVAL_H1, block)[0][FREQ]
+                 for block in range(-(-cfg.trials // TRIAL_CHUNK))]
+        x, y = (np.concatenate(bins).mean(axis=0) for bins in zip(*parts))
         noise_per_bin = cfg.n_samples * 1.0
         sig_x = x.sum() - x.size * noise_per_bin
         sig_y = y.sum() - y.size * noise_per_bin
@@ -177,22 +190,25 @@ class TestGenerateTimeBlock:
 
 
 class TestGenerateBins:
-    """The engine's model-source bins against their laws."""
+    """The engine's model-source bin sums against their laws:
+    E[sum(x)] = N * alpha * L * g and E[sum(y)] = N * alpha * P, with
+    L = 16 and P = 4 at N = 20."""
 
     def test_h0_means(self):
         cfg = make_cfg(noise_power=1.0, seed=311)
         xs, ys = draw(cfg, FREQ, PHASE_EVAL_H0, 20_000)
-        assert abs(xs.mean() - 20.0) < 3 * 20.0 / math.sqrt(xs.size)
-        assert abs(ys.mean() - 20.0) < 3 * 20.0 / math.sqrt(ys.size)
+        assert xs.shape == ys.shape == (20_000,)
+        assert_mean(xs, 20.0 * 16)
+        assert_mean(ys, 20.0 * 4)
 
     def test_h1_means(self):
         cfg = make_cfg(snr=1.0, noise_power=1.0, seed=312)
         xs, ys = draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)
-        assert abs(xs.mean() - 40.0) < 3 * 40.0 / math.sqrt(xs.size)
-        assert abs(ys.mean() - 20.0) < 3 * 20.0 / math.sqrt(ys.size)
+        assert_mean(xs, 20.0 * 16 * 2.0)
+        assert_mean(ys, 20.0 * 4)
 
     def test_cross_path_h0_means_agree(self):
-        # Direct bin sampling vs waveform -> FFT -> split, H0.
+        # Direct sum sampling vs waveform -> FFT -> split -> sums, H0.
         cfg = make_cfg(noise_power=1.0, seed=313)
         x, y = draw(cfg, FREQ, PHASE_EVAL_H0, 10_000)
         xw, yw = draw(replace(cfg, source=WAVEFORM), FREQ, PHASE_EVAL_H0, 10_000)
@@ -200,16 +216,16 @@ class TestGenerateBins:
         assert yw.mean() == pytest.approx(y.mean(), rel=0.02)
 
     def test_pinned_amplitude_mean(self):
+        # E[sum(x)] = L * (|s|^2 + N * alpha) for a pinned signal s
         s = 4.0 + 3.0j
         cfg = replace(make_cfg(snr=1.0, noise_power=1.0, seed=314), pinned_signal=s)
-        xs = draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)[0]
-        expect = abs(s) ** 2 + 20.0
-        assert abs(xs.mean() - expect) < 3 * xs.std() / math.sqrt(xs.size)
+        assert_mean(draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)[0],
+                    16 * (abs(s) ** 2 + 20.0))
 
     def test_noise_and_signal_bins_uncorrelated(self):
         cfg = make_cfg(snr=1.0, noise_power=1.0, seed=315)
         x, y = draw(cfg, FREQ, PHASE_EVAL_H1, 100_000)
-        assert abs(np.corrcoef(x.mean(axis=1), y.mean(axis=1))[0, 1]) < 0.01
+        assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
     def test_noise_power_scaling(self):
         # the same trials at another pinned noise power scale by it
@@ -220,7 +236,7 @@ class TestGenerateBins:
         assert xs2.mean() / xs1.mean() == pytest.approx(c, rel=1e-9)
 
     def test_h0_identical_across_channels(self):
-        # an idle channel reads no channel field: the same bins, bit for bit
+        # an idle channel reads no channel field: the same sums, bit for bit
         samples = [draw(make_cfg(channel=ch, seed=317), FREQ, PHASE_EVAL_H0, 5000)
                    for ch in (ChannelSpec(AWGN), ChannelSpec(RAYLEIGH))]
         for a, b in zip(*samples):
