@@ -13,14 +13,7 @@ one trial itself, from the model source's law on an unfaded channel.
 import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
-from specsense.detectors import (
-    ThresholdSpec,
-    mu_glrd1,
-    rho_glrd2,
-    t_alrd1,
-    t_alrd2,
-    t_opt,
-)
+from specsense.detectors import DETECTORS, ThresholdSpec, mu_glrd1, rho_glrd2
 from specsense.numerics import complex_gaussian, stream_seeker
 from specsense.observation import squared_envelope
 from specsense.signals import (
@@ -50,20 +43,24 @@ def main():
                          + complex_gaussian(n * alpha * spec.snr_linear, gen,
                                             geom.l_inband))
     y = n * alpha * gen.standard_exponential(geom.p_excess)
+    # the detector table reads the sums
+    sum_r, xy = r.sum(), (x.sum(), y.sum())
     print(f"prior: precision ~ Gamma({prior.precision_shape:.0f}, "
           f"{prior.theta}), mean noise power {prior.mean_noise_power:.2f}")
     print(f"this trial's true noise power: {alpha:.3f}\n")
 
     print("time-domain statistics (threshold scale: energy sum):")
-    print(f"  energy sum              {t_opt(r):9.3f}")
-    print(f"  prior-scaled energy     {t_alrd1(r, prior):9.3f}")
+    print(f"  energy sum              {sum_r:9.3f}")
+    print(f"  prior-scaled energy     "
+          f"{DETECTORS['alrd1'].statistic(sum_r, alpha, prior):9.3f}")
     print(f"  GLR peak location       {mu_glrd1(n, prior.k, spec.snr_linear):9.3f}")
 
     print("\nfrequency-domain statistics "
           f"(L={geom.l_inband}, P={geom.p_excess}):")
     eta = 5.0
-    print(f"  excess-normalized ratio {t_alrd2(x, y, prior):9.3f}")
-    print(f"  linearized form         {x.sum() - eta * y.sum():9.3f} "
+    stat = DETECTORS["alrd2"].statistic(xy, alpha, prior)
+    print(f"  excess-normalized ratio {stat:9.3f}")
+    print(f"  linearized form         {xy[0] - eta * xy[1]:9.3f} "
           f"(vs cutoff eta*theta = {eta * prior.theta:.1f})")
     print(f"  GLR peak location       "
           f"{rho_glrd2(geom.l_inband, geom.p_excess, prior.k, spec.snr_linear):9.3f}")
@@ -82,7 +79,6 @@ def main():
         est = map_noise_power(prior, snr, x=x, y=y)
         print(f"MAP bin-scale noise power assuming {hyp}: {est:7.2f}")
 
-    stat = t_alrd2(x, y, prior)
     occupied = ThresholdSpec(eta1=5.0, eta2=50.0).decide(stat)
     print(f"\nband rule on the ratio statistic: statistic "
           f"{stat:.3f} -> {'occupied' if occupied else 'idle'}")

@@ -196,11 +196,13 @@ def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], 
     """Monte Carlo average of a conditional probability over the prior.
 
     `point_fn(alphas, gains, amps)` is called once with three arrays of
-    length `mc_draws`: noise powers from the prior, channel gains (all 1
-    without a channel) and unit-power circular Gaussian signal amplitudes
-    (all 0 unless `draw_signal`), which the callee scales itself.  It
-    returns one value per draw, as the closed forms above do, or a scalar
-    that counts for every draw.  The draws come from stream 0 of
+    length `mc_draws`: noise powers from the prior, real channel
+    amplitudes |h| = sqrt(`signals.channel_gain`) (all 1 without a
+    channel) and unit-power circular Gaussian signal amplitudes (all 0
+    unless `draw_signal`), which the callee scales itself.  The closed
+    forms read a gain only through |h|^2 or |h*s|^2, so a real amplitude
+    carries the whole channel law.  It returns one value per draw, as the
+    closed forms above do, or a scalar that counts for every draw.  The draws come from stream 0 of
     `numerics.stream_seeker(seed)`.  Returns the mean with its standard
     error.
     """
@@ -208,8 +210,8 @@ def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], 
         raise ValueError("mc_draws must be >= 1")
     gen = stream_seeker(seed)[0]
     alphas = draw_noise_power(prior, gen, size=mc_draws)
-    gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
-             else np.ones(mc_draws, dtype=complex))
+    gains = (np.sqrt(channel_gain(channel, gen, size=mc_draws)) if channel is not None
+             else np.ones(mc_draws))
     amps = (complex_gaussian(1.0, gen, size=mc_draws) if draw_signal
             else np.zeros(mc_draws, dtype=complex))
     vals = np.broadcast_to(np.asarray(point_fn(alphas, gains, amps), dtype=float),

@@ -10,13 +10,13 @@ In practice the upper tail beyond the likelihood maximum carries
 negligible mass, so the one-sided form (upper threshold at infinity) is
 the default operating mode.
 
-Statistic conventions: `t_opt` is the plain energy sum of the squared
-envelopes; `t_alrd1` divides it by the prior rate theta; `t_alrd2` is
-sum(x) / (theta + sum(y)).  The `DETECTORS` table maps each name to its
-statistic on these scales (for `optimal`, the energy sum divided by the
-true noise power), which is where all thresholds in this package live.
-The statistics read an observation only through these sums, so the
-table's statistics take the sums themselves.
+Statistic conventions.  The detectors read an observation only through
+its sums, so the `DETECTORS` table's statistics take the sums
+themselves: `optimal` divides the energy sum sum(r) of the squared
+envelopes by the true noise power, ALRD1 and GLRD1 divide it by the
+prior rate theta, and ALRD2 and GLRD2 read sum(x) / (theta + sum(y)).
+Each ALR detector shares its one statistic function with its GLR twin.
+All thresholds in this package live on these scales.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError
-from .signals import NoisePrior
 
 _INF = float("inf")
 
@@ -52,26 +49,6 @@ class ThresholdSpec:
     def decide(self, statistic):
         """H1 verdict per statistic value (elementwise on arrays)."""
         return (self.eta1 < statistic) & (statistic < self.eta2)
-
-
-# ---------------------------------------------------------------------------
-# Statistics
-# ---------------------------------------------------------------------------
-
-def t_opt(r: np.ndarray):
-    """Energy statistic sum(r) over the last axis; decide H1 when it
-    exceeds the threshold."""
-    return np.asarray(r).sum(axis=-1)
-
-
-def t_alrd1(r: np.ndarray, prior: NoisePrior):
-    """Prior-scaled energy statistic sum(r) / theta."""
-    return t_opt(r) / prior.theta
-
-
-def t_alrd2(x: np.ndarray, y: np.ndarray, prior: NoisePrior):
-    """Excess-band-normalized statistic sum(x) / (theta + sum(y))."""
-    return t_opt(x) / (prior.theta + t_opt(y))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +119,24 @@ class Detector:
     peak: Callable | None = None
 
 
+def _prior_scaled_energy(sum_r, alpha, prior):
+    """sum(r) / theta."""
+    return sum_r / prior.theta
+
+
+def _excess_normalized(xy, alpha, prior):
+    """sum(x) / (theta + sum(y))."""
+    return xy[0] / (prior.theta + xy[1])
+
+
 DETECTORS = {
     "optimal": Detector(TIME, lambda sum_r, alpha, prior: sum_r / alpha),
-    "alrd1": Detector(TIME, lambda sum_r, alpha, prior: sum_r / prior.theta),
-    "glrd1": Detector(TIME, lambda sum_r, alpha, prior: sum_r / prior.theta,
+    "alrd1": Detector(TIME, _prior_scaled_energy),
+    "glrd1": Detector(TIME, _prior_scaled_energy,
                       peak=lambda cfg: mu_glrd1(cfg.n_samples, cfg.prior.k,
                                                 cfg.signal.snr_linear)),
-    "alrd2": Detector(FREQ, lambda xy, alpha, prior: xy[0] / (prior.theta + xy[1])),
-    "glrd2": Detector(FREQ, lambda xy, alpha, prior: xy[0] / (prior.theta + xy[1]),
+    "alrd2": Detector(FREQ, _excess_normalized),
+    "glrd2": Detector(FREQ, _excess_normalized,
                       peak=lambda cfg: rho_glrd2(
                           cfg.geometry.l_inband, cfg.geometry.p_excess,
                           cfg.prior.k, cfg.signal.snr_linear)),

@@ -67,7 +67,7 @@ _UPPER_SHARE = Fraction(1, 10)
 TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
-KIND_PRIOR = 0  # noise precision, then channel gain
+KIND_PRIOR = 0  # noise precision, then channel power gain
 KIND_TIME = 1   # waveform time samples (noise, then signal), or sum(r)'s G_N
 KIND_BINS = 2   # model source: sum(y)'s G_P, then sum(x)'s G_L
 
@@ -115,24 +115,25 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     variate reads its own stream (`stream_index`), in this order:
 
     - `KIND_PRIOR`: the noise precisions (unless the noise power is
-      pinned), then the channel gains h (occupied channel, unless pinned);
+      pinned), then the channel power gains |h|^2 (occupied channel,
+      unless pinned: a pinned channel h enters as |h|^2);
     - `KIND_TIME`: on the waveform source, the time samples' white noise,
       then their signal (occupied channel, nonzero SNR): white symbols
       shaped by the square root of the raised-cosine profile
-      (`cfg.shaping`).  Both observation forms come from these samples,
-      summed right after the squared envelope and after the FFT and band
-      split.  On the model source, the Gamma(N) variate G_N of
+      (`cfg.shaping`) and scaled to power alpha * snr * |h|^2.  Both
+      observation forms come from these samples, summed right after the
+      squared envelope and after the FFT and band split.  On the model source, the Gamma(N) variate G_N of
       sum(r) = alpha * g * G_N;
     - `KIND_BINS` (model source): the Gamma(P) variate G_P of
       sum(y) = N * alpha * G_P, then the Gamma(L) variate G_L of
       sum(x) = N * alpha * g * G_L, or, for a pinned signal s on an
       occupied channel, the noncentral chi-square C of
       sum(x) = (N * alpha / 2) * C, with 2L degrees of freedom and
-      noncentrality 2L * |h * s|^2 / (N * alpha).
+      noncentrality 2L * |h|^2 * |s|^2 / (N * alpha).
 
     Here g = 1 + snr * |h|^2 on occupied trials with a nonzero SNR, and
     1 otherwise.  These are the model source's laws exactly: given alpha
-    and h its envelopes and bins are independent exponentials.
+    and |h|^2 its envelopes and bins are independent exponentials.
 
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
@@ -154,27 +155,25 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     alpha = (np.full(TRIAL_CHUNK, cfg.noise_power) if cfg.noise_power is not None
              else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK))
     if cfg.pinned_channel is not None:
-        h = complex(cfg.pinned_channel)
+        h2 = abs(cfg.pinned_channel) ** 2
     elif occupied:
-        h = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
+        h2 = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
 
     obs = {}
     if cfg.source == sig.WAVEFORM:
-        alpha = alpha[:rows]
         seek(stream_index(phase, block, KIND_TIME))
         # in place, in the operand order of z = sqrt(alpha / 2) * noise and
-        # z = h * (sqrt(alpha * snr / power) * s) + z: complex products
+        # z = sqrt(alpha * snr * |h|^2 / power) * s + z: complex products
         # can round apart when their operands swap
         z = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
-        np.multiply(np.sqrt(alpha / 2.0)[:, None], z, out=z)
+        np.multiply(np.sqrt(alpha[:rows] / 2.0)[:, None], z, out=z)
         if signal:
             s = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
             mask, power = cfg.shaping
             np.multiply(math.sqrt(0.5), s, out=s)
             np.multiply(mask, s, out=s)
             np.fft.ifft(s, axis=1, out=s)
-            np.multiply(np.sqrt(alpha * snr / power)[:, None], s, out=s)
-            np.multiply(h[:rows, None] if np.ndim(h) else h, s, out=s)
+            np.multiply(np.sqrt(alpha * snr * h2 / power)[:rows, None], s, out=s)
             np.add(s, z, out=z)
             del s  # free the signal buffer before the envelopes are taken
         if det.TIME in domains:
@@ -186,9 +185,9 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
             # take keeps each trial's bins contiguous, so each row sums as alone
             obs[det.FREQ] = (w.take(inband, axis=1).sum(axis=1),
                              w.take(excess, axis=1).sum(axis=1))
-        return obs, alpha
+        return obs, alpha[:rows]
 
-    g = 1.0 + snr * np.abs(h) ** 2 if signal else 1.0
+    g = 1.0 + snr * h2 if signal else 1.0
     if det.TIME in domains:
         seek(stream_index(phase, block, KIND_TIME))
         obs[det.TIME] = (alpha * g * gen.standard_gamma(n, TRIAL_CHUNK))[:rows]
@@ -199,7 +198,7 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
         if occupied and cfg.pinned_signal is not None:
             # a full-length noncentrality array: row i's draw then depends
             # on rows 0 .. i of the block alone
-            nc = 2 * geom.l_inband * np.abs(h * cfg.pinned_signal) ** 2 / scale
+            nc = 2 * geom.l_inband * h2 * abs(cfg.pinned_signal) ** 2 / scale
             sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
         else:
             sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)

@@ -4,9 +4,11 @@ shaping laws of a trial.
 The receiver's noise power is uncertain: the noise *precision* (inverse
 power) follows a Gamma(k+1, theta) prior, so the prior mean noise power
 is theta/k.  Each trial draws a noise power from that prior, a channel
-gain, and then either a time-domain sample block (waveform source) or
-the sums of its envelopes and bins directly (model source);
-`montecarlo.observe` draws them.
+power gain |h|^2, and then either a time-domain sample block (waveform
+source) or the sums of its envelopes and bins directly (model source);
+`montecarlo.observe` draws them.  The detectors read the channel only
+through the received signal power, so the power gain is the whole
+channel law.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import complex_gaussian
 from .observation import BandGeometry, band_split_indices
 
 AWGN = "awgn"
@@ -82,7 +83,8 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Channel gain law; fading kinds are normalized to E[|h|^2] = 1."""
+    """Channel gain law; fading kinds are normalized to E[|h|^2] = 1.
+    Only a Nakagami channel takes `nakagami_m`, a finite m >= 0.5."""
 
     kind: str = AWGN
     nakagami_m: float | None = None
@@ -90,8 +92,11 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in (AWGN, RAYLEIGH, NAKAGAMI):
             raise ConfigError(f"unknown channel kind {self.kind!r}")
-        if self.kind == NAKAGAMI and not (self.nakagami_m or 0) >= 0.5:
-            raise ConfigError(f"nakagami channel requires nakagami_m >= 0.5, "
+        if self.kind != NAKAGAMI:
+            if self.nakagami_m is not None:
+                raise ConfigError(f"nakagami_m is set on a {self.kind} channel")
+        elif not (self.nakagami_m is not None and 0.5 <= self.nakagami_m < math.inf):
+            raise ConfigError(f"nakagami channel requires a finite nakagami_m >= 0.5, "
                               f"got {self.nakagami_m}")
 
 
@@ -103,9 +108,10 @@ class ScenarioConfig:
     is idle or occupied.  `noise_power` pins the noise power instead of
     drawing it from the prior; `pinned_channel` / `pinned_signal` fix
     the channel gain and the per-bin signal amplitude of occupied trials
-    (used when validating the conditional closed forms).  `source`
-    selects direct model sampling ("model") or the shaped-waveform path
-    ("waveform").
+    (used when validating the conditional closed forms).  A pinned
+    channel may be complex, but only its power gain |h|^2 is read.
+    `source` selects direct model sampling ("model") or the
+    shaped-waveform path ("waveform").
     """
 
     n_samples: int
@@ -162,20 +168,16 @@ def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size) -> np.nd
 
 
 def channel_gain(channel: ChannelSpec, gen: np.random.Generator, size) -> np.ndarray:
-    """Complex channel gains h, an array of shape `size`.
+    """Channel power gains |h|^2, a real array of shape `size`.
 
-    AWGN is the unfaded reference (h = 1 exactly).  Rayleigh draws a
-    circular complex Gaussian with E[|h|^2] = 1.  Nakagami-m draws the
-    amplitude as sqrt(Gamma(m, rate m)), which has E[amp^2] = 1, with an
-    independent uniform phase; m = 1 coincides with Rayleigh.
+    AWGN is the unfaded reference (|h|^2 = 1 exactly).  Nakagami-m draws
+    |h|^2 ~ Gamma(m, rate m), which has mean 1; Rayleigh is m = 1, the
+    Exp(1) power of a unit circular complex Gaussian gain.
     """
     if channel.kind == AWGN:
-        return np.ones(size, dtype=complex)
-    if channel.kind == RAYLEIGH:
-        return complex_gaussian(1.0, gen, size=size)
-    amp = np.sqrt(gen.gamma(channel.nakagami_m, 1.0 / channel.nakagami_m, size))
-    phase = gen.uniform(-math.pi, math.pi, size=size)
-    return amp * np.exp(1j * phase)
+        return np.ones(size)
+    m = 1.0 if channel.kind == RAYLEIGH else channel.nakagami_m
+    return gen.standard_gamma(m, size) / m
 
 
 def raised_cosine_profile(f, bandwidth_hz: float, rolloff: float):

@@ -26,9 +26,9 @@ from specsense.signals import (
     RAYLEIGH,
     ChannelSpec,
     NoisePrior,
-    channel_gain,
     draw_noise_power,
 )
+from test_montecarlo import power_gain
 
 
 class TestPosteriorUpdate:
@@ -383,13 +383,14 @@ def _power(z):
 def per_draw_reference(point_fn, prior, mc_draws, gen, channel=None,
                        draw_signal=False):
     """Reference: the per-draw loop, one `point_fn` call per prior draw
-    on Python scalars, over the same draws in the same order."""
+    on Python scalars, over the same draws in the same order; the channel
+    amplitudes are the square roots of the power gains."""
     alphas = draw_noise_power(prior, gen, size=mc_draws)
-    gains = (channel_gain(channel, gen, size=mc_draws) if channel is not None
-             else np.ones(mc_draws, dtype=complex))
+    gains = (np.sqrt(power_gain(channel, gen, mc_draws)) if channel is not None
+             else np.ones(mc_draws))
     amps = (complex_gaussian(1.0, gen, size=mc_draws) if draw_signal
             else np.zeros(mc_draws, dtype=complex))
-    vals = np.array([point_fn(float(a), complex(g), complex(s))
+    vals = np.array([point_fn(float(a), float(g), complex(s))
                      for a, g, s in zip(alphas, gains, amps)])
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(mc_draws))
 

@@ -16,14 +16,17 @@ from specsense.detectors import (
     lr_glrd2_value,
     mu_glrd1,
     rho_glrd2,
-    t_alrd1,
-    t_alrd2,
-    t_opt,
 )
 from specsense.numerics import stream_seeker
 from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 
 PRIOR = NoisePrior(k=4, theta=2.0)
+
+
+def statistic(name, obs, alpha=1.0, prior=PRIOR):
+    """Detector `name`'s statistic of the sums `obs`: sum(r), or the pair
+    (sum(x), sum(y))."""
+    return DETECTORS[name].statistic(obs, alpha, prior)
 
 
 class TestThresholdSpec:
@@ -46,54 +49,55 @@ class TestThresholdSpec:
 
 class TestEnergyStatistics:
     def test_t_opt_zeros_and_ones(self):
-        assert t_opt(np.zeros(20)) == 0.0
-        assert t_opt(np.ones(20)) == 20.0
+        # the optimal statistic is the energy sum over the true noise power
+        assert statistic("optimal", np.zeros(20).sum()) == 0.0
+        assert statistic("optimal", np.ones(20).sum()) == 20.0
+        assert statistic("optimal", np.ones(20).sum(), alpha=2.0) == 10.0
 
     def test_t_opt_h0_distribution(self):
-        # Under H0 the sum of N squared envelopes is Gamma(N, scale alpha).
+        # Under H0 the sum of N squared envelopes is Gamma(N, scale alpha),
+        # so the optimal statistic is Gamma(N, scale 1).
         rng = stream_seeker(401)[0]
         n, alpha = 20, 1.3
         z = math.sqrt(alpha / 2) * (rng.standard_normal((100_000, n))
                                     + 1j * rng.standard_normal((100_000, n)))
-        sums = (np.abs(z) ** 2).sum(axis=1)
-        res = stats.kstest(sums, lambda t: gammainc(n, t / alpha))
+        t = statistic("optimal", (np.abs(z) ** 2).sum(axis=1), alpha)
+        res = stats.kstest(t, lambda t: gammainc(n, t))
         assert res.pvalue > 0.01
 
     def test_t_alrd1_is_scaled_energy(self):
-        r = np.full(20, 1.0)
-        assert t_alrd1(r, NoisePrior(k=1, theta=2.0)) == pytest.approx(10.0)
+        assert statistic("alrd1", np.full(20, 1.0).sum(),
+                         prior=NoisePrior(k=1, theta=2.0)) == pytest.approx(10.0)
         rng = stream_seeker(402)[0]
         for _ in range(50):
-            r = rng.exponential(1.0, 20)
-            assert t_alrd1(r, PRIOR) == pytest.approx(t_opt(r) / PRIOR.theta)
+            sum_r = rng.exponential(1.0, 20).sum()
+            assert statistic("alrd1", sum_r) == pytest.approx(sum_r / PRIOR.theta)
 
     def test_order_preserved(self):
         rng = stream_seeker(403)[0]
-        a = [t_opt(rng.exponential(1.0, 20)) for _ in range(200)]
-        b = [x / PRIOR.theta for x in a]
+        a = [rng.exponential(1.0, 20).sum() for _ in range(200)]
+        b = [statistic("alrd1", x) for x in a]
         assert np.array_equal(np.argsort(a), np.argsort(b))
 
 
 class TestExcessBandStatistics:
     def test_t_alrd2_arithmetic(self):
-        x = np.ones(16)
-        y = np.ones(4)
-        assert t_alrd2(x, y, NoisePrior(k=1, theta=1.0)) == pytest.approx(3.2)
+        xy = np.ones(16).sum(), np.ones(4).sum()
+        assert statistic("alrd2", xy, prior=NoisePrior(k=1, theta=1.0)) == pytest.approx(3.2)
 
     def test_large_excess_energy_drives_to_zero(self):
-        x = np.ones(16)
-        assert t_alrd2(x, np.full(4, 1e12), PRIOR) < 1e-10
+        assert statistic("alrd2", (np.ones(16).sum(), np.full(4, 1e12).sum())) < 1e-10
 
     def test_phi_equivalent_to_ratio_rule(self):
-        # t_alrd2 > eta  iff  the linearized form sum(x) - eta*sum(y)
-        # exceeds eta * theta, trial by trial
+        # the alrd2 statistic exceeds eta iff the linearized form
+        # sum(x) - eta*sum(y) exceeds eta * theta, trial by trial
         rng = stream_seeker(404)[0]
         eta = 3.7
         for _ in range(100_000 // 100):
-            x = rng.exponential(20.0, (100, 16))
-            y = rng.exponential(20.0, (100, 4))
-            left = t_alrd2(x, y, PRIOR) > eta
-            right = x.sum(axis=-1) - eta * y.sum(axis=-1) > eta * PRIOR.theta
+            x = rng.exponential(20.0, (100, 16)).sum(axis=-1)
+            y = rng.exponential(20.0, (100, 4)).sum(axis=-1)
+            left = statistic("alrd2", (x, y)) > eta
+            right = x - eta * y > eta * PRIOR.theta
             assert np.array_equal(left, right)
 
 
@@ -163,14 +167,15 @@ class TestDecisionRules:
     def test_glrd1_cases(self):
         thr = ThresholdSpec(eta1=2.0, eta2=10.0)
         prior = NoisePrior(k=1, theta=1.0)
-        verdicts = [thr.decide(t_alrd1(np.full(20, v), prior))
+        verdicts = [thr.decide(statistic("glrd1", np.full(20, v).sum(), prior=prior))
                     for v in (0.05, 0.25, 1.0)]             # stat = 1, 5, 20
         assert verdicts == [False, True, False]
 
     def test_glrd2_above_band_is_h0(self):
         thr = ThresholdSpec(eta1=1.0, eta2=4.0)
         prior = NoisePrior(k=1, theta=1.0)
-        assert not thr.decide(t_alrd2(np.full(16, 100.0), np.full(4, 1.0), prior))
+        xy = np.full(16, 100.0).sum(), np.full(4, 1.0).sum()
+        assert not thr.decide(statistic("glrd2", xy, prior=prior))
 
     def test_one_sided_reduction_exact(self):
         rng = stream_seeker(405)[0]
@@ -181,7 +186,8 @@ class TestDecisionRules:
             r = rng.exponential(1.0, 20)
             x = rng.exponential(20.0, 16)
             y = rng.exponential(20.0, 4)
-            for t in (t_alrd1(r, prior), t_alrd2(x, y, prior)):
+            for t in (statistic("alrd1", r.sum(), prior=prior),
+                      statistic("alrd2", (x.sum(), y.sum()), prior=prior)):
                 assert band.decide(t) == (t > eta)
 
 
@@ -217,6 +223,11 @@ class TestDetectorTable:
     def test_unknown_detector(self):
         with pytest.raises(ConfigError):
             detector("nope")
+
+    def test_glr_rows_share_their_alr_twins_statistic(self):
+        for alr, glr in (("alrd1", "glrd1"), ("alrd2", "glrd2")):
+            assert DETECTORS[glr].statistic is DETECTORS[alr].statistic
+            assert DETECTORS[glr].domain == DETECTORS[alr].domain
 
     def test_optimal_normalizes_by_true_noise(self):
         # the table reads sums: 20 envelopes of 2.0 sum to 40.0

@@ -32,7 +32,7 @@ from specsense.montecarlo import (
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import reg_upper_gamma, stream_seeker
+from specsense.numerics import complex_gaussian, reg_upper_gamma, stream_seeker
 from specsense.observation import band_split_indices, spectrum_bins, squared_envelope
 from specsense.signals import (
     AWGN,
@@ -44,7 +44,6 @@ from specsense.signals import (
     ScenarioConfig,
     SignalSpec,
     WAVEFORM,
-    channel_gain,
     draw_noise_power,
 )
 
@@ -77,9 +76,10 @@ def reference_time_samples(cfg, phase, block, alpha, h):
     """A block's N time samples per trial, for all TRIAL_CHUNK rows:
     white noise of per-sample variance alpha, plus on an occupied
     channel with a nonzero SNR a signal of per-sample power alpha * snr
-    multiplied by h.  The signal is white (model source) or white symbols
-    shaped by `cfg.shaping` (waveform source).  `alpha` and `h` are
-    columns."""
+    times |h|^2.  The model source's signal is white and multiplied by
+    the complex gain h; the waveform source's is white symbols shaped by
+    `cfg.shaping` and scaled by sqrt(alpha * snr * h / power), with h the
+    power gain |h|^2.  `alpha` and `h` are columns."""
     n, snr = cfg.n_samples, cfg.signal.snr_linear
     gen = kind_generator(cfg.master_seed, phase, block, KIND_TIME)
     z = np.sqrt(alpha / 2.0) * gen.standard_normal((TRIAL_CHUNK, 2 * n)).view(complex)
@@ -87,27 +87,50 @@ def reference_time_samples(cfg, phase, block, alpha, h):
         return z
     sym = gen.standard_normal((TRIAL_CHUNK, 2 * n)).view(complex)
     if cfg.source == MODEL:
-        s = np.sqrt(alpha * snr / 2.0) * sym
-    else:
-        mask, power = cfg.shaping
-        s = np.fft.ifft(mask * (math.sqrt(0.5) * sym), axis=1)
-        s = s * np.sqrt(alpha * snr / power)
-    return h * s + z
+        return h * (np.sqrt(alpha * snr / 2.0) * sym) + z
+    mask, power = cfg.shaping
+    s = np.fft.ifft(mask * (math.sqrt(0.5) * sym), axis=1)
+    return np.sqrt(alpha * snr * h / power) * s + z
 
 
-def reference_prior(cfg, phase, block):
+def power_gain(channel, gen, size):
+    """Channel power gains |h|^2: 1 on AWGN, Gamma(m, rate m) on
+    Nakagami-m, and Exp(1) (m = 1) on Rayleigh."""
+    if channel.kind == AWGN:
+        return np.ones(size)
+    m = 1.0 if channel.kind == RAYLEIGH else channel.nakagami_m
+    return gen.standard_gamma(m, size) / m
+
+
+def complex_gain(channel, gen, size):
+    """Complex channel gains h of the same power law: 1 on AWGN, a unit
+    circular complex Gaussian on Rayleigh, and on Nakagami-m an amplitude
+    sqrt(Gamma(m, rate m)) with an independent uniform phase."""
+    if channel.kind == AWGN:
+        return np.ones(size, dtype=complex)
+    if channel.kind == RAYLEIGH:
+        return complex_gaussian(1.0, gen, size)
+    amp = np.sqrt(gen.gamma(channel.nakagami_m, 1.0 / channel.nakagami_m, size))
+    return amp * np.exp(1j * gen.uniform(-math.pi, math.pi, size))
+
+
+def reference_prior(cfg, phase, block, gain=power_gain):
     """A block's noise powers and channel gains for all TRIAL_CHUNK rows,
-    from its `KIND_PRIOR` stream; h is 1 on an idle channel, and a
-    pinned channel is one complex number."""
+    from its `KIND_PRIOR` stream.  `gain` draws the gains: `power_gain`,
+    the stream layout, gives |h|^2, and a pinned channel h then enters as
+    |h|^2; `complex_gain` gives h, and a pinned channel is h itself.  An
+    idle channel draws no gain, and its gain is None."""
     prior = kind_generator(cfg.master_seed, phase, block, KIND_PRIOR)
     if cfg.noise_power is None:
         alpha = draw_noise_power(cfg.prior, prior, TRIAL_CHUNK)
     else:
         alpha = np.full(TRIAL_CHUNK, cfg.noise_power)
-    h = np.ones(TRIAL_CHUNK, dtype=complex)
-    if phase == PHASE_EVAL_H1:
-        h = (complex(cfg.pinned_channel) if cfg.pinned_channel is not None
-             else channel_gain(cfg.channel, prior, TRIAL_CHUNK))
+    h = None
+    if phase == PHASE_EVAL_H1 and cfg.pinned_channel is not None:
+        h = (abs(cfg.pinned_channel) ** 2 if gain is power_gain
+             else complex(cfg.pinned_channel))
+    elif phase == PHASE_EVAL_H1:
+        h = gain(cfg.channel, prior, TRIAL_CHUNK)
     return alpha, h
 
 
@@ -128,11 +151,13 @@ def reference_block(cfg, domains, phase, block):
 
     This is the per-bin sampler.  On the waveform source it defines the
     stream layout, and `observe` must match its sums (`reduce_block`) bit
-    for bit.  On the model source it draws the N envelopes and the L + P
-    bins of each trial from the model's law, which `observe` replaces by
-    their Gamma sums: the two samplers are held to each other in law
+    for bit.  On the model source it draws a complex channel gain
+    (`complex_gain`) and the N envelopes and the L + P bins of each trial
+    from the model's law, which `observe` replaces by the power gain and
+    the Gamma sums: the two samplers are held to each other in law
     (`TestSamplersAgree`)."""
-    alpha, h = reference_prior(cfg, phase, block)
+    alpha, h = reference_prior(cfg, phase, block,
+                               power_gain if cfg.source == WAVEFORM else complex_gain)
     a, hc = alpha[:, None], (h if np.ndim(h) == 0 else h[:, None])
 
     obs = {}
@@ -184,13 +209,13 @@ def reference_sums(cfg, domains, phase, block):
     `KIND_BINS` sum(y) = N * alpha * G_P and sum(x) = N * alpha * g * G_L,
     with g = 1 + snr * |h|^2 on occupied trials with signal; a pinned
     signal s makes sum(x) (N * alpha / 2) times a noncentral chi-square
-    with 2L degrees of freedom and noncentrality 2L |h s|^2 / (N alpha)."""
+    with 2L degrees of freedom and noncentrality 2L |h|^2 |s|^2 / (N alpha)."""
     if cfg.source == WAVEFORM:
         return reduce_block(reference_block(cfg, domains, phase, block))
-    alpha, h = reference_prior(cfg, phase, block)
+    alpha, h2 = reference_prior(cfg, phase, block)
     n, snr = cfg.n_samples, cfg.signal.snr_linear
     occupied = phase == PHASE_EVAL_H1
-    g = 1.0 + snr * np.abs(h) ** 2 if occupied and snr != 0.0 else np.ones(TRIAL_CHUNK)
+    g = 1.0 + snr * h2 if occupied and snr != 0.0 else np.ones(TRIAL_CHUNK)
     obs = {}
     if TIME in domains:
         gen = kind_generator(cfg.master_seed, phase, block, KIND_TIME)
@@ -200,7 +225,7 @@ def reference_sums(cfg, domains, phase, block):
         geom, scale = cfg.geometry, n * alpha
         sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
         if occupied and cfg.pinned_signal is not None:
-            nc = 2 * geom.l_inband * np.abs(h * cfg.pinned_signal) ** 2 / scale
+            nc = 2 * geom.l_inband * h2 * abs(cfg.pinned_signal) ** 2 / scale
             sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
         else:
             sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
@@ -343,7 +368,7 @@ class TestTrialEngine:
         assert x.shape == y.shape == (5,)
         column = np.ones((TRIAL_CHUNK, 1))
         z = reference_time_samples(cfg, PHASE_EVAL_H1, 0, 1.3 * column,
-                                   (0.8 + 0.2j) * column)
+                                   abs(0.8 + 0.2j) ** 2 * column)
         w = spectrum_bins(z[:5])
         # take keeps each row contiguous, so it sums as the engine's does
         assert np.array_equal(x, w.take(inband, axis=1).sum(axis=1))

@@ -106,35 +106,47 @@ class TestDrawNoisePower:
 
 class TestChannelGain:
     def test_awgn_is_unity(self):
-        h = channel_gain(ChannelSpec(AWGN), stream_seeker(1)[0], size=(2, 5))
-        assert h.dtype == complex
-        assert np.array_equal(h, np.ones((2, 5)))
+        h2 = channel_gain(ChannelSpec(AWGN), stream_seeker(1)[0], size=(2, 5))
+        assert h2.dtype == float
+        assert np.array_equal(h2, np.ones((2, 5)))
 
     def test_rayleigh_unit_power(self):
-        h = channel_gain(ChannelSpec(RAYLEIGH), stream_seeker(304)[0], size=1_000_000)
-        p = np.abs(h) ** 2
-        assert abs(p.mean() - 1.0) < 3 * p.std() / math.sqrt(p.size)
+        h2 = channel_gain(ChannelSpec(RAYLEIGH), stream_seeker(304)[0], size=1_000_000)
+        assert h2.dtype == float
+        assert abs(h2.mean() - 1.0) < 3 * h2.std() / math.sqrt(h2.size)
+        # the power of a unit circular complex Gaussian gain is Exp(1)
+        assert stats.kstest(h2[:100_000], stats.expon.cdf).pvalue > 0.01
 
     def test_nakagami_one_equals_rayleigh(self):
         nak = channel_gain(ChannelSpec(NAKAGAMI, nakagami_m=1.0),
                            stream_seeker(305)[0], size=100_000)
         ray = channel_gain(ChannelSpec(RAYLEIGH), stream_seeker(306)[0], size=100_000)
-        res = stats.ks_2samp(np.abs(nak), np.abs(ray))
+        res = stats.ks_2samp(nak, ray)
         assert res.pvalue > 0.01
 
-    def test_nakagami_unit_power_and_uniform_phase(self):
-        h = channel_gain(ChannelSpec(NAKAGAMI, nakagami_m=2.0),
-                         stream_seeker(307)[0], size=500_000)
-        p = np.abs(h) ** 2
-        assert abs(p.mean() - 1.0) < 3 * p.std() / math.sqrt(p.size)
-        counts, _ = np.histogram(np.angle(h), bins=16, range=(-math.pi, math.pi))
-        assert stats.chisquare(counts).pvalue > 0.01
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_nakagami_power_is_gamma(self, m):
+        h2 = channel_gain(ChannelSpec(NAKAGAMI, nakagami_m=m),
+                          stream_seeker(307)[0], size=500_000)
+        assert abs(h2.mean() - 1.0) < 3 * h2.std() / math.sqrt(h2.size)
+        res = stats.kstest(h2[:100_000], stats.gamma(m, scale=1.0 / m).cdf)
+        assert res.pvalue > 0.01
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             ChannelSpec(NAKAGAMI, nakagami_m=0.2)
         with pytest.raises(ValueError):
             ChannelSpec(NAKAGAMI)
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ConfigError, match="finite nakagami_m"):
+            ChannelSpec(NAKAGAMI, nakagami_m=m)
+
+    @pytest.mark.parametrize("kind", [AWGN, RAYLEIGH])
+    def test_m_on_other_kind_rejected(self, kind):
+        with pytest.raises(ConfigError, match="nakagami_m is set"):
+            ChannelSpec(kind, nakagami_m=2.0)
 
 
 class TestRaisedCosineProfile:
