@@ -15,7 +15,6 @@ import numpy as np
 from specsense.analysis import map_noise_power, posterior_update
 from specsense.detectors import DETECTORS, ThresholdSpec, mu_glrd1, rho_glrd2
 from specsense.numerics import complex_gaussian, stream_seeker
-from specsense.observation import squared_envelope
 from specsense.signals import (
     ChannelSpec,
     NoisePrior,
@@ -37,11 +36,11 @@ def main():
     # in-band bins carrying noise and signal and P noise-only excess bins
     gen = stream_seeker(cfg.master_seed)[0]
     alpha = float(draw_noise_power(prior, gen, 1)[0])
-    r = squared_envelope(complex_gaussian(alpha, gen, n)
-                         + complex_gaussian(alpha * spec.snr_linear, gen, n))
-    x = squared_envelope(complex_gaussian(n * alpha, gen, geom.l_inband)
-                         + complex_gaussian(n * alpha * spec.snr_linear, gen,
-                                            geom.l_inband))
+    r = np.abs(complex_gaussian(alpha, gen, n)
+               + complex_gaussian(alpha * spec.snr_linear, gen, n)) ** 2
+    x = np.abs(complex_gaussian(n * alpha, gen, geom.l_inband)
+               + complex_gaussian(n * alpha * spec.snr_linear, gen,
+                                  geom.l_inband)) ** 2
     y = n * alpha * gen.standard_exponential(geom.p_excess)
     # the detector table reads the sums
     sum_r, xy = r.sum(), (x.sum(), y.sum())

@@ -13,15 +13,16 @@ read no channel field, so they are the same for every channel, and
 `roc_sweep_channels` runs them once for all the channels of one
 `n_samples` value.
 
-Every buffer of a block is one whole-array draw, and the scaling,
-mixing, FFTs, band split, sums and statistics run on the whole block,
-one row per trial.  The detectors read only sums, so the model source
-draws each trial's sums as Gamma variates, at a cost that does not grow
-with the block size N; the waveform source draws the N samples.
+Every buffer of a block is one whole-array draw, and the scaling, sums
+and statistics run on the whole block, one row per trial.  The
+detectors read only sums, so each trial's sums are drawn as Gamma
+variates: one per sum on the model source, at a cost that does not grow
+with the block size N, and one per group of equal-gain bins on the
+waveform source, whose shaping makes the bins' signal powers unequal.
 
 The blocks of a call run on a thread pool: every (phase, channel, block)
 of a `trial_statistics` call or of a `roc_sweep_channels` leg is one
-task.  numpy releases the GIL in the draws, FFTs and arithmetic, so the
+task.  numpy releases the GIL in the draws and arithmetic, so the
 blocks run side by side.  The pool has one worker per CPU the process
 may use, at most one per task, and no setting changes that.  It is
 opened and joined inside the call.  A block's values depend on (cfg,
@@ -51,7 +52,6 @@ from . import detectors as det
 from . import signals as sig
 from .errors import ConfigError, NumericFailure
 from .numerics import stream_seeker
-from .observation import spectrum_bins, squared_envelope
 
 PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
@@ -68,8 +68,8 @@ TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
 KIND_PRIOR = 0  # noise precision, then channel power gain
-KIND_TIME = 1   # waveform time samples (noise, then signal), or sum(r)'s G_N
-KIND_BINS = 2   # model source: sum(y)'s G_P, then sum(x)'s G_L
+KIND_TIME = 1   # model source: sum(r)'s G_N; waveform: the discarded bins
+KIND_BINS = 2   # sum(y)'s G_P, then sum(x)'s G_L; waveform: their groups
 
 # Stream index bits below the phase: block, then kind.
 _BLOCK_BITS = 38
@@ -117,27 +117,34 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     - `KIND_PRIOR`: the noise precisions (unless the noise power is
       pinned), then the channel power gains |h|^2 (occupied channel,
       unless pinned: a pinned channel h enters as |h|^2);
-    - `KIND_TIME`: on the waveform source, the time samples' white noise,
-      then their signal (occupied channel, nonzero SNR): white symbols
-      shaped by the square root of the raised-cosine profile
-      (`cfg.shaping`) and scaled to power alpha * snr * |h|^2.  Both
-      observation forms come from these samples, summed right after the
-      squared envelope and after the FFT and band split.  On the model source, the Gamma(N) variate G_N of
-      sum(r) = alpha * g * G_N;
-    - `KIND_BINS` (model source): the Gamma(P) variate G_P of
+    - `KIND_TIME`: on the model source, the Gamma(N) variate G_N of
+      sum(r) = alpha * g * G_N; on the waveform source, the discarded
+      bins' groups (`cfg.bin_groups`; there are none unless the block is
+      oversampled);
+    - `KIND_BINS`: on the model source, the Gamma(P) variate G_P of
       sum(y) = N * alpha * G_P, then the Gamma(L) variate G_L of
       sum(x) = N * alpha * g * G_L, or, for a pinned signal s on an
       occupied channel, the noncentral chi-square C of
       sum(x) = (N * alpha / 2) * C, with 2L degrees of freedom and
-      noncentrality 2L * |h|^2 * |s|^2 / (N * alpha).
+      noncentrality 2L * |h|^2 * |s|^2 / (N * alpha); on the waveform
+      source, the excess-band groups, then the in-band groups.
 
     Here g = 1 + snr * |h|^2 on occupied trials with a nonzero SNR, and
     1 otherwise.  These are the model source's laws exactly: given alpha
     and |h|^2 its envelopes and bins are independent exponentials.
 
+    The waveform source's forward DFT undoes the inverse DFT that shaped
+    its signal (`cfg.shaping`), and white noise has white bins, so given
+    alpha and |h|^2 its bins are independent: |Z_k|^2 ~ N * alpha * g_k *
+    Exp(1), g_k = 1 + snr * |h|^2 * c_k (`cfg.bin_groups`) where g is not
+    1, and 1 where it is.  Each group is a column of Gamma(count) variates
+    scaled by its g_k; a band's row sum times N * alpha is its bin sum,
+    and sum(r) is alpha times all three bands' row sums (Parseval).
+
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
-    candidates, so drawing fewer rows would shift every later buffer.  A
+    candidates, so drawing fewer rows would shift every later buffer.
+    The waveform source draws every group whatever `domains` holds.  A
     row thus depends on (cfg, phase, trial) alone, not on the trial count
     or on the other domains observed.  A block holding none of the
     trials 0 .. cfg.trials - 1 is a `ConfigError`.
@@ -155,36 +162,29 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     alpha = (np.full(TRIAL_CHUNK, cfg.noise_power) if cfg.noise_power is not None
              else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK))
     if cfg.pinned_channel is not None:
-        h2 = abs(cfg.pinned_channel) ** 2
+        h2 = np.full(TRIAL_CHUNK, abs(cfg.pinned_channel) ** 2)
     elif occupied:
         h2 = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
 
     obs = {}
     if cfg.source == sig.WAVEFORM:
+        def band_total(counts, gains):
+            """Per trial, a band's bin sum in units of N * alpha."""
+            gam = gen.standard_gamma(counts, (TRIAL_CHUNK, counts.size))
+            if signal:
+                gam *= 1.0 + snr * h2[:, None] * gains
+            return gam.sum(axis=1)
+
+        inband, excess, discarded = cfg.bin_groups
         seek(stream_index(phase, block, KIND_TIME))
-        # in place, in the operand order of z = sqrt(alpha / 2) * noise and
-        # z = sqrt(alpha * snr * |h|^2 / power) * s + z: complex products
-        # can round apart when their operands swap
-        z = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
-        np.multiply(np.sqrt(alpha[:rows] / 2.0)[:, None], z, out=z)
-        if signal:
-            s = gen.standard_normal((TRIAL_CHUNK, 2 * n))[:rows].view(complex)
-            mask, power = cfg.shaping
-            np.multiply(math.sqrt(0.5), s, out=s)
-            np.multiply(mask, s, out=s)
-            np.fft.ifft(s, axis=1, out=s)
-            np.multiply(np.sqrt(alpha * snr * h2 / power)[:rows, None], s, out=s)
-            np.add(s, z, out=z)
-            del s  # free the signal buffer before the envelopes are taken
+        u_d = band_total(*discarded)
+        seek(stream_index(phase, block, KIND_BINS))
+        u_y = band_total(*excess)
+        u_x = band_total(*inband)
         if det.TIME in domains:
-            obs[det.TIME] = squared_envelope(z).sum(axis=1)
+            obs[det.TIME] = (alpha * (u_x + u_y + u_d))[:rows]
         if det.FREQ in domains:
-            w = spectrum_bins(z, overwrite=True)
-            del z  # the DFT overwrote it: free it before the split
-            inband, excess = cfg.bands
-            # take keeps each trial's bins contiguous, so each row sums as alone
-            obs[det.FREQ] = (w.take(inband, axis=1).sum(axis=1),
-                             w.take(excess, axis=1).sum(axis=1))
+            obs[det.FREQ] = (n * alpha * u_x)[:rows], (n * alpha * u_y)[:rows]
         return obs, alpha[:rows]
 
     g = 1.0 + snr * h2 if signal else 1.0

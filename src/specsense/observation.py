@@ -1,11 +1,10 @@
-"""Squared envelopes and split frequency bins of a sensing block.
+"""The band split of a sensing block's DFT bins.
 
-A sensing block of N complex samples is reduced to either the
-time-domain squared envelopes r, or the magnitude-squared DFT bins
-partitioned into an in-band vector x (|f| <= B/2) and an excess-band
-vector y (B/2 < |f| <= (1+beta)B/2).  The excess band carries noise-only
-bins under the idealized model and is what the proposed detectors
-exploit.
+The N bins of a block are partitioned into an in-band vector x
+(|f| <= B/2) and an excess-band vector y (B/2 < |f| <= (1+beta)B/2).
+Bins beyond the outer edge, present when the block is oversampled, are
+discarded.  The excess band carries noise-only bins under the idealized
+model and is what the proposed detectors exploit.
 """
 
 from __future__ import annotations
@@ -34,25 +33,6 @@ class BandGeometry:
             raise ConfigError(
                 "excess band is empty; the excess-band detectors are undefined"
             )
-
-
-def squared_envelope(z: np.ndarray) -> np.ndarray:
-    """Elementwise |z(n)|^2 of a complex sample block."""
-    r = np.abs(np.asarray(z))
-    r *= r
-    return r
-
-
-def spectrum_bins(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Magnitude-squared bins of the unnormalized forward DFT over the last axis.
-
-    With this convention sum(w) = N * sum(|z|^2) (Parseval), and white
-    noise of per-sample variance a yields i.i.d. exponential bins of
-    mean N*a.  With `overwrite`, the DFT is taken in the memory of z, a
-    complex array, which then holds the DFT.
-    """
-    z = np.asarray(z, dtype=complex)
-    return squared_envelope(np.fft.fft(z, out=z if overwrite else None))
 
 
 def band_split_indices(n_bins: int, spec) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,11 @@ shaping laws of a trial.
 The receiver's noise power is uncertain: the noise *precision* (inverse
 power) follows a Gamma(k+1, theta) prior, so the prior mean noise power
 is theta/k.  Each trial draws a noise power from that prior, a channel
-power gain |h|^2, and then either a time-domain sample block (waveform
-source) or the sums of its envelopes and bins directly (model source);
-`montecarlo.observe` draws them.  The detectors read the channel only
-through the received signal power, so the power gain is the whole
-channel law.
+power gain |h|^2, and then the sums of its envelopes and bins, under
+white bins (model source) or under the bin law of a raised-cosine shaped
+signal (waveform source); `montecarlo.observe` draws them.  The
+detectors read the channel only through the received signal power, so
+the power gain is the whole channel law.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ScenarioConfig:
     (used when validating the conditional closed forms).  A pinned
     channel may be complex, but only its power gain |h|^2 is read.
     `source` selects direct model sampling ("model") or the
-    shaped-waveform path ("waveform").
+    shaped-waveform path ("waveform"), which takes no pinned signal.
     """
 
     n_samples: int
@@ -137,6 +137,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown observation source {self.source!r}")
         if self.noise_power is not None and self.noise_power <= 0:
             raise ConfigError("pinned noise power must be positive")
+        if self.source == WAVEFORM and self.pinned_signal is not None:
+            raise ConfigError("the waveform source draws its signal: "
+                              "a pinned signal is a model-source field")
 
     @cached_property
     def geometry(self) -> BandGeometry:
@@ -151,14 +154,27 @@ class ScenarioConfig:
         return band_split_indices(self.n_samples, self.signal)
 
     @cached_property
-    def shaping(self) -> tuple[np.ndarray, float]:
+    def shaping(self) -> np.ndarray:
         """Waveform shaping: the square root of the raised-cosine profile
-        on the DFT grid, and the per-sample power E[|s|^2] = sum(mask^2)/n^2
-        it gives the inverse DFT of unit-variance white symbols."""
-        n, spec = self.n_samples, self.signal
-        freqs = np.fft.fftfreq(n, d=1.0 / spec.sample_rate_hz)
-        mask = np.sqrt(raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff))
-        return mask, float(np.sum(mask**2)) / n**2
+        on the DFT grid."""
+        spec = self.signal
+        freqs = np.fft.fftfreq(self.n_samples, d=1.0 / spec.sample_rate_hz)
+        return np.sqrt(raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff))
+
+    @cached_property
+    def bin_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The waveform source's DFT bins grouped by signal gain: for the
+        in-band, excess-band and discarded bins in turn, the bin count of
+        each group and its gain c = N * mask^2 / sum(mask^2), by ascending
+        c.  A group holds the bins of one band with equal mask^2, so its
+        bins share the power law N * alpha * (1 + snr * |h|^2 * c) * Exp(1)."""
+        mask2 = self.shaping**2
+        discarded = np.setdiff1d(np.arange(self.n_samples), np.concatenate(self.bands))
+        groups = []
+        for bins in (*self.bands, discarded):
+            values, counts = np.unique(mask2[bins], return_counts=True)
+            groups.append((counts, self.n_samples * values / mask2.sum()))
+        return tuple(groups)
 
 
 def draw_noise_power(prior: NoisePrior, gen: np.random.Generator, size) -> np.ndarray:

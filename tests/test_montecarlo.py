@@ -33,7 +33,7 @@ from specsense.montecarlo import (
     wilson_interval,
 )
 from specsense.numerics import complex_gaussian, reg_upper_gamma, stream_seeker
-from specsense.observation import band_split_indices, spectrum_bins, squared_envelope
+from specsense.observation import band_split_indices
 from specsense.signals import (
     AWGN,
     ChannelSpec,
@@ -53,8 +53,11 @@ PRIOR = NoisePrior(k=3, theta=3.0)
 
 def make_cfg(snr=1.0, n=20, trials=5000, seed=99,
              channel=ChannelSpec(AWGN), noise_power=None, source="model",
-             prior=PRIOR):
+             prior=PRIOR, rate=None):
+    """A scenario, critically sampled unless a sample `rate` is given."""
     spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
+    if rate is not None:
+        spec = replace(spec, sample_rate_hz=rate)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec,
                           channel=channel, trials=trials,
                           master_seed=seed, noise_power=noise_power, source=source)
@@ -70,6 +73,18 @@ def kind_generator(seed, phase, block, kind):
     return np.random.Generator(np.random.Philox(
         key=np.array([seed & mask, seed >> 64], dtype=np.uint64),
         counter=np.array([0, 0, index & mask, index >> 64], dtype=np.uint64)))
+
+
+def squared_envelope(z):
+    """Elementwise |z(n)|^2 of a complex sample block."""
+    return np.abs(z) ** 2
+
+
+def spectrum_bins(z):
+    """Magnitude-squared bins of the unnormalized forward DFT over the
+    last axis: sum(w) = N * sum(|z|^2) (Parseval), and white noise of
+    per-sample variance a yields i.i.d. exponential bins of mean N * a."""
+    return squared_envelope(np.fft.fft(z))
 
 
 def reference_time_samples(cfg, phase, block, alpha, h):
@@ -88,7 +103,8 @@ def reference_time_samples(cfg, phase, block, alpha, h):
     sym = gen.standard_normal((TRIAL_CHUNK, 2 * n)).view(complex)
     if cfg.source == MODEL:
         return h * (np.sqrt(alpha * snr / 2.0) * sym) + z
-    mask, power = cfg.shaping
+    mask = cfg.shaping
+    power = np.sum(mask**2) / n**2  # E[|s|^2] of the shaped white symbols
     s = np.fft.ifft(mask * (math.sqrt(0.5) * sym), axis=1)
     return np.sqrt(alpha * snr * h / power) * s + z
 
@@ -149,12 +165,12 @@ def reference_block(cfg, domains, phase, block):
     stream, every buffer drawn and every row computed for all TRIAL_CHUNK
     trials, and the rows past cfg.trials dropped at the end.
 
-    This is the per-bin sampler.  On the waveform source it defines the
-    stream layout, and `observe` must match its sums (`reduce_block`) bit
-    for bit.  On the model source it draws a complex channel gain
-    (`complex_gain`) and the N envelopes and the L + P bins of each trial
-    from the model's law, which `observe` replaces by the power gain and
-    the Gamma sums: the two samplers are held to each other in law
+    This is the per-bin sampler.  On the waveform source it draws the N
+    time samples, shapes the signal and takes the FFT and the band split.
+    On the model source it draws a complex channel gain (`complex_gain`)
+    and the N envelopes and the L + P bins of each trial from the model's
+    law.  `observe` replaces both by Gamma sums (and the model's complex
+    gain by the power gain): the samplers are held to each other in law
     (`TestSamplersAgree`)."""
     alpha, h = reference_prior(cfg, phase, block,
                                power_gain if cfg.source == WAVEFORM else complex_gain)
@@ -199,11 +215,47 @@ def reduce_block(block):
     return sums, alpha
 
 
+def reference_grouped_sums(cfg, domains, phase, block):
+    """The waveform source's sums and noise powers, computed the plain way.
+
+    Each band's bins with equal mask^2 (`cfg.shaping`) form a group, by
+    ascending mask^2.  A group of m bins is one Gamma(m) column, drawn for
+    all TRIAL_CHUNK trials and scaled on occupied trials with signal by
+    g = 1 + snr * |h|^2 * N * mask^2 / sum(mask^2): the discarded groups
+    from `KIND_TIME`, then the excess-band and the in-band groups from
+    `KIND_BINS`.  A band's row sums times N * alpha are its bin sums, and
+    sum(r) is alpha times the three bands' row sums."""
+    alpha, h2 = reference_prior(cfg, phase, block)
+    n, snr = cfg.n_samples, cfg.signal.snr_linear
+    mask2 = cfg.shaping**2
+    inband, excess = cfg.bands
+    discarded = np.setdiff1d(np.arange(n), np.concatenate([inband, excess]))
+
+    def total(kind_gen, bins):
+        values, counts = np.unique(mask2[bins], return_counts=True)
+        gam = kind_gen.standard_gamma(counts, (TRIAL_CHUNK, counts.size))
+        if phase == PHASE_EVAL_H1 and snr != 0.0:
+            gam = gam * (1.0 + snr * np.reshape(h2, (-1, 1))
+                         * (n * values / mask2.sum()))
+        return gam.sum(axis=1)
+
+    u_d = total(kind_generator(cfg.master_seed, phase, block, KIND_TIME), discarded)
+    gen = kind_generator(cfg.master_seed, phase, block, KIND_BINS)
+    u_y = total(gen, excess)
+    u_x = total(gen, inband)
+    obs = {}
+    if TIME in domains:
+        obs[TIME] = alpha * (u_x + u_y + u_d)
+    if FREQ in domains:
+        obs[FREQ] = n * alpha * u_x, n * alpha * u_y
+    return first_rows(cfg, block, obs, alpha)
+
+
 def reference_sums(cfg, domains, phase, block):
     """One block's sums and noise powers, computed the plain way; this
     defines the stream layout, and `observe` must match it bit for bit.
 
-    On the waveform source they are the per-bin block's sums.  On the
+    On the waveform source they are `reference_grouped_sums`.  On the
     model source each sum is one Gamma variate, drawn for all TRIAL_CHUNK
     trials: sum(r) = alpha * g * G_N from `KIND_TIME`, then from
     `KIND_BINS` sum(y) = N * alpha * G_P and sum(x) = N * alpha * g * G_L,
@@ -211,7 +263,7 @@ def reference_sums(cfg, domains, phase, block):
     signal s makes sum(x) (N * alpha / 2) times a noncentral chi-square
     with 2L degrees of freedom and noncentrality 2L |h|^2 |s|^2 / (N alpha)."""
     if cfg.source == WAVEFORM:
-        return reduce_block(reference_block(cfg, domains, phase, block))
+        return reference_grouped_sums(cfg, domains, phase, block)
     alpha, h2 = reference_prior(cfg, phase, block)
     n, snr = cfg.n_samples, cfg.signal.snr_linear
     occupied = phase == PHASE_EVAL_H1
@@ -354,26 +406,26 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("n, rate", [(20, None), (100, None), (37, 90_000.0)])
     def test_waveform_bins_match_split_bands(self, n, rate):
-        # the engine's bin sums are the sums of the block's DFT bins at the
-        # band split's indices, including when an oversampled block
-        # discards bins
-        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5),
-                      pinned_channel=0.8 + 0.2j)
-        if rate is not None:
-            cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
+        # the waveform source's bin groups partition the band split's
+        # in-band, excess-band and discarded bins (an oversampled block
+        # discards some), each group at its bins' gain N mask^2 / sum(mask^2)
+        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5,
+                               rate=rate), pinned_channel=0.8 + 0.2j)
         inband, excess = band_split_indices(n, cfg.signal)
+        discarded = np.setdiff1d(np.arange(n), np.concatenate([inband, excess]))
+        assert (discarded.size > 0) == (rate is not None)
+        gain = n * cfg.shaping**2 / np.sum(cfg.shaping**2)
+        for bins, (counts, gains) in zip((inband, excess, discarded), cfg.bin_groups,
+                                         strict=True):
+            assert counts.sum() == bins.size
+            assert np.all(np.diff(gains) > 0)
+            assert np.array_equal(np.repeat(gains, counts), np.sort(gain[bins]))
+        # the discarded bins lie beyond the shaped band
+        assert np.all(cfg.bin_groups[2][1] == 0.0)
         obs, alpha = observe(cfg, {FREQ}, PHASE_EVAL_H1, 0)
-        x, y = obs[FREQ]
         assert np.array_equal(alpha, np.full(5, 1.3))
-        assert x.shape == y.shape == (5,)
-        column = np.ones((TRIAL_CHUNK, 1))
-        z = reference_time_samples(cfg, PHASE_EVAL_H1, 0, 1.3 * column,
-                                   abs(0.8 + 0.2j) ** 2 * column)
-        w = spectrum_bins(z[:5])
-        # take keeps each row contiguous, so it sums as the engine's does
-        assert np.array_equal(x, w.take(inband, axis=1).sum(axis=1))
-        assert np.array_equal(y, w.take(excess, axis=1).sum(axis=1))
-        # and the engine computes the same statistics from them
+        assert obs[FREQ][0].shape == obs[FREQ][1].shape == (5,)
+        # and the engine computes the grouped-sums reference's statistics
         cfg = replace(cfg, trials=40)
         assert_same_statistics(trial_statistics(cfg, ["alrd2"], PHASE_EVAL_H1),
                                reference_statistics(cfg, ["alrd2"], PHASE_EVAL_H1))
@@ -382,11 +434,13 @@ class TestTrialEngine:
     def test_h0_phases_ignore_the_channel(self, source):
         # idle-channel trials draw no gain and read no channel field, so
         # the calibration and H0 evaluation phases match on every channel
+        # (only the model source takes a pinned signal)
         names = ["optimal", "alrd1", "alrd2"]
         awgn = make_cfg(trials=300, source=source)
+        pinned = {"pinned_signal": 2 + 1j} if source == MODEL else {}
         others = [replace(awgn, channel=ChannelSpec(RAYLEIGH)),
                   replace(awgn, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
-                  replace(awgn, pinned_channel=0.3 - 0.4j, pinned_signal=2 + 1j)]
+                  replace(awgn, pinned_channel=0.3 - 0.4j, **pinned)]
         for phase in (PHASE_CALIBRATION, PHASE_EVAL_H0):
             ref = trial_statistics(awgn, names, phase)
             for cfg in others:
@@ -409,6 +463,7 @@ class TestBlockEngine:
         "nakagami": {"channel": ChannelSpec(NAKAGAMI, nakagami_m=2.0)},
         "pinned-noise": {"channel": ChannelSpec(RAYLEIGH), "noise_power": 1.7},
         "zero-snr": {"channel": ChannelSpec(RAYLEIGH), "snr": 0.0},
+        "oversampled": {"channel": ChannelSpec(RAYLEIGH), "n": 37, "rate": 90_000.0},
     }
 
     @pytest.mark.parametrize("names", [["optimal", "alrd1", "alrd2"], ["alrd1"],
@@ -615,7 +670,9 @@ class TestStreamLayout:
 class TestSamplersAgree:
     """The engine's Gamma sums against the per-bin sampler, in law: a
     two-sample Anderson-Darling test of each detector's statistics, per
-    phase, channel and pinned case, at fixed, independent seeds."""
+    phase, channel and pinned case, at fixed, independent seeds.  On the
+    waveform source the per-bin sampler takes the FFT of shaped time
+    samples."""
 
     NAMES = ["optimal", "alrd1", "alrd2"]
     VARIANTS = {
@@ -627,10 +684,7 @@ class TestSamplersAgree:
         "pinned-signal": {"channel": ChannelSpec(RAYLEIGH), "pinned_signal": 2 + 1j},
     }
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    @pytest.mark.parametrize("phase", PHASES)
-    def test_same_law_as_the_per_bin_sampler(self, phase, variant):
-        cfg = replace(make_cfg(trials=5000), **self.VARIANTS[variant])
+    def assert_same_law(self, cfg, phase):
         engine = trial_statistics(cfg, self.NAMES, phase)
         per_bin = per_bin_statistics(replace(cfg, master_seed=cfg.master_seed + 1),
                                      self.NAMES, phase)
@@ -640,6 +694,21 @@ class TestSamplersAgree:
                 warnings.simplefilter("ignore", UserWarning)
                 res = stats.anderson_ksamp([engine[name], per_bin[name]])
             assert res.pvalue > 0.001, (name, res.statistic)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_same_law_as_the_per_bin_sampler(self, phase, variant):
+        self.assert_same_law(replace(make_cfg(trials=5000), **self.VARIANTS[variant]),
+                             phase)
+
+    @pytest.mark.parametrize("channel", [ChannelSpec(AWGN), ChannelSpec(RAYLEIGH),
+                                         ChannelSpec(NAKAGAMI, nakagami_m=2.0)],
+                             ids=lambda ch: ch.kind)
+    @pytest.mark.parametrize("n, rate", [(20, None), (128, None), (37, 90_000.0)])
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_waveform_same_law_as_the_fft_sampler(self, phase, n, rate, channel):
+        self.assert_same_law(make_cfg(trials=5000, source=WAVEFORM, n=n, rate=rate,
+                                      channel=channel), phase)
 
 
 class TestExactH0Laws:

@@ -6,19 +6,16 @@ from scipy import stats
 
 from specsense.errors import ConfigError
 from specsense.numerics import complex_gaussian, stream_seeker
-from specsense.observation import (
-    BandGeometry,
-    band_split_indices,
-    spectrum_bins,
-    squared_envelope,
-)
+from specsense.observation import BandGeometry, band_split_indices
 from specsense.signals import AWGN, ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
+from test_montecarlo import spectrum_bins, squared_envelope
 
 
 def critical_spec(n=None, bandwidth=54_000.0, rolloff=0.25):
     return SignalSpec.critically_sampled(bandwidth, rolloff, snr_linear=1.0)
 
 
+# The per-bin reference sampler's building blocks (test_montecarlo).
 class TestSquaredEnvelope:
     def test_zeros(self):
         assert np.all(squared_envelope(np.zeros(8, dtype=complex)) == 0)

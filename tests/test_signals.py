@@ -24,7 +24,6 @@ from specsense.signals import (
     draw_noise_power,
     raised_cosine_profile,
 )
-from test_montecarlo import reference_block
 
 
 def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
@@ -182,23 +181,56 @@ class TestGenerateTimeBlock:
 
     def test_h1_periodogram_matches_profile(self):
         # Excess/in-band signal power ratio of the averaged periodogram
-        # should match the shaping profile (5% relative).  It needs each
-        # bin, so it reads the per-bin reference sampler, which the
-        # engine's waveform sums match bit for bit.
+        # should match the shaping profile (5% relative): the engine's
+        # mean bin sums less their noise, L and P bins of power N * alpha
         cfg = make_cfg(snr=8.0, noise_power=1.0, seed=310,  # noise bias is small
                        source=WAVEFORM, trials=10_000)
-        spec = cfg.signal
-        parts = [reference_block(cfg, {FREQ}, PHASE_EVAL_H1, block)[0][FREQ]
-                 for block in range(-(-cfg.trials // TRIAL_CHUNK))]
-        x, y = (np.concatenate(bins).mean(axis=0) for bins in zip(*parts))
+        spec, geom = cfg.signal, cfg.geometry
+        x, y = (sums.mean() for sums in draw(cfg, FREQ, PHASE_EVAL_H1, cfg.trials))
         noise_per_bin = cfg.n_samples * 1.0
-        sig_x = x.sum() - x.size * noise_per_bin
-        sig_y = y.sum() - y.size * noise_per_bin
+        sig_x = x - geom.l_inband * noise_per_bin
+        sig_y = y - geom.p_excess * noise_per_bin
         freqs = np.fft.fftfreq(cfg.n_samples, d=1.0 / spec.sample_rate_hz)
         prof = raised_cosine_profile(freqs, spec.bandwidth_hz, spec.rolloff)
         inband, excess = cfg.bands
         expected = prof[excess].sum() / prof[inband].sum()
         assert sig_y / sig_x == pytest.approx(expected, rel=0.05)
+
+
+class TestBinGroups:
+    """The waveform source's bins, grouped by their signal gain."""
+
+    @pytest.mark.parametrize("n, rate", [(16, None), (20, None), (128, None),
+                                         (37, 90_000.0), (40, 108_000.0)])
+    def test_groups_count_every_bin_once(self, n, rate):
+        cfg = make_cfg(n=n, source=WAVEFORM)
+        if rate is not None:
+            cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
+        geom = cfg.geometry
+        counts = [c.sum() for c, _ in cfg.bin_groups]
+        assert counts == [geom.l_inband, geom.p_excess, n - geom.n_total]
+        # the gains average to 1 over the N bins: the signal keeps its power
+        assert sum((c * g).sum() for c, g in cfg.bin_groups) == pytest.approx(n)
+
+    def test_critical_in_band_group_counts(self):
+        # beta 0.25: symmetric bin pairs share a gain, the flat part is one group
+        sizes = [make_cfg(n=n).bin_groups[0][0].size for n in (16, 32, 64, 100, 128)]
+        assert sizes == [3, 5, 7, 11, 14]
+
+    def test_flat_mask_is_one_group_per_band(self):
+        # a flat mask gives every bin the gain 1, g = 1 + snr |h|^2: the
+        # model source's law, one Gamma sum per band
+        cfg = make_cfg(n=20, source=WAVEFORM)
+        cfg.__dict__["shaping"] = np.ones(20)  # fills the cached property
+        (l_counts, l_gains), (p_counts, p_gains), (d_counts, _) = cfg.bin_groups
+        assert (l_counts.tolist(), p_counts.tolist(), d_counts.size) == ([16], [4], 0)
+        assert l_gains.tolist() == p_gains.tolist() == [1.0]
+
+    def test_pinned_signal_rejected(self):
+        cfg = make_cfg(source=WAVEFORM)
+        with pytest.raises(ConfigError, match="pinned signal"):
+            replace(cfg, pinned_signal=2 + 1j)
+        replace(cfg, source=MODEL, pinned_signal=2 + 1j)
 
 
 class TestGenerateBins:
