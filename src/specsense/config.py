@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .signals import (
     MODEL,
     NAKAGAMI,
+    WAVEFORM,
     ChannelSpec,
     NoisePrior,
     ScenarioConfig,
@@ -169,7 +170,10 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     if v["cdf_points"] < 200:
         raise ConfigError(f"cdf_points must be at least 200, got {v['cdf_points']}")
 
-    snr = 10.0 ** (v["snr_db"] / 10.0)
+    try:
+        snr = 10.0 ** (v["snr_db"] / 10.0)
+    except OverflowError:
+        raise ConfigError(f"snr_db: {v['snr_db']:g} dB overflows a float") from None
     signal = (SignalSpec.critically_sampled(v["bandwidth_hz"], v["rolloff"], snr)
               if v["sample_rate_hz"] is None else
               SignalSpec(v["bandwidth_hz"], v["rolloff"], v["sample_rate_hz"], snr))
@@ -179,7 +183,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
                        noise_power=v["noise_power"], source=v["source"],
                        glr_two_sided=v["glr_two_sided"])
         for n in v["n_samples"])
-    if any(row.domain == FREQ for row in rows):
+    if v["source"] == WAVEFORM or any(row.domain == FREQ for row in rows):
         for cfg in scenarios:
             _ = cfg.geometry  # rejects a band split with too few bins
 

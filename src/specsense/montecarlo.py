@@ -20,28 +20,18 @@ variates: one per sum on the model source, at a cost that does not grow
 with the block size N, and one per group of equal-gain bins on the
 waveform source, whose shaping makes the bins' signal powers unequal.
 
-The blocks of a call run on a thread pool: every (phase, channel, block)
-of a `trial_statistics` call or of a `roc_sweep_channels` leg is one
-task.  numpy releases the GIL in the draws and arithmetic, so the
-blocks run side by side.  The pool has one worker per CPU the process
-may use, at most one per task, and no setting changes that.  It is
-opened and joined inside the call.  A block's values depend on (cfg,
-phase, block) alone and each block writes its own slice of the output,
-so the bytes are the same on any CPU count.  A worker holds one block
-at a time, so at most one block per worker is in flight.
+The blocks of a call run in order, in the calling thread.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
-thresholds off those CDFs; `roc_sweep_channels` and the `roc`,
+thresholds off those CDFs, as `roc_sweep_channels` does; the `roc`,
 `calibrate` and `cdf` commands all go through it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -206,63 +196,34 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     return obs, alpha[:rows]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
+                     phase: int) -> dict[str, np.ndarray]:
+    """Statistic samples for several detectors over the same trials:
+    trials 0 .. cfg.trials - 1 of `phase`, one array of length cfg.trials
+    per detector name.
 
-
-def _run_jobs(jobs: Sequence[tuple[sig.ScenarioConfig, int]],
-              detector_names: Sequence[str]) -> list[dict[str, np.ndarray]]:
-    """Statistic samples of each (cfg, phase) job: trials 0 .. cfg.trials - 1
-    of `phase`, one array of length cfg.trials per detector name.
-
-    Every block of `TRIAL_CHUNK` trials of every job is one task:
-    `observe`, then the detector table, written into the block's own
-    slice of arrays allocated before the run.  The tasks run on a thread
-    pool of `_usable_cpus()` workers, at most one per task, that is
-    joined before the call returns.  When tasks fail, the first failure
-    in job and block order reaches the caller and the tasks not yet
-    started are dropped.
+    The blocks of `TRIAL_CHUNK` trials run in order: each is observed
+    (`observe`) and reduced by the detector table into its slice of the
+    output.
+    A trial count beyond the stream layout is a `ConfigError` raised
+    before anything is allocated, and a non-finite statistic a
+    `NumericFailure`.
     """
-    for cfg, _ in jobs:
-        if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
-            raise ConfigError("trial index out of range")
+    if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
+        raise ConfigError("trial index out of range")
     rows = {name: det.detector(name) for name in detector_names}
     domains = {row.domain for row in rows.values()}
-    outs = [{name: np.empty(cfg.trials) for name in rows} for cfg, _ in jobs]
-    tasks = [(cfg, phase, block, out) for (cfg, phase), out in zip(jobs, outs)
-             for block in range(-(-cfg.trials // TRIAL_CHUNK))]
-
-    def run(task) -> None:
-        cfg, phase, block, out = task
+    out = {name: np.empty(cfg.trials) for name in rows}
+    for block in range(-(-cfg.trials // TRIAL_CHUNK)):
         obs, alpha = observe(cfg, domains, phase, block)
         start = block * TRIAL_CHUNK
         for name, row in rows.items():
             out[name][start:start + alpha.size] = row.statistic(
                 obs[row.domain], alpha, cfg.prior)
-
-    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
-        for _ in pool.map(run, tasks):
-            pass
-    for out in outs:
-        for name, vals in out.items():
-            if not np.all(np.isfinite(vals)):
-                raise NumericFailure(f"non-finite statistic produced by {name!r}")
-    return outs
-
-
-def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
-                     phase: int) -> dict[str, np.ndarray]:
-    """Statistic samples for several detectors over the same trials.
-
-    Trials 0 .. cfg.trials - 1 of `phase` are observed (`observe`) one
-    block of `TRIAL_CHUNK` trials at a time, on the thread pool of
-    `_run_jobs`, and reduced by the detector table.  Returns one array of
-    length cfg.trials per detector name.
-    """
-    return _run_jobs([(cfg, phase)], detector_names)[0]
+    for name, vals in out.items():
+        if not np.all(np.isfinite(vals)):
+            raise NumericFailure(f"non-finite statistic produced by {name!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +374,20 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     the detection probability (with Wilson interval) on H1 trials.  The
     three phases use disjoint random streams.  Calibration and H0
     evaluation read no channel field, so they run once for every
-    channel; only the H1 phase runs per channel.  The blocks of all those
-    phases and channels share one run of the thread pool.  Thresholds
-    follow `calibrate`, which rejects the same target grids before any
-    trial runs; a band rule reports its lower edge.
+    channel; only the H1 phase runs per channel.  Thresholds are those of
+    `calibrate`, which rejects the same target grids before any trial
+    runs; a band rule reports its lower edge.
     """
     grid = _target_grid(cfg, detector_names, pfa_grid)
-    jobs = [(cfg, PHASE_CALIBRATION), (cfg, PHASE_EVAL_H0)]
-    jobs += [(replace(cfg, channel=channel), PHASE_EVAL_H1) for channel in channels]
-    cal, s0, *s1s = _run_jobs(jobs, detector_names)
-    specs = _calibrated(cfg, grid, {name: EmpiricalCdf.from_samples(vals)
-                                    for name, vals in cal.items()})
+    specs = _calibrated(cfg, grid, calibration_cdfs(cfg, detector_names))
+    s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
     pfa = {name: [float(np.mean(spec.decide(s0[name]))) for spec in specs[name]]
            for name in detector_names}
 
     sweeps = []
-    for s1 in s1s:
+    for channel in channels:
+        s1 = trial_statistics(replace(cfg, channel=channel), detector_names,
+                              PHASE_EVAL_H1)
         out: dict[str, list[RocPoint]] = {}
         for name in detector_names:
             points = []

@@ -93,6 +93,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate detector"):
             experiment_from_mapping(raw)
 
+    def test_snr_db_overflow_names_the_key(self):
+        with pytest.raises(ConfigError, match="snr_db"):
+            experiment_from_mapping(parse_config_text(
+                MINIMAL.replace("snr_db = 3", "snr_db = 4000")))
+
     def test_unknown_detector(self):
         raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
                                                 "detectors = alrd1, alrd3"))
@@ -491,6 +496,7 @@ class TestCliValidate:
     ("roc", "fig6", "bandwidth_hz", "-5"),
     ("roc", "fig6", "sample_rate_hz", "60000"),
     ("curves", "curves_awgn", "rolloff", "1.5"),
+    ("roc", "fig4", "snr_db", "4000"),
 ])
 def test_out_of_range_spec_value_is_a_config_error(tmp_path, capsys, command, preset,
                                                    key, value):
@@ -567,6 +573,22 @@ class TestConfigErrorStopsTheRun:
         assert main(["roc", str(conf), "--trials", "0",
                      "--out", str(tmp_path / "out")]) == 1
         assert "trials must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_prints_nothing_before_a_bad_waveform_leg(self, tmp_path,
+                                                                capsys):
+        # the waveform source splits the bands for every detector list: at
+        # 200 kHz, N = 2 has only DC inside the sensed band
+        text = (PRESETS / "fig4.conf").read_text()
+        text = re.sub(r"(?m)^detectors = .*$", "detectors = alrd1", text)
+        text = re.sub(r"(?m)^n_samples = .*$", "n_samples = 20, 2", text)
+        conf = write_config(tmp_path, text + "sample_rate_hz = 200000\n"
+                                              "source = waveform\n")
+        assert main(["calibrate", str(conf), "--pfa", "0.1",
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too few bins inside the sensed band" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_band_split_is_checked_only_for_excess_band_detectors(self):

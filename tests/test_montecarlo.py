@@ -1,5 +1,4 @@
 import math
-import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +23,7 @@ from specsense.montecarlo import (
     PHASE_EVAL_H1,
     TRIAL_CHUNK,
     EmpiricalCdf,
+    _thresholds,
     calibrate,
     calibration_cdfs,
     observe,
@@ -542,66 +542,7 @@ class TestBlockEngine:
                 observe(make_cfg(trials=trials), {TIME}, PHASE_EVAL_H0, block)
         observe(make_cfg(trials=1 << 48), {TIME}, PHASE_EVAL_H0, last - 1)
 
-
-class TestThreadPool:
-    """The blocks of a call run on a thread pool sized to the usable CPUs;
-    the bytes do not depend on its size."""
-
-    CHANNELS = [ChannelSpec(RAYLEIGH), ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
-    NAMES = ["optimal", "alrd1", "alrd2"]
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Forces the pool to `n` workers; records each pool's size."""
-        sizes = []
-
-        class Recorded(montecarlo.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorded)
-
-        def force(n):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: n)
-
-        return force, sizes
-
-    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
-    def test_same_bytes_on_any_pool_size(self, source, pool_sizes):
-        # 2500 trials: three blocks per phase, the last one short
-        force, sizes = pool_sizes
-        cfg = make_cfg(trials=2500, source=source, n=16)
-        grid = [0.05, 0.1, 0.5]
-        runs = []
-        for workers in (1, 2, 3):
-            force(workers)
-            stats = {phase: trial_statistics(cfg, self.NAMES, phase)
-                     for phase in PHASES}
-            runs.append((stats, roc_sweep_channels(cfg, self.NAMES, grid,
-                                                    self.CHANNELS)))
-        # each phase of trial_statistics is 3 tasks, a sweep is 4 jobs of 3
-        assert sizes == [1] * 4 + [2] * 4 + [3] * 4
-        (stats, sweeps), *others = runs
-        for other_stats, other_sweeps in others:
-            for phase in PHASES:
-                assert_same_statistics(other_stats[phase], stats[phase])
-            assert other_sweeps == sweeps
-        # and the one-worker run is the per-block reference
-        for phase in PHASES:
-            assert_same_statistics(stats[phase],
-                                   reference_statistics(cfg, self.NAMES, phase))
-
-    def test_pool_is_capped_by_the_task_count(self, pool_sizes):
-        force, sizes = pool_sizes
-        force(64)
-        trial_statistics(make_cfg(trials=TRIAL_CHUNK + 1), ["alrd1"], PHASE_EVAL_H0)
-        roc_sweep_channels(make_cfg(trials=1000), ["alrd1"], [0.1], self.CHANNELS)
-        assert sizes == [2, 4]
-
-    def test_block_failure_reaches_the_caller(self, pool_sizes, monkeypatch):
-        force, _ = pool_sizes
-        force(3)
+    def test_block_failure_reaches_the_caller(self, monkeypatch):
         failure = NumericFailure("block 1 failed")
         observe = montecarlo.observe
 
@@ -612,22 +553,34 @@ class TestThreadPool:
 
         monkeypatch.setattr(montecarlo, "observe", failing)
         cfg = make_cfg(trials=2500)
-        before = threading.active_count()
+        names = ["optimal", "alrd1", "alrd2"]
         with pytest.raises(NumericFailure) as caught:
-            trial_statistics(cfg, self.NAMES, PHASE_EVAL_H0)
+            trial_statistics(cfg, names, PHASE_EVAL_H0)
         assert caught.value is failure
         with pytest.raises(NumericFailure) as caught:
-            roc_sweep_channels(cfg, self.NAMES, [0.1], self.CHANNELS)
+            roc_sweep_channels(cfg, names, [0.1], [ChannelSpec(RAYLEIGH)])
         assert caught.value is failure
-        assert threading.active_count() == before
 
-    def test_no_thread_outlives_a_call(self):
-        cfg = make_cfg(trials=2500, source=WAVEFORM, n=16)
-        before = threading.active_count()
-        trial_statistics(cfg, self.NAMES, PHASE_EVAL_H1)
-        assert threading.active_count() == before
-        roc_sweep_channels(cfg, self.NAMES, [0.1], self.CHANNELS)
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_roc_sweep_matches_reference_across_blocks(self, source):
+        # 2500 trials: three blocks per phase, the last one short
+        names = ["optimal", "alrd1", "alrd2"]
+        channels = [ChannelSpec(RAYLEIGH), ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
+        grid = [0.05, 0.1, 0.5]
+        cfg = make_cfg(trials=2500, source=source, n=16)
+        sweeps = roc_sweep_channels(cfg, names, grid, channels)
+        cal = reference_statistics(cfg, names, PHASE_CALIBRATION)
+        s0 = reference_statistics(cfg, names, PHASE_EVAL_H0)
+        for channel, sweep in zip(channels, sweeps, strict=True):
+            s1 = reference_statistics(replace(cfg, channel=channel), names,
+                                      PHASE_EVAL_H1)
+            for name in names:
+                cdf = EmpiricalCdf.from_samples(cal[name])
+                for p, point in zip(grid, sweep[name], strict=True):
+                    spec = _thresholds(cdf, p, banded=False)
+                    assert point.threshold == spec.eta1
+                    assert point.pfa_empirical == np.mean(spec.decide(s0[name]))
+                    assert point.pd_empirical == np.mean(spec.decide(s1[name]))
 
 
 class TestStreamLayout:
