@@ -201,14 +201,19 @@ def cmd_curves(args) -> int:
         occupied = np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         table = []
         for name in exp.detectors:
-            if name == "optimal":
-                cf = analysis.pd_opt(n, 1.0, snr * occupied, grid)
-            elif name in ("alrd1", "glrd1"):
-                cf = analysis.pd_alrd1(n, alpha, exp.prior, snr * occupied, grid)
-            else:
-                geom = cfg.geometry
-                cf = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n, alpha,
-                                           exp.prior.theta, grid, 1.0, s * occupied)
+            try:  # an overflow or a nan on the way would write a wrong value
+                with np.errstate(over="raise", invalid="raise"):
+                    if name == "optimal":
+                        cf = analysis.pd_opt(n, 1.0, snr * occupied, grid)
+                    elif name in ("alrd1", "glrd1"):
+                        cf = analysis.pd_alrd1(n, alpha, exp.prior, snr * occupied, grid)
+                    else:
+                        geom = cfg.geometry
+                        cf = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
+                                                   alpha, exp.prior.theta, grid, 1.0,
+                                                   s * occupied)
+            except FloatingPointError as exc:
+                raise NumericFailure(f"{name} closed form: {exc}") from None
             if not np.isfinite(cf).all():
                 raise NumericFailure("non-finite value in command output")
             pfa, pd = cf

@@ -58,11 +58,13 @@ def _int(value: str, key: str) -> int:
 
 
 def _list(item):
-    """Parser of a comma-separated, nonempty list of `item` values."""
+    """Parser of a comma-separated, nonempty list of distinct `item` values."""
     def parse(value: str, key: str) -> tuple:
         items = tuple(item(v.strip(), key) for v in value.split(",") if v.strip())
         if not items:
             raise ConfigError(f"{key} list is empty")
+        if len(set(items)) < len(items):
+            raise ConfigError(f"duplicate {key} in {value!r}")
         return items
     return parse
 
@@ -145,8 +147,6 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
 
     detectors = v["detectors"]
     rows = [detector(name) for name in detectors]
-    if len(set(detectors)) < len(detectors):
-        raise ConfigError(f"duplicate detector names in {raw['detectors']!r}")
 
     prior = NoisePrior(k=v["prior_k"], theta=v["prior_theta"])
     nakagami_m = v["nakagami_m"]

@@ -105,19 +105,15 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     variate reads its own stream (`stream_index`), in this order:
 
     - `KIND_PRIOR`: the noise precisions (unless the noise power is
-      pinned), then the channel power gains |h|^2 (occupied channel,
-      unless pinned: a pinned channel h enters as |h|^2);
+      pinned), then the channel power gains |h|^2 (occupied channel);
     - `KIND_TIME`: on the model source, the Gamma(N) variate G_N of
       sum(r) = alpha * g * G_N; on the waveform source, the discarded
       bins' groups (`cfg.bin_groups`; there are none unless the block is
       oversampled);
     - `KIND_BINS`: on the model source, the Gamma(P) variate G_P of
       sum(y) = N * alpha * G_P, then the Gamma(L) variate G_L of
-      sum(x) = N * alpha * g * G_L, or, for a pinned signal s on an
-      occupied channel, the noncentral chi-square C of
-      sum(x) = (N * alpha / 2) * C, with 2L degrees of freedom and
-      noncentrality 2L * |h|^2 * |s|^2 / (N * alpha); on the waveform
-      source, the excess-band groups, then the in-band groups.
+      sum(x) = N * alpha * g * G_L; on the waveform source, the
+      excess-band groups, then the in-band groups.
 
     Here g = 1 + snr * |h|^2 on occupied trials with a nonzero SNR, and
     1 otherwise.  These are the model source's laws exactly: given alpha
@@ -151,9 +147,7 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     seek(stream_index(phase, block, KIND_PRIOR))
     alpha = (np.full(TRIAL_CHUNK, cfg.noise_power) if cfg.noise_power is not None
              else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK))
-    if cfg.pinned_channel is not None:
-        h2 = np.full(TRIAL_CHUNK, abs(cfg.pinned_channel) ** 2)
-    elif occupied:
+    if occupied:
         h2 = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
 
     obs = {}
@@ -185,13 +179,7 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
         seek(stream_index(phase, block, KIND_BINS))
         geom, scale = cfg.geometry, n * alpha
         sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
-        if occupied and cfg.pinned_signal is not None:
-            # a full-length noncentrality array: row i's draw then depends
-            # on rows 0 .. i of the block alone
-            nc = 2 * geom.l_inband * h2 * abs(cfg.pinned_signal) ** 2 / scale
-            sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
-        else:
-            sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
+        sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
         obs[det.FREQ] = sum_x[:rows], sum_y[:rows]
     return obs, alpha[:rows]
 

@@ -18,15 +18,12 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class BandGeometry:
-    """Counts of retained bins: n_total = l_inband + p_excess."""
+    """Counts of retained bins: l_inband in band, p_excess in the excess band."""
 
-    n_total: int
     l_inband: int
     p_excess: int
 
     def __post_init__(self):
-        if self.n_total != self.l_inband + self.p_excess:
-            raise ValueError("band geometry counts are inconsistent")
         if self.l_inband < 1:
             raise ConfigError("in-band bin count must be at least 1")
         if self.p_excess < 1:

@@ -106,12 +106,8 @@ class ScenarioConfig:
 
     It names no hypothesis: the trial phase decides whether the channel
     is idle or occupied.  `noise_power` pins the noise power instead of
-    drawing it from the prior; `pinned_channel` / `pinned_signal` fix
-    the channel gain and the per-bin signal amplitude of occupied trials
-    (used when validating the conditional closed forms).  A pinned
-    channel may be complex, but only its power gain |h|^2 is read.
-    `source` selects direct model sampling ("model") or the
-    shaped-waveform path ("waveform"), which takes no pinned signal.
+    drawing it from the prior.  `source` selects direct model sampling
+    ("model") or the shaped-waveform path ("waveform").
     """
 
     n_samples: int
@@ -121,8 +117,6 @@ class ScenarioConfig:
     trials: int
     master_seed: int
     noise_power: float | None = None
-    pinned_channel: complex | None = None
-    pinned_signal: complex | None = None
     source: str = MODEL
     glr_two_sided: bool = False
 
@@ -137,16 +131,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown observation source {self.source!r}")
         if self.noise_power is not None and self.noise_power <= 0:
             raise ConfigError("pinned noise power must be positive")
-        if self.source == WAVEFORM and self.pinned_signal is not None:
-            raise ConfigError("the waveform source draws its signal: "
-                              "a pinned signal is a model-source field")
 
     @cached_property
     def geometry(self) -> BandGeometry:
         """Bin counts of `bands`."""
         inband, excess = self.bands
-        return BandGeometry(n_total=inband.size + excess.size,
-                            l_inband=inband.size, p_excess=excess.size)
+        return BandGeometry(l_inband=inband.size, p_excess=excess.size)
 
     @cached_property
     def bands(self):

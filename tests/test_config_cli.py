@@ -93,6 +93,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate detector"):
             experiment_from_mapping(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("detectors", "alrd1, alrd2, alrd1"),
+        ("n_samples", "20, 20"),
+        ("channels", "awgn, AWGN"),
+        ("pfa_targets", "0.1, 0.10"),
+    ])
+    def test_duplicate_list_value_stops_the_run(self, tmp_path, capsys, key, value):
+        # a repeated value would run the same detector, leg, channel or
+        # target twice
+        conf = _preset_with(tmp_path, "fig4", key, value)
+        assert main(["roc", str(conf), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: duplicate {key}")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_snr_db_overflow_names_the_key(self):
         with pytest.raises(ConfigError, match="snr_db"):
             experiment_from_mapping(parse_config_text(
@@ -131,8 +147,8 @@ class TestParsing:
     @pytest.mark.parametrize("key", ["pinned_channel_re", "pinned_channel_im",
                                      "pinned_signal_re", "pinned_signal_im"])
     def test_pinned_keys_are_not_config_keys(self, tmp_path, key, capsys):
-        # the library's ScenarioConfig still pins a gain or an amplitude;
-        # a config file cannot, and curves evaluates at h = 1
+        # nothing pins a channel gain or a signal amplitude: curves
+        # evaluates at h = 1
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(MINIMAL + f"{key} = 0.1\n")
         conf = write_config(tmp_path, CURVES_CONF + f"{key} = 0.1\n")
@@ -724,3 +740,14 @@ class TestNumericFailureExit:
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "exp_curves.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", ["3050", "3080"])
+    def test_closed_form_overflow_exits_two(self, tmp_path, capsys, snr_db):
+        # a finite snr whose alrd2 variance overflows (3050 dB, where the
+        # Q argument became -0 and every pd_cf read 0.5) or whose per-bin
+        # amplitude times the idle row is inf * 0 (3080 dB)
+        conf = _preset_with(tmp_path, "curves_awgn", "snr_db", snr_db)
+        assert main(["curves", str(conf), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

@@ -133,20 +133,14 @@ def complex_gain(channel, gen, size):
 def reference_prior(cfg, phase, block, gain=power_gain):
     """A block's noise powers and channel gains for all TRIAL_CHUNK rows,
     from its `KIND_PRIOR` stream.  `gain` draws the gains: `power_gain`,
-    the stream layout, gives |h|^2, and a pinned channel h then enters as
-    |h|^2; `complex_gain` gives h, and a pinned channel is h itself.  An
-    idle channel draws no gain, and its gain is None."""
+    the stream layout, gives |h|^2, and `complex_gain` gives h.  An idle
+    channel draws no gain, and its gain is None."""
     prior = kind_generator(cfg.master_seed, phase, block, KIND_PRIOR)
     if cfg.noise_power is None:
         alpha = draw_noise_power(cfg.prior, prior, TRIAL_CHUNK)
     else:
         alpha = np.full(TRIAL_CHUNK, cfg.noise_power)
-    h = None
-    if phase == PHASE_EVAL_H1 and cfg.pinned_channel is not None:
-        h = (abs(cfg.pinned_channel) ** 2 if gain is power_gain
-             else complex(cfg.pinned_channel))
-    elif phase == PHASE_EVAL_H1:
-        h = gain(cfg.channel, prior, TRIAL_CHUNK)
+    h = gain(cfg.channel, prior, TRIAL_CHUNK) if phase == PHASE_EVAL_H1 else None
     return alpha, h
 
 
@@ -174,7 +168,7 @@ def reference_block(cfg, domains, phase, block):
     (`TestSamplersAgree`)."""
     alpha, h = reference_prior(cfg, phase, block,
                                power_gain if cfg.source == WAVEFORM else complex_gain)
-    a, hc = alpha[:, None], (h if np.ndim(h) == 0 else h[:, None])
+    a, hc = alpha[:, None], (None if h is None else h[:, None])
 
     obs = {}
     if cfg.source == WAVEFORM or TIME in domains:
@@ -197,9 +191,7 @@ def reference_block(cfg, domains, phase, block):
                 return gen.standard_normal((TRIAL_CHUNK, 2 * geom.l_inband)).view(complex)
             v = np.sqrt(scale / 2.0) * normals()
             e = 0.0
-            if cfg.pinned_signal is not None:
-                e = hc * cfg.pinned_signal
-            elif cfg.signal.snr_linear != 0.0:
+            if cfg.signal.snr_linear != 0.0:
                 e = hc * (np.sqrt(scale * cfg.signal.snr_linear / 2.0) * normals())
             x = np.abs(e + v) ** 2
         obs[FREQ] = x, y
@@ -235,7 +227,7 @@ def reference_grouped_sums(cfg, domains, phase, block):
         values, counts = np.unique(mask2[bins], return_counts=True)
         gam = kind_gen.standard_gamma(counts, (TRIAL_CHUNK, counts.size))
         if phase == PHASE_EVAL_H1 and snr != 0.0:
-            gam = gam * (1.0 + snr * np.reshape(h2, (-1, 1))
+            gam = gam * (1.0 + snr * h2[:, None]
                          * (n * values / mask2.sum()))
         return gam.sum(axis=1)
 
@@ -259,15 +251,12 @@ def reference_sums(cfg, domains, phase, block):
     model source each sum is one Gamma variate, drawn for all TRIAL_CHUNK
     trials: sum(r) = alpha * g * G_N from `KIND_TIME`, then from
     `KIND_BINS` sum(y) = N * alpha * G_P and sum(x) = N * alpha * g * G_L,
-    with g = 1 + snr * |h|^2 on occupied trials with signal; a pinned
-    signal s makes sum(x) (N * alpha / 2) times a noncentral chi-square
-    with 2L degrees of freedom and noncentrality 2L |h|^2 |s|^2 / (N alpha)."""
+    with g = 1 + snr * |h|^2 on occupied trials with signal."""
     if cfg.source == WAVEFORM:
         return reference_grouped_sums(cfg, domains, phase, block)
     alpha, h2 = reference_prior(cfg, phase, block)
     n, snr = cfg.n_samples, cfg.signal.snr_linear
-    occupied = phase == PHASE_EVAL_H1
-    g = 1.0 + snr * h2 if occupied and snr != 0.0 else np.ones(TRIAL_CHUNK)
+    g = 1.0 + snr * h2 if phase == PHASE_EVAL_H1 and snr != 0.0 else np.ones(TRIAL_CHUNK)
     obs = {}
     if TIME in domains:
         gen = kind_generator(cfg.master_seed, phase, block, KIND_TIME)
@@ -276,11 +265,7 @@ def reference_sums(cfg, domains, phase, block):
         gen = kind_generator(cfg.master_seed, phase, block, KIND_BINS)
         geom, scale = cfg.geometry, n * alpha
         sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
-        if occupied and cfg.pinned_signal is not None:
-            nc = 2 * geom.l_inband * h2 * abs(cfg.pinned_signal) ** 2 / scale
-            sum_x = scale / 2.0 * gen.noncentral_chisquare(2 * geom.l_inband, nc)
-        else:
-            sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
+        sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
         obs[FREQ] = sum_x, sum_y
     return first_rows(cfg, block, obs, alpha)
 
@@ -409,8 +394,7 @@ class TestTrialEngine:
         # the waveform source's bin groups partition the band split's
         # in-band, excess-band and discarded bins (an oversampled block
         # discards some), each group at its bins' gain N mask^2 / sum(mask^2)
-        cfg = replace(make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5,
-                               rate=rate), pinned_channel=0.8 + 0.2j)
+        cfg = make_cfg(n=n, source=WAVEFORM, noise_power=1.3, trials=5, rate=rate)
         inband, excess = band_split_indices(n, cfg.signal)
         discarded = np.setdiff1d(np.arange(n), np.concatenate([inband, excess]))
         assert (discarded.size > 0) == (rate is not None)
@@ -434,13 +418,10 @@ class TestTrialEngine:
     def test_h0_phases_ignore_the_channel(self, source):
         # idle-channel trials draw no gain and read no channel field, so
         # the calibration and H0 evaluation phases match on every channel
-        # (only the model source takes a pinned signal)
         names = ["optimal", "alrd1", "alrd2"]
         awgn = make_cfg(trials=300, source=source)
-        pinned = {"pinned_signal": 2 + 1j} if source == MODEL else {}
         others = [replace(awgn, channel=ChannelSpec(RAYLEIGH)),
-                  replace(awgn, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0)),
-                  replace(awgn, pinned_channel=0.3 - 0.4j, **pinned)]
+                  replace(awgn, channel=ChannelSpec(NAKAGAMI, nakagami_m=2.0))]
         for phase in (PHASE_CALIBRATION, PHASE_EVAL_H0):
             ref = trial_statistics(awgn, names, phase)
             for cfg in others:
@@ -476,19 +457,6 @@ class TestBlockEngine:
         for phase in PHASES:
             assert_same_block(observe(cfg, domains, phase, 0),
                               reference_sums(cfg, domains, phase, 0))
-            assert_same_statistics(trial_statistics(cfg, names, phase),
-                                   reference_statistics(cfg, names, phase))
-
-    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
-    def test_matches_reference_with_pinned_channel(self, source):
-        cfg = replace(make_cfg(trials=40, source=source, n=37),
-                      pinned_channel=0.3 - 0.4j)
-        if source == MODEL:
-            cfg = replace(cfg, pinned_signal=2 + 1j)
-        names = ["optimal", "alrd1", "alrd2"]
-        for phase in PHASES:
-            assert_same_block(observe(cfg, {TIME, FREQ}, phase, 0),
-                              reference_sums(cfg, {TIME, FREQ}, phase, 0))
             assert_same_statistics(trial_statistics(cfg, names, phase),
                                    reference_statistics(cfg, names, phase))
 
@@ -623,9 +591,9 @@ class TestStreamLayout:
 class TestSamplersAgree:
     """The engine's Gamma sums against the per-bin sampler, in law: a
     two-sample Anderson-Darling test of each detector's statistics, per
-    phase, channel and pinned case, at fixed, independent seeds.  On the
-    waveform source the per-bin sampler takes the FFT of shaped time
-    samples."""
+    phase, channel and pinned noise power, at fixed, independent seeds.
+    On the waveform source the per-bin sampler takes the FFT of shaped
+    time samples."""
 
     NAMES = ["optimal", "alrd1", "alrd2"]
     VARIANTS = {
@@ -633,8 +601,6 @@ class TestSamplersAgree:
         "rayleigh": {"channel": ChannelSpec(RAYLEIGH)},
         "nakagami": {"channel": ChannelSpec(NAKAGAMI, nakagami_m=2.0)},
         "pinned-noise": {"channel": ChannelSpec(RAYLEIGH), "noise_power": 1.7},
-        "pinned-channel": {"pinned_channel": 0.3 - 0.4j},
-        "pinned-signal": {"channel": ChannelSpec(RAYLEIGH), "pinned_signal": 2 + 1j},
     }
 
     def assert_same_law(self, cfg, phase):

@@ -65,7 +65,6 @@ class TestSplitBands:
     def test_critical_n20(self):
         geom = scenario(20, critical_spec()).geometry
         assert (geom.l_inband, geom.p_excess) == (16, 4)
-        assert geom.n_total == 20
 
     def test_critical_n40(self):
         inband, excess = band_split_indices(40, critical_spec())
@@ -89,15 +88,16 @@ class TestSplitBands:
         inband, excess = band_split_indices(n, critical_spec())
         np.testing.assert_array_equal(np.sort(np.concatenate([inband, excess])),
                                       np.arange(n))
-        assert scenario(n, critical_spec()).geometry.n_total == n
+        geom = scenario(n, critical_spec()).geometry
+        assert geom.l_inband + geom.p_excess == n
 
     def test_oversampled_discards_outer_bins(self):
         spec = SignalSpec(bandwidth_hz=54_000.0, rolloff=0.25,
                           sample_rate_hz=2.0 * 54_000.0, snr_linear=1.0)
         inband, excess = band_split_indices(40, spec)
         geom = scenario(40, spec).geometry
-        assert geom.n_total < 40
-        assert geom.n_total == inband.size + excess.size
+        assert geom.l_inband + geom.p_excess < 40
+        assert (geom.l_inband, geom.p_excess) == (inband.size, excess.size)
         assert np.intersect1d(inband, excess).size == 0
 
     def test_h0_band_halves_identically_distributed(self):
@@ -111,9 +111,5 @@ class TestSplitBands:
 
     def test_empty_excess_rejected(self):
         with pytest.raises(ConfigError):
-            BandGeometry(n_total=4, l_inband=4, p_excess=0)
-
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(ValueError):
-            BandGeometry(n_total=5, l_inband=3, p_excess=1)
+            BandGeometry(l_inband=4, p_excess=0)
 

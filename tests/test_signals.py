@@ -208,7 +208,7 @@ class TestBinGroups:
             cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
         geom = cfg.geometry
         counts = [c.sum() for c, _ in cfg.bin_groups]
-        assert counts == [geom.l_inband, geom.p_excess, n - geom.n_total]
+        assert counts == [geom.l_inband, geom.p_excess, n - geom.l_inband - geom.p_excess]
         # the gains average to 1 over the N bins: the signal keeps its power
         assert sum((c * g).sum() for c, g in cfg.bin_groups) == pytest.approx(n)
 
@@ -218,19 +218,16 @@ class TestBinGroups:
         assert sizes == [3, 5, 7, 11, 14]
 
     def test_flat_mask_is_one_group_per_band(self):
-        # a flat mask gives every bin the gain 1, g = 1 + snr |h|^2: the
-        # model source's law, one Gamma sum per band
+        # a flat mask gives every bin the gain 1, g = 1 + snr |h|^2, so
+        # each band is one Gamma sum.  In band that is the model source's
+        # law; in the excess band it is not, since the model source's
+        # sum(y) carries no signal
         cfg = make_cfg(n=20, source=WAVEFORM)
         cfg.__dict__["shaping"] = np.ones(20)  # fills the cached property
         (l_counts, l_gains), (p_counts, p_gains), (d_counts, _) = cfg.bin_groups
         assert (l_counts.tolist(), p_counts.tolist(), d_counts.size) == ([16], [4], 0)
         assert l_gains.tolist() == p_gains.tolist() == [1.0]
 
-    def test_pinned_signal_rejected(self):
-        cfg = make_cfg(source=WAVEFORM)
-        with pytest.raises(ConfigError, match="pinned signal"):
-            replace(cfg, pinned_signal=2 + 1j)
-        replace(cfg, source=MODEL, pinned_signal=2 + 1j)
 
 
 class TestGenerateBins:
@@ -258,13 +255,6 @@ class TestGenerateBins:
         xw, yw = draw(replace(cfg, source=WAVEFORM), FREQ, PHASE_EVAL_H0, 10_000)
         assert xw.mean() == pytest.approx(x.mean(), rel=0.02)
         assert yw.mean() == pytest.approx(y.mean(), rel=0.02)
-
-    def test_pinned_amplitude_mean(self):
-        # E[sum(x)] = L * (|s|^2 + N * alpha) for a pinned signal s
-        s = 4.0 + 3.0j
-        cfg = replace(make_cfg(snr=1.0, noise_power=1.0, seed=314), pinned_signal=s)
-        assert_mean(draw(cfg, FREQ, PHASE_EVAL_H1, 20_000)[0],
-                    16 * (abs(s) ** 2 + 20.0))
 
     def test_noise_and_signal_bins_uncorrelated(self):
         cfg = make_cfg(snr=1.0, noise_power=1.0, seed=315)
