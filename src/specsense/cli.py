@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: `roc`, `cdf`, `curves`, `calibrate`, `validate`.  Each
-file-emitting command writes CSV (6 significant digits) whose first line
-references the manifest hash, plus a JSON manifest describing the run.
+file-emitting command writes CSV (6 significant digits, one `%` format
+string per row) whose first line references the manifest hash, plus a
+JSON manifest describing the run.
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric
 failure, 3 validation failure.
 """
@@ -16,6 +17,7 @@ import math
 import platform
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +27,7 @@ import scipy
 from . import __version__, analysis, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
 from .errors import ConfigError, NumericFailure
-from .signals import MODEL, NAKAGAMI, ChannelSpec
+from .signals import AWGN, MODEL, NAKAGAMI, ChannelSpec
 from .validation import DEFAULT_SEED, run_validation
 
 _CONVENTION_NOTES = (
@@ -36,10 +38,6 @@ _CONVENTION_NOTES = (
     "as proposed_statistic_moments(...).printed for reporting only",
     "prior_k and prior_theta are experiment configuration choices",
 )
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def _channel_label(ch: ChannelSpec) -> str:
@@ -64,10 +62,9 @@ def _manifest(command: str, exp: ExperimentConfig) -> tuple[dict, str]:
 
 
 def _write_csv(path: Path, digest: str, header: list[str],
-               rows: list[list[str]]) -> None:
-    lines = [f"# manifest: {digest}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+               lines: list[str]) -> None:
+    path.write_text("\n".join([f"# manifest: {digest}", ",".join(header), *lines])
+                    + "\n")
 
 
 def _load(args) -> ExperimentConfig:
@@ -78,7 +75,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _run(args, command: str, header: list[str],
-         rows: Callable[[ExperimentConfig], tuple[list[list[str]], list]],
+         rows: Callable[[ExperimentConfig], tuple[list[str], list]],
          check: Callable[[ExperimentConfig], None] | None = None,
          plot: tuple[str, str, str] | None = None) -> int:
     """Run one file-emitting command.
@@ -86,7 +83,7 @@ def _run(args, command: str, header: list[str],
     Loading the config checks every scenario leg, `check(exp)` rejects
     what the command cannot run, and `--out` must name a directory or a
     path that can become one, before anything is drawn or printed;
-    `rows(exp)` returns the CSV rows and the (label, xs, ys) series that
+    `rows(exp)` returns the CSV lines and the (label, xs, ys) series that
     `--svg` draws with the `plot` x label, y label and title.  Nothing is
     written, and `--out` is not created, until `rows` returns.
     """
@@ -140,12 +137,11 @@ def cmd_roc(args) -> int:
             for ch, points in zip(exp.channels, sweeps):
                 for name in exp.detectors:
                     pts = points[name]
-                    for pt in pts:
-                        table.append([name, str(n), _fmt(exp.snr_db),
-                                      _channel_label(ch), _fmt(pt.pfa_target),
-                                      _fmt(pt.pfa_empirical), _fmt(pt.pd_empirical),
-                                      _fmt(pt.pd_ci_low), _fmt(pt.pd_ci_high),
-                                      _fmt(pt.threshold)])
+                    table.extend(
+                        "%s,%d,%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g"
+                        % (name, n, exp.snr_db, _channel_label(ch), pt.pfa_target,
+                           pt.pfa_empirical, pt.pd_empirical, pt.pd_ci_low,
+                           pt.pd_ci_high, pt.threshold) for pt in pts)
                     series.append((f"{name} N={n} {_channel_label(ch)}",
                                    [pt.pfa_empirical for pt in pts],
                                    [pt.pd_empirical for pt in pts]))
@@ -169,8 +165,8 @@ def cmd_cdf(args) -> int:
         for name, cdf in cdfs.items():
             grid = np.linspace(cdf.values[0], cdf.values[-1], exp.cdf_points)
             vals = cdf.evaluate(grid)
-            table.extend([name, _fmt(t), _fmt(c)]
-                         for t, c in zip(grid.tolist(), vals.tolist()))
+            table.extend(map(f"{name},%.6g,%.6g".__mod__,
+                             zip(grid.tolist(), vals.tolist())))
             series.append((name, list(grid), vals.tolist()))
         return table, series
 
@@ -191,6 +187,9 @@ def cmd_curves(args) -> int:
                               "forms; source = waveform and glr_two_sided do not apply")
 
     def rows(exp):
+        if exp.channels[0].kind != AWGN:  # the closed forms are conditional on h
+            warnings.warn(f"curves ignores the {_channel_label(exp.channels[0])} fade: its "
+                          "columns are at |h|^2 = 1 until fading-averaged closed forms exist")
         cfg = exp.scenarios[0]
         n = cfg.n_samples
         alpha = (cfg.noise_power if cfg.noise_power is not None
@@ -217,8 +216,8 @@ def cmd_curves(args) -> int:
             if not np.isfinite(cf).all():
                 raise NumericFailure("non-finite value in command output")
             pfa, pd = cf
-            table.extend([name, _fmt(thr), _fmt(a), _fmt(b)] for thr, a, b
-                         in zip(grid.tolist(), pfa.tolist(), pd.tolist()))
+            table.extend(map(f"{name},%.6g,%.6g,%.6g".__mod__,
+                             zip(grid.tolist(), pfa.tolist(), pd.tolist())))
         return table, []
 
     return _run(args, "curves", ["detector", "threshold", "pfa_cf", "pd_cf"],
@@ -235,8 +234,8 @@ def cmd_calibrate(args) -> int:
             for ch in exp.channels:
                 for name in exp.detectors:
                     thr = specs[name][0].eta1
-                    table.append([name, str(n), _channel_label(ch),
-                                  _fmt(args.pfa), _fmt(thr)])
+                    table.append("%s,%d,%s,%.6g,%.6g"
+                                 % (name, n, _channel_label(ch), args.pfa, thr))
                     print(f"{name} N={n} {_channel_label(ch)}: "
                           f"threshold {thr:.6g} at target pfa {args.pfa:g}")
         return table, []

@@ -1,13 +1,18 @@
 import json
+import math
 import platform
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given
+from hypothesis import strategies as st
 
+from specsense import analysis
 from specsense.cli import main
 from specsense.config import (
     experiment_from_mapping,
@@ -378,6 +383,49 @@ threshold_points = 81
 
 
 class TestCliCurves:
+    def test_rows_are_the_closed_forms_to_six_digits(self, tmp_path):
+        # each row is the old per-cell format, f"{v:.6g}" joined by commas,
+        # of the closed forms evaluated directly over the grid
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "optimal, alrd1, alrd2", "optimal, alrd1, glrd1, alrd2"))
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 0
+        exp = load_experiment(conf)
+        geom = exp.scenarios[0].geometry
+        n, alpha, snr = 20, 1.0, exp.snr_linear
+        grid = np.linspace(0.0, 40.0, 81)
+        forms = {
+            "optimal": lambda g: analysis.pd_opt(n, 1.0, g, grid),
+            "alrd1": lambda g: analysis.pd_alrd1(n, alpha, exp.prior, g, grid),
+            "alrd2": lambda g: analysis.pd_alrd2_clt(
+                geom.l_inband, geom.p_excess, n, alpha, exp.prior.theta, grid, 1.0,
+                math.sqrt(n * alpha * g)),
+        }
+        forms["glrd1"] = forms["alrd1"]
+        expected = [",".join([name, f"{t:.6g}", f"{pfa:.6g}", f"{pd:.6g}"])
+                    for name in ("optimal", "alrd1", "glrd1", "alrd2")
+                    for t, pfa, pd in zip(grid.tolist(), forms[name](0.0).tolist(),
+                                          forms[name](snr).tolist())]
+        lines = (tmp_path / "exp_curves.csv").read_text().splitlines()
+        assert lines[2:] == expected
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "nakagami\nnakagami_m = 2"],
+                             ids=["rayleigh", "nakagami"])
+    def test_fading_channel_warns_that_it_is_ignored(self, tmp_path, channel):
+        # the closed forms are at |h|^2 = 1: a fading channel writes the
+        # awgn rows, and says so
+        awgn = write_config(tmp_path, CURVES_CONF, name="awgn.conf")
+        fading = write_config(tmp_path, CURVES_CONF.replace(
+            "channels = awgn", f"channels = {channel}"), name="fading.conf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curves", str(awgn), "--out", str(tmp_path)]) == 0
+        with pytest.warns(UserWarning, match=r"ignores the (rayleigh|nakagami\(m=2\)) "
+                                             r"fade: its columns are at \|h\|\^2 = 1"):
+            assert main(["curves", str(fading), "--out", str(tmp_path)]) == 0
+        rows = [(tmp_path / f"{stem}_curves.csv").read_text().splitlines()[1:]
+                for stem in ("awgn", "fading")]
+        assert rows[0] == rows[1]
+
     def test_closed_form_table(self, tmp_path):
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 0
@@ -454,6 +502,36 @@ class TestCliCurves:
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
         assert "threshold_min must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "exp_curves.csv").exists()
+
+
+class TestCsvCells:
+    # text columns; every other cell but n_samples is a 6-significant-digit value
+    TEXT = {"detector", "channel"}
+
+    @pytest.mark.parametrize("command, text, extra", [
+        ("roc", ROC_CONF.replace("channels = awgn", "channels = awgn, rayleigh"), []),
+        ("cdf", CDF_CONF, []),
+        ("calibrate", ROC_CONF, ["--pfa", "0.1"])], ids=["roc", "cdf", "calibrate"])
+    def test_every_cell_is_six_significant_digits(self, tmp_path, command, text, extra):
+        conf = write_config(tmp_path, text)
+        assert main([command, str(conf), *extra, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / f"exp_{command}.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        assert len(lines) > 2
+        for line in lines[2:]:
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            for key, cell in zip(header, cells):
+                if key == "n_samples":
+                    assert cell.isdecimal() and str(int(cell)) == cell
+                elif key not in self.TEXT:
+                    assert f"{float(cell):.6g}" == cell
+
+    @given(st.floats())
+    def test_percent_format_is_the_format_spec(self, v):
+        # the premise of byte-identical rows: both spellings make one C call
+        assert "%.6g" % v == f"{v:.6g}"
+        assert "%.6g" % np.float64(v) == f"{np.float64(v):.6g}" == f"{v:.6g}"
 
 
 class TestCliCalibrate:
