@@ -37,7 +37,7 @@ def main():
     print("  eta    pfa(sim)  pfa(gauss)  gap")
     for eta in (1.2, 2.0, 4.0, 8.0):
         emp = np.mean(x - eta * y > eta * theta)
-        cf = pd_alrd2_clt(l, p, n, alpha, theta, eta, 0.0, 0.0)
+        cf = pd_alrd2_clt(l, p, n, alpha, theta, 0.0, eta)
         print(f"  {eta:5.1f}  {emp:8.4f}  {cf:10.4f}  {cf - emp:+.4f}")
     print("  the Gaussian form is tight at small eta and a few hundredths")
     print("  off near the distribution center; thresholds are calibrated")

@@ -3,8 +3,8 @@ detection probabilities, prior averaging, moments.
 
 Conventions.  All detection expressions are conditional on the true
 noise power alpha unless averaged explicitly.  Each statistic has one
-law: its detection probability at zero signal (snr = 0, or h*s = 0) is
-its false-alarm probability.  Thresholds are on the statistic scales
+law: its detection probability at zero signal (snr = 0) is its
+false-alarm probability.  Thresholds are on the statistic scales
 defined in `detectors`: the optimal detector's threshold applies to the
 energy sum divided by the true noise power (`pd_opt` at alpha = 1; other
 alpha values describe the raw energy sum), the ALRD1/GLRD1 threshold to
@@ -12,17 +12,17 @@ sum(r)/theta (so its tail argument is eta*theta/(alpha*(1+snr))), and
 the ALRD2/GLRD2 threshold to sum(x)/(theta + sum(y)).
 
 The incomplete-gamma and Gaussian forms (`pd_opt` to `pd_alrd2_clt`)
-are elementwise: eta, alpha, snr, h and s may be arrays that broadcast,
-so a threshold grid, a set of prior draws or an (idle, occupied) signal
-axis is one scipy call; squares are written x*x, which rounds the same
+are elementwise: eta, alpha and snr may be arrays that broadcast, so a
+threshold grid, a set of prior draws or an (idle, occupied) signal axis
+is one scipy call; squares are written x*x, which rounds the same
 on scalars and arrays.
 
 The Gaussian (CLT) expression for the excess-band detectors uses the
 linearized statistic sum(x) - eta*sum(y) compared against eta*theta,
 with bin model: excess bins exponential of mean N*alpha; in-band bins
 |e + v|^2 with noise bin v of power N*alpha and signal contribution e
-(fixed amplitude h*s per bin when conditioning, Gaussian of power
-N*alpha*snr otherwise).
+of fixed power N*alpha*snr (the engine draws e Gaussian of that power,
+so at snr > 0 this is not the law of the simulated trials).
 
 Next to it, `pfa_alrd2_exact` gives the exact H0 false-alarm
 probability of the ALRD2 ratio as a finite sum (integer L).  The tests
@@ -161,18 +161,18 @@ def pfa_alrd2_exact(l_inband: int, p_excess: int, n_samples: int, alpha: float,
 
 
 def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
-                 theta: float, eta: float, h: complex, s: complex) -> float:
-    """Gaussian approximation of the conditional detection probability
-    with pinned channel gain h and per-bin signal amplitude s.
+                 theta: float, snr: float, eta: float) -> float:
+    """Gaussian approximation of the detection probability with a
+    deterministic per-bin signal power |h*s|^2 = N*alpha*snr.
 
     Each in-band bin is |h*s + v|^2 with noise power N*alpha, so it has
-    mean |h*s|^2 + N*alpha and variance N^2*alpha^2 + 2*N*alpha*|h*s|^2;
-    only |h*s|^2 enters.  At h*s = 0 it is the Gaussian approximation of
-    the false-alarm probability, with mean N*alpha*(L - P*eta) and
-    variance N^2*alpha^2*(L + P*eta^2).
+    mean N*alpha*(1 + snr) and variance (N*alpha)^2*(1 + 2*snr).  At
+    snr = 0 it is the Gaussian approximation of the false-alarm
+    probability, with mean N*alpha*(L - P*eta) and variance
+    (N*alpha)^2*(L + P*eta^2).
     """
-    ps = abs(h * s) ** 2
     na = n_samples * alpha
+    ps = na * snr
     mean = l_inband * (ps + na) - eta * p_excess * na
     var = l_inband * (na * na + 2.0 * na * ps) + p_excess * (eta * eta) * (na * na)
     return q_function((theta * eta - mean) / np.sqrt(var))
@@ -200,11 +200,11 @@ def average_over_prior(point_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], 
     amplitudes |h| = sqrt(`signals.channel_gain`) (all 1 without a
     channel) and unit-power circular Gaussian signal amplitudes (all 0
     unless `draw_signal`), which the callee scales itself.  The closed
-    forms read a gain only through |h|^2 or |h*s|^2, so a real amplitude
-    carries the whole channel law.  It returns one value per draw, as the
-    closed forms above do, or a scalar that counts for every draw.  The draws come from stream 0 of
-    `numerics.stream_seeker(seed)`.  Returns the mean with its standard
-    error.
+    forms take a gain only through snr (snr*|h|^2, or snr*|h*s|^2), so a
+    real amplitude carries the whole channel law.  It returns one value
+    per draw, as the closed forms above do, or a scalar that counts for
+    every draw.  The draws come from stream 0 of
+    `numerics.stream_seeker(seed)`.  Returns the mean with its standard error.
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
 import sys
 import time
@@ -24,8 +23,9 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from . import __version__, analysis, montecarlo, svgplot
+from . import __version__, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
+from .detectors import detector
 from .errors import ConfigError, NumericFailure
 from .signals import AWGN, MODEL, NAKAGAMI, ChannelSpec
 from .validation import DEFAULT_SEED, run_validation
@@ -191,26 +191,15 @@ def cmd_curves(args) -> int:
             warnings.warn(f"curves ignores the {_channel_label(exp.channels[0])} fade: its "
                           "columns are at |h|^2 = 1 until fading-averaged closed forms exist")
         cfg = exp.scenarios[0]
-        n = cfg.n_samples
         alpha = (cfg.noise_power if cfg.noise_power is not None
                  else exp.prior.mean_noise_power)
-        snr = exp.snr_linear
-        s = math.sqrt(n * alpha * snr)  # per-bin amplitude at h = 1
+        snr = exp.snr_linear * np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         grid = np.linspace(*exp.threshold_grid)
-        occupied = np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         table = []
         for name in exp.detectors:
             try:  # an overflow or a nan on the way would write a wrong value
                 with np.errstate(over="raise", invalid="raise"):
-                    if name == "optimal":
-                        cf = analysis.pd_opt(n, 1.0, snr * occupied, grid)
-                    elif name in ("alrd1", "glrd1"):
-                        cf = analysis.pd_alrd1(n, alpha, exp.prior, snr * occupied, grid)
-                    else:
-                        geom = cfg.geometry
-                        cf = analysis.pd_alrd2_clt(geom.l_inband, geom.p_excess, n,
-                                                   alpha, exp.prior.theta, grid, 1.0,
-                                                   s * occupied)
+                    cf = detector(name).law(cfg, alpha, snr, grid)
             except FloatingPointError as exc:
                 raise NumericFailure(f"{name} closed form: {exc}") from None
             if not np.isfinite(cf).all():

@@ -15,16 +15,19 @@ its sums, so the `DETECTORS` table's statistics take the sums
 themselves: `optimal` divides the energy sum sum(r) of the squared
 envelopes by the true noise power, ALRD1 and GLRD1 divide it by the
 prior rate theta, and ALRD2 and GLRD2 read sum(x) / (theta + sum(y)).
-Each ALR detector shares its one statistic function with its GLR twin.
-All thresholds in this package live on these scales.
+All thresholds in this package live on these scales.  Each row also
+names its closed-form law in `analysis` (ALRD2's assumes a deterministic
+per-bin signal power; the engine draws a Gaussian one).  Each GLR
+detector is its ALR twin, statistic and law, plus a likelihood peak.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
+from . import analysis
 from .errors import ConfigError
 
 _INF = float("inf")
@@ -93,7 +96,7 @@ def lr_glrd2_value(t: float, l_inband: int, p_excess: int, k: int, snr: float) -
 
 
 # ---------------------------------------------------------------------------
-# Detector table used by the Monte Carlo engine
+# Detector table used by the Monte Carlo engine and `curves`
 # ---------------------------------------------------------------------------
 
 TIME = "time"
@@ -102,44 +105,45 @@ FREQ = "freq"
 
 @dataclass(frozen=True)
 class Detector:
-    """One detector: the observation form it reads and how it decides.
+    """One detector: the observation form it reads, how it decides, its law.
 
     `statistic(obs, alpha, prior)` reads the sums that
     `montecarlo.observe` returns, elementwise over trials: sum(r) (TIME)
     or the pair (sum(x), sum(y)) (FREQ).  Only `optimal` reads alpha,
     normalizing its energy sum by the true noise power so one threshold
-    applies across trials with varying noise.  `peak(cfg)`
-    locates the likelihood maximum of a GLR detector in the scenario cfg;
-    a row with a peak takes the band rule when two-sided operation is
-    requested.
+    applies across trials with varying noise.  `law(cfg, alpha, snr, eta)`
+    is the closed-form P(statistic > eta) at noise power alpha (at snr = 0
+    the false-alarm probability), elementwise.  `peak(cfg)` locates the
+    likelihood maximum of a GLR detector in the scenario cfg; a row with a
+    peak takes the band rule when two-sided operation is requested.
     """
 
     domain: str
     statistic: Callable
+    law: Callable
     peak: Callable | None = None
 
 
-def _prior_scaled_energy(sum_r, alpha, prior):
-    """sum(r) / theta."""
-    return sum_r / prior.theta
-
-
-def _excess_normalized(xy, alpha, prior):
-    """sum(x) / (theta + sum(y))."""
-    return xy[0] / (prior.theta + xy[1])
-
+# The laws look `analysis` up at call time, so a patched or traced form runs.
+_ALRD1 = Detector(TIME, lambda sum_r, alpha, prior: sum_r / prior.theta,
+                  lambda cfg, alpha, snr, eta: analysis.pd_alrd1(
+                      cfg.n_samples, alpha, cfg.prior, snr, eta))
+_ALRD2 = Detector(FREQ, lambda xy, alpha, prior: xy[0] / (prior.theta + xy[1]),
+                  lambda cfg, alpha, snr, eta: analysis.pd_alrd2_clt(
+                      cfg.geometry.l_inband, cfg.geometry.p_excess, cfg.n_samples,
+                      alpha, cfg.prior.theta, snr, eta))
 
 DETECTORS = {
-    "optimal": Detector(TIME, lambda sum_r, alpha, prior: sum_r / alpha),
-    "alrd1": Detector(TIME, _prior_scaled_energy),
-    "glrd1": Detector(TIME, _prior_scaled_energy,
-                      peak=lambda cfg: mu_glrd1(cfg.n_samples, cfg.prior.k,
-                                                cfg.signal.snr_linear)),
-    "alrd2": Detector(FREQ, _excess_normalized),
-    "glrd2": Detector(FREQ, _excess_normalized,
-                      peak=lambda cfg: rho_glrd2(
-                          cfg.geometry.l_inband, cfg.geometry.p_excess,
-                          cfg.prior.k, cfg.signal.snr_linear)),
+    # a statistic divided by the true noise power has its law at alpha = 1
+    "optimal": Detector(TIME, lambda sum_r, alpha, prior: sum_r / alpha,
+                        lambda cfg, alpha, snr, eta: analysis.pd_opt(
+                            cfg.n_samples, 1.0, snr, eta)),
+    "alrd1": _ALRD1,
+    "glrd1": replace(_ALRD1, peak=lambda cfg: mu_glrd1(
+        cfg.n_samples, cfg.prior.k, cfg.signal.snr_linear)),
+    "alrd2": _ALRD2,
+    "glrd2": replace(_ALRD2, peak=lambda cfg: rho_glrd2(
+        cfg.geometry.l_inband, cfg.geometry.p_excess, cfg.prior.k, cfg.signal.snr_linear)),
 }
 
 

@@ -1,11 +1,11 @@
 """Self-contained oracle battery behind the `validate` CLI command.
 
 Each check recomputes a closed-form result by an independent route
-(quadrature, grid search, or direct Monte Carlo from the bin model) and
-compares at a fixed tolerance.  Tolerances include a guard band over the
-Monte Carlo noise at the default trial counts so that verdicts are
-stable across seeds; genuine formula errors exceed them by orders of
-magnitude.
+(quadrature, grid search, an exact finite sum, or direct Monte Carlo
+from the bin model) and compares at a fixed tolerance.  Tolerances
+include a guard band over the Monte Carlo noise at the default trial
+counts so that verdicts are stable across seeds; genuine formula errors
+exceed them by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import numerics
 from .analysis import (
     map_noise_power,
     pd_alrd2_clt,
+    pfa_alrd2_exact,
     posterior_update,
     proposed_statistic_moments,
     traditional_statistic_moments,
@@ -142,8 +143,8 @@ def check_map_estimates(seed: int = DEFAULT_SEED, n_configs: int = 20) -> CheckR
 # ---------------------------------------------------------------------------
 
 def check_clt(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
-    """The Gaussian performance form, without and with a pinned signal,
-    against direct bin-model sampling.
+    """The Gaussian performance form against the exact idle-channel law
+    and against direct bin-model sampling with a pinned signal.
 
     With 20 bins the approximation error itself reaches about 0.045 near
     the distribution center; the 0.05 bound here is the measured envelope
@@ -155,21 +156,18 @@ def check_clt(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
     alpha, theta = 1.0, 1.0
     scale = n * alpha
 
-    x = rng.exponential(scale, size=(trials, l))
-    y = rng.exponential(scale, size=(trials, p))
-    etas = np.array([1.2, 1.6, 2.0, 6.0, 8.0])  # one column per threshold
-    phi = x.sum(axis=1)[:, None] - etas * y.sum(axis=1)[:, None]
-    cf = pd_alrd2_clt(l, p, n, alpha, theta, etas, 0.0, 0.0)  # no signal: Pfa
-    worst = np.max(np.abs(np.mean(phi > etas * theta, axis=0) - cf))
+    etas = np.array([1.2, 1.6, 2.0, 6.0, 8.0])
+    cf = pd_alrd2_clt(l, p, n, alpha, theta, 0.0, etas)  # no signal: Pfa
+    worst = np.max(np.abs(pfa_alrd2_exact(l, p, n, alpha, theta, etas) - cf))
 
-    h, s = 1.0 + 0.0j, 6.0 + 2.0j
+    s, snr = 6.0 + 2.0j, 2.0  # per-bin power |s|^2 = 40 = N*alpha*snr
     v = math.sqrt(scale / 2.0) * (rng.standard_normal((trials, l))
                                   + 1j * rng.standard_normal((trials, l)))
-    x1 = np.abs(h * s + v) ** 2
-    y1 = rng.exponential(scale, size=(trials, p))
-    etas = np.array([1.2, 2.0, 6.0])
-    phi = x1.sum(axis=1)[:, None] - etas * y1.sum(axis=1)[:, None]
-    cf = pd_alrd2_clt(l, p, n, alpha, theta, etas, h, s)
+    x = np.abs(s + v) ** 2
+    y = rng.exponential(scale, size=(trials, p))
+    etas = np.array([1.2, 2.0, 6.0])  # one column per threshold
+    phi = x.sum(axis=1)[:, None] - etas * y.sum(axis=1)[:, None]
+    cf = pd_alrd2_clt(l, p, n, alpha, theta, snr, etas)
     worst = float(max(worst, np.max(np.abs(np.mean(phi > etas * theta, axis=0) - cf))))
     passed = worst < 0.05
     return CheckResult("clt_vs_monte_carlo", passed, f"max |emp - cf| {worst:.4f}")

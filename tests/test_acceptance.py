@@ -146,7 +146,7 @@ def test_criterion_06_clt_pfa_as_stated():
                           target, lo=0.0, hi=100.0)
         emp = float(np.mean(stats > eta))
         exact = pfa_alrd2_exact(l, p, n, alpha, theta, eta)
-        clt = pd_alrd2_clt(l, p, n, alpha, theta, eta, 0j, 0j)
+        clt = pd_alrd2_clt(l, p, n, alpha, theta, 0.0, eta)
         worst = max(worst, abs(emp - exact))
         worst_clt = max(worst_clt, abs(clt - exact))
         print(f"criterion 6 (pfa): {target:5.2f}  {eta:7.3f}  {emp:.4f}     "
@@ -161,7 +161,8 @@ def test_criterion_06_clt_pd_pinned():
     """Gaussian detection form vs pinned-amplitude simulation at the
     reference thresholds.  Each trial draws its bins: in-band
     x = |h s + v|^2 with v circular Gaussian of power N alpha, and
-    exponential excess-band y of mean N alpha."""
+    exponential excess-band y of mean N alpha; the closed form takes the
+    per-bin power as snr = |h s|^2 / (N alpha)."""
     l, p, n, alpha, theta = 16, 4, 20, 1.0, 1.0
     trials, scale = 100_000, n * alpha
     rng, seek = stream_seeker(SEED)
@@ -173,9 +174,10 @@ def test_criterion_06_clt_pd_pinned():
         x = (np.abs(h * s + v) ** 2).sum(axis=1)
         y = rng.exponential(scale, (trials, p)).sum(axis=1)
         stats = x / (theta + y)  # the alrd2 statistic
+        snr = abs(h * s) ** 2 / scale  # the pinned per-bin power over N alpha
         for eta in (1.2, 2.0):
             emp = float(np.mean(stats > eta))
-            cf = pd_alrd2_clt(l, p, n, alpha, theta, eta, h, s)
+            cf = pd_alrd2_clt(l, p, n, alpha, theta, snr, eta)
             worst = max(worst, abs(emp - cf))
     print(f"criterion 6 (pd): max |empirical - closed form| = {worst:.4f} "
           f"(tol 0.03)")

@@ -1,5 +1,5 @@
+import dataclasses
 import json
-import math
 import platform
 import re
 import warnings
@@ -19,6 +19,7 @@ from specsense.config import (
     load_experiment,
     parse_config_text,
 )
+from specsense.detectors import DETECTORS
 from specsense.errors import ConfigError
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -397,8 +398,7 @@ class TestCliCurves:
             "optimal": lambda g: analysis.pd_opt(n, 1.0, g, grid),
             "alrd1": lambda g: analysis.pd_alrd1(n, alpha, exp.prior, g, grid),
             "alrd2": lambda g: analysis.pd_alrd2_clt(
-                geom.l_inband, geom.p_excess, n, alpha, exp.prior.theta, grid, 1.0,
-                math.sqrt(n * alpha * g)),
+                geom.l_inband, geom.p_excess, n, alpha, exp.prior.theta, g, grid),
         }
         forms["glrd1"] = forms["alrd1"]
         expected = [",".join([name, f"{t:.6g}", f"{pfa:.6g}", f"{pd:.6g}"])
@@ -407,6 +407,27 @@ class TestCliCurves:
                                           forms[name](snr).tolist())]
         lines = (tmp_path / "exp_curves.csv").read_text().splitlines()
         assert lines[2:] == expected
+
+    @pytest.mark.parametrize("name", sorted(DETECTORS))
+    def test_every_table_row_runs_through_curves(self, tmp_path, name):
+        # each row's law writes a full table; a GLR row writes its ALR
+        # twin's lines, since the two share one law
+        def curves(det):
+            conf = write_config(tmp_path, CURVES_CONF.replace(
+                "optimal, alrd1, alrd2", det), name=f"{det}.conf")
+            assert main(["curves", str(conf), "--out", str(tmp_path)]) == 0
+            return (tmp_path / f"{det}_curves.csv").read_text().splitlines()[2:]
+
+        lines = curves(name)
+        assert len(lines) == 81
+        cells = np.array([line.split(",")[1:] for line in lines], dtype=float)
+        assert {line.split(",")[0] for line in lines} == {name}
+        assert ((cells[:, 1:] >= 0.0) & (cells[:, 1:] <= 1.0)).all()
+        assert (np.diff(cells[:, 1]) <= 0.0).all()  # pfa falls with the threshold
+        assert (cells[:, 2] >= cells[:, 1]).all()   # the signal raises the tail
+        if name.startswith("glr"):
+            twin = "alr" + name[3:]
+            assert [line.replace(name, twin, 1) for line in lines] == curves(twin)
 
     @pytest.mark.parametrize("channel", ["rayleigh", "nakagami\nnakagami_m = 2"],
                              ids=["rayleigh", "nakagami"])
@@ -783,10 +804,9 @@ class TestNumericFailureExit:
                              ids=["roc", "cdf"])
     def test_nonfinite_statistic_exits_two(self, tmp_path, monkeypatch, capsys,
                                            command, text):
-        from specsense.detectors import DETECTORS, TIME, Detector
-
-        monkeypatch.setitem(DETECTORS, "alrd1", Detector(
-            TIME, lambda r, alpha, prior: np.full(r.shape[:-1], np.nan)))
+        nan = lambda r, alpha, prior: np.full(r.shape[:-1], np.nan)
+        monkeypatch.setitem(DETECTORS, "alrd1",
+                            dataclasses.replace(DETECTORS["alrd1"], statistic=nan))
         conf = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, str(conf), "--out", str(out)]) == 2
@@ -795,26 +815,21 @@ class TestNumericFailureExit:
         assert not list(tmp_path.glob("**/*.csv"))
 
     def test_nonfinite_closed_form_exits_two(self, tmp_path, monkeypatch):
-        from specsense import cli
-
-        monkeypatch.setattr(cli.analysis, "pd_alrd1",
-                            lambda *a, **k: float("nan"))
+        monkeypatch.setattr(analysis, "pd_alrd1", lambda *a, **k: float("nan"))
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
 
     def test_nan_inside_a_closed_form_column_exits_two(self, tmp_path, monkeypatch):
         # each detector's two columns are one array call; one bad element
         # fails the command
-        from specsense import cli
-
-        clean = cli.analysis.pd_alrd2_clt
+        clean = analysis.pd_alrd2_clt
 
         def one_nan(*args):
             col = np.array(clean(*args))
             col.flat[col.size // 2] = np.nan
             return col
 
-        monkeypatch.setattr(cli.analysis, "pd_alrd2_clt", one_nan)
+        monkeypatch.setattr(analysis, "pd_alrd2_clt", one_nan)
         conf = write_config(tmp_path, CURVES_CONF)
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "exp_curves.csv").exists()
@@ -823,7 +838,7 @@ class TestNumericFailureExit:
     def test_closed_form_overflow_exits_two(self, tmp_path, capsys, snr_db):
         # a finite snr whose alrd2 variance overflows (3050 dB, where the
         # Q argument became -0 and every pd_cf read 0.5) or whose per-bin
-        # amplitude times the idle row is inf * 0 (3080 dB)
+        # signal power N*alpha*snr overflows (3080 dB)
         conf = _preset_with(tmp_path, "curves_awgn", "snr_db", snr_db)
         assert main(["curves", str(conf), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -227,6 +227,7 @@ class TestDetectorTable:
     def test_glr_rows_share_their_alr_twins_statistic(self):
         for alr, glr in (("alrd1", "glrd1"), ("alrd2", "glrd2")):
             assert DETECTORS[glr].statistic is DETECTORS[alr].statistic
+            assert DETECTORS[glr].law is DETECTORS[alr].law
             assert DETECTORS[glr].domain == DETECTORS[alr].domain
 
     def test_optimal_normalizes_by_true_noise(self):
