@@ -13,7 +13,7 @@ one trial itself, from the model source's law on an unfaded channel.
 import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
-from specsense.detectors import DETECTORS, ThresholdSpec, mu_glrd1, rho_glrd2
+from specsense.detectors import DETECTORS, mu_glrd1, rho_glrd2
 from specsense.numerics import complex_gaussian, stream_seeker
 from specsense.signals import (
     ChannelSpec,
@@ -78,9 +78,13 @@ def main():
         est = map_noise_power(prior, snr, x=x, y=y)
         print(f"MAP bin-scale noise power assuming {hyp}: {est:7.2f}")
 
-    occupied = ThresholdSpec(eta1=5.0, eta2=50.0).decide(stat)
-    print(f"\nband rule on the ratio statistic: statistic "
-          f"{stat:.3f} -> {'occupied' if occupied else 'idle'}")
+    # run two-sided, glrd2 decides H1 when its log-GLR at the design SNR
+    # exceeds a level; `montecarlo.calibrate` sets the level from a target
+    # false-alarm rate, and a level above 0 keeps a band around the peak
+    gamma = 0.1
+    log_lr = float(DETECTORS["glrd2"].log_lr(cfg, stat))
+    print(f"\ntwo-sided glrd2: log-GLR {log_lr:.3f} at statistic {stat:.3f}, "
+          f"level {gamma} -> {'occupied' if log_lr > gamma else 'idle'}")
 
 
 if __name__ == "__main__":

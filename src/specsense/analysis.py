@@ -230,21 +230,6 @@ class MomentPair:
     variance: float
 
 
-@dataclass(frozen=True)
-class ProposedMoments:
-    """Moments of the linearized excess-band statistic under H1.
-
-    `derived` follows from the bin model (independent in-band bins,
-    exponential of mean N*alpha*(1+snr), excess bins of mean N*alpha) and
-    is what simulation reproduces.  `printed` is an alternative published
-    form kept for side-by-side reporting only; it does not follow from
-    the bin model and is not asserted anywhere.
-    """
-
-    derived: MomentPair
-    printed: MomentPair
-
-
 def traditional_statistic_moments(n_samples: int, alpha: float,
                                   snr: float) -> MomentPair:
     """Mean and variance of the energy sum under H1 (i.i.d. exponential
@@ -254,15 +239,13 @@ def traditional_statistic_moments(n_samples: int, alpha: float,
 
 
 def proposed_statistic_moments(l_inband: int, p_excess: int, n_samples: int,
-                               alpha: float, snr: float, eta: float) -> ProposedMoments:
+                               alpha: float, snr: float, eta: float) -> MomentPair:
+    """Mean and variance of the linearized excess-band statistic
+    sum(x) - eta * sum(y) under H1, from the bin model: independent
+    in-band bins, exponential of mean N*alpha*(1+snr), and excess bins of
+    mean N*alpha."""
     na = n_samples * alpha
-    derived = MomentPair(
+    return MomentPair(
         mean=na * (l_inband * (1.0 + snr) - p_excess * eta),
         variance=na**2 * (l_inband * (1.0 + snr) ** 2 + p_excess * eta**2),
     )
-    printed = MomentPair(
-        mean=2.0 * n_samples * l_inband * alpha * (2.0 * snr + 1.0 - p_excess * eta),
-        variance=8.0 * l_inband * n_samples**2 * alpha**2
-        * (2.0 * snr + 0.5 + p_excess * eta**2 / 2.0),
-    )
-    return ProposedMoments(derived=derived, printed=printed)

@@ -34,8 +34,7 @@ _CONVENTION_NOTES = (
     "thresholds live on the statistic scales of specsense.detectors; "
     "scaled-statistic closed forms use tail argument eta*theta/alpha",
     "excess-band CLT detection probability uses the bin-model moments "
-    "(analysis.pd_alrd2_clt); the alternative printed moment form is exposed "
-    "as proposed_statistic_moments(...).printed for reporting only",
+    "(analysis.pd_alrd2_clt)",
     "prior_k and prior_theta are experiment configuration choices",
 )
 
@@ -219,10 +218,10 @@ def cmd_calibrate(args) -> int:
         for cfg in exp.scenarios:
             n = cfg.n_samples
             # calibration reads no channel field: one run per N
-            specs = montecarlo.calibrate(cfg, exp.detectors, [args.pfa])
+            thresholds = montecarlo.calibrate(cfg, exp.detectors, [args.pfa])
             for ch in exp.channels:
                 for name in exp.detectors:
-                    thr = specs[name][0].eta1
+                    thr = thresholds[name][0]
                     table.append("%s,%d,%s,%.6g,%.6g"
                                  % (name, n, _channel_label(ch), args.pfa, thr))
                     print(f"{name} N={n} {_channel_label(ch)}: "

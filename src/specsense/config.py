@@ -165,7 +165,7 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     elif threshold_grid[0] < 0:
         raise ConfigError("threshold_min must be >= 0: statistics are nonnegative")
 
-    if v["glr_two_sided"] and all(row.peak is None for row in rows):
+    if v["glr_two_sided"] and all(row.log_lr is None for row in rows):
         raise ConfigError("glr_two_sided is set but neither glrd1 nor glrd2 is listed")
     if v["cdf_points"] < 200:
         raise ConfigError(f"cdf_points must be at least 200, got {v['cdf_points']}")

@@ -4,21 +4,23 @@ Names follow the usual spectrum-sensing shorthand: the optimal energy
 detector (known noise power), the average-likelihood-ratio detectors
 (ALRD1 on time samples under the noise prior, ALRD2 on split frequency
 bins with the excess band folded into the denominator), and their
-generalized-likelihood-ratio counterparts (GLRD1/GLRD2) whose exact
-likelihood ratio is unimodal in the statistic, giving a two-sided rule.
-In practice the upper tail beyond the likelihood maximum carries
-negligible mass, so the one-sided form (upper threshold at infinity) is
-the default operating mode.
+generalized-likelihood-ratio counterparts (GLRD1/GLRD2).  Every detector
+decides H1 when its statistic exceeds a threshold.  A GLR detector's
+likelihood ratio is unimodal in its ALR twin's statistic, so by default
+it takes the twin's one-sided rule; run two-sided, its statistic is its
+own log-GLR (`Detector.log_lr`), and the one-sided rule on that is the
+GLRT's band around the likelihood peak.
 
 Statistic conventions.  The detectors read an observation only through
 its sums, so the `DETECTORS` table's statistics take the sums
 themselves: `optimal` divides the energy sum sum(r) of the squared
 envelopes by the true noise power, ALRD1 and GLRD1 divide it by the
 prior rate theta, and ALRD2 and GLRD2 read sum(x) / (theta + sum(y)).
-All thresholds in this package live on these scales.  Each row also
-names its closed-form law in `analysis` (ALRD2's assumes a deterministic
-per-bin signal power; the engine draws a Gaussian one).  Each GLR
-detector is its ALR twin, statistic and law, plus a likelihood peak.
+All thresholds in this package live on these scales, or on the log-GLR
+scale of a two-sided GLR detector.  Each row also names its closed-form
+law in `analysis` (ALRD2's assumes a deterministic per-bin signal power;
+the engine draws a Gaussian one).  Each GLR detector is its ALR twin,
+statistic and law, plus its log-GLR.
 """
 
 from __future__ import annotations
@@ -27,31 +29,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from . import analysis
 from .errors import ConfigError
-
-_INF = float("inf")
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """One- or two-sided decision thresholds.
-
-    A single-threshold rule is the band (eta, +inf).  For the two-sided
-    GLR rules both ends are finite and must bracket the likelihood
-    extremum.
-    """
-
-    eta1: float
-    eta2: float = _INF
-
-    def __post_init__(self):
-        if not self.eta1 < self.eta2:
-            raise ValueError(f"need eta1 < eta2, got ({self.eta1}, {self.eta2})")
-
-    def decide(self, statistic):
-        """H1 verdict per statistic value (elementwise on arrays)."""
-        return (self.eta1 < statistic) & (statistic < self.eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +63,23 @@ def rho_glrd2(l_inband: int, p_excess: int, k: int, snr: float) -> float:
     return mu_glrd1(l_inband, k + p_excess, snr)
 
 
-def lr_glrd1_value(t: float, n_samples: int, k: int, snr: float) -> float:
-    """Time-domain GLR evaluated at statistic value t = sum(r)/theta."""
-    n = float(n_samples)
+def log_glrd1(t, n_samples: int, k: int, snr: float):
+    """Log of the time-domain GLR at statistic value t = sum(r)/theta,
+    elementwise over an array of t:
+
+    N log(1 - g/(1+g+t)) + g (N+k) t / ((1+t)(1+g+t)),
+
+    which does not underflow where the GLR's factor ((1+t)/(1+g+t))^N does.
+    """
     g = float(snr)
-    ratio = (1.0 + t) / (1.0 + g + t)
-    return ratio**n * math.exp(g * (n + k) * t / ((1.0 + t) * (1.0 + g + t)))
+    return (n_samples * np.log1p(-g / (1.0 + g + t))
+            + g * (n_samples + k) * t / ((1.0 + t) * (1.0 + g + t)))
 
 
-def lr_glrd2_value(t: float, l_inband: int, p_excess: int, k: int, snr: float) -> float:
-    """Frequency-domain GLR evaluated at t = sum(x)/(theta + sum(y))."""
-    return lr_glrd1_value(t, l_inband, k + p_excess, snr)
+def log_glrd2(t, l_inband: int, p_excess: int, k: int, snr: float):
+    """Log of the frequency-domain GLR at t = sum(x)/(theta + sum(y)):
+    `log_glrd1` with L in place of N and k+P in place of k."""
+    return log_glrd1(t, l_inband, k + p_excess, snr)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +100,17 @@ class Detector:
     normalizing its energy sum by the true noise power so one threshold
     applies across trials with varying noise.  `law(cfg, alpha, snr, eta)`
     is the closed-form P(statistic > eta) at noise power alpha (at snr = 0
-    the false-alarm probability), elementwise.  `peak(cfg)` locates the
-    likelihood maximum of a GLR detector in the scenario cfg; a row with a
-    peak takes the band rule when two-sided operation is requested.
+    the false-alarm probability), elementwise.  A GLR row's `log_lr(cfg,
+    t)` is its log-GLR at statistic values t at the scenario's SNR,
+    elementwise; it peaks at `mu_glrd1` or `rho_glrd2`.  With
+    cfg.glr_two_sided set, `montecarlo.trial_statistics` maps the row's
+    statistic through it.
     """
 
     domain: str
     statistic: Callable
     law: Callable
-    peak: Callable | None = None
+    log_lr: Callable | None = None
 
 
 # The laws look `analysis` up at call time, so a patched or traced form runs.
@@ -139,11 +128,12 @@ DETECTORS = {
                         lambda cfg, alpha, snr, eta: analysis.pd_opt(
                             cfg.n_samples, 1.0, snr, eta)),
     "alrd1": _ALRD1,
-    "glrd1": replace(_ALRD1, peak=lambda cfg: mu_glrd1(
-        cfg.n_samples, cfg.prior.k, cfg.signal.snr_linear)),
+    "glrd1": replace(_ALRD1, log_lr=lambda cfg, t: log_glrd1(
+        t, cfg.n_samples, cfg.prior.k, cfg.signal.snr_linear)),
     "alrd2": _ALRD2,
-    "glrd2": replace(_ALRD2, peak=lambda cfg: rho_glrd2(
-        cfg.geometry.l_inband, cfg.geometry.p_excess, cfg.prior.k, cfg.signal.snr_linear)),
+    "glrd2": replace(_ALRD2, log_lr=lambda cfg, t: log_glrd2(
+        t, cfg.geometry.l_inband, cfg.geometry.p_excess, cfg.prior.k,
+        cfg.signal.snr_linear)),
 }
 
 

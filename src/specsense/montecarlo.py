@@ -24,14 +24,18 @@ The blocks of a call run in order, in the calling thread.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and `calibrate` reads the
-thresholds off those CDFs, as `roc_sweep_channels` does; the `roc`,
-`calibrate` and `cdf` commands all go through it.
+thresholds off those CDFs, for `roc_sweep_channels` too; the `roc`,
+`calibrate` and `cdf` commands all go through it.  Every detector has
+one decision rule, H1 when its statistic exceeds the threshold.  With
+cfg.glr_two_sided set, `trial_statistics` maps each GLR detector's
+statistic through its log-GLR (`detectors.Detector.log_lr`), so that
+rule is the GLRT's band around the likelihood peak, calibrated like
+every other detector: the threshold is the log-GLR level.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -47,13 +51,14 @@ PHASE_CALIBRATION = 1
 PHASE_EVAL_H0 = 2
 PHASE_EVAL_H1 = 3
 
-# share of a band rule's false-alarm budget placed above its upper edge
-_UPPER_SHARE = Fraction(1, 10)
-
 # Trials per block.  It is part of the stream layout: every block draws
 # its variates for TRIAL_CHUNK trials, so changing it moves every output.
 # It is fixed, never derived from the trial count, so trial i does not
-# depend on the trial count and peak memory stays flat as trials grow.
+# depend on the trial count and the block buffers stay the same size as
+# trials grow.  Peak memory still grows: `trial_statistics` returns one
+# float64 per detector and trial, and `roc_sweep_channels` keeps a leg's
+# H0 and H1 statistics, so `roc fig4` (three detectors) peaks about 48
+# bytes higher per trial.
 TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
@@ -192,7 +197,8 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
 
     The blocks of `TRIAL_CHUNK` trials run in order: each is observed
     (`observe`) and reduced by the detector table into its slice of the
-    output.
+    output.  With cfg.glr_two_sided set, each GLR detector's samples are
+    then mapped through its log-GLR (`detectors.Detector.log_lr`).
     A trial count beyond the stream layout is a `ConfigError` raised
     before anything is allocated, and a non-finite statistic a
     `NumericFailure`.
@@ -208,8 +214,10 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
         for name, row in rows.items():
             out[name][start:start + alpha.size] = row.statistic(
                 obs[row.domain], alpha, cfg.prior)
-    for name, vals in out.items():
-        if not np.all(np.isfinite(vals)):
+    for name, row in rows.items():
+        if cfg.glr_two_sided and row.log_lr is not None:
+            out[name] = row.log_lr(cfg, out[name])
+        if not np.all(np.isfinite(out[name])):
             raise NumericFailure(f"non-finite statistic produced by {name!r}")
     return out
 
@@ -250,34 +258,10 @@ def calibration_cdfs(cfg: sig.ScenarioConfig,
     return {name: EmpiricalCdf.from_samples(vals) for name, vals in cal.items()}
 
 
-def _thresholds(cdf: EmpiricalCdf, p: float, banded: bool) -> det.ThresholdSpec:
-    """Thresholds with H0 decision mass p, read off the calibration CDF.
-
-    One-sided: P(stat > eta1 | H0) = p.  Banded: the upper tail gets
-    `_UPPER_SHARE` of the budget, P(stat > eta2 | H0) = _UPPER_SHARE * p
-    and P(stat > eta1 | H0) = (1 + _UPPER_SHARE) * p, which `_target_grid`
-    keeps below 1.  A threshold of upper mass m leaves floor(m * n) of the
-    n samples above it, with m taken exactly from the decimal p (in
-    floats, 1.0 - 0.7 overshoots).
-    """
-    mass = Fraction(repr(p))
-    if not banded:
-        return det.ThresholdSpec(eta1=cdf.quantile(1 - mass))
-    return det.ThresholdSpec(eta1=cdf.quantile(1 - (1 + _UPPER_SHARE) * mass),
-                             eta2=cdf.quantile(1 - _UPPER_SHARE * mass))
-
-
-def _banded(cfg: sig.ScenarioConfig, name: str) -> bool:
-    """Whether `name` is calibrated with the band rule of `_thresholds`."""
-    return cfg.glr_two_sided and det.detector(name).peak is not None
-
-
-def _target_grid(cfg: sig.ScenarioConfig, names: Sequence[str],
-                 pfa_grid: Iterable[float]) -> list[float]:
+def _target_grid(cfg: sig.ScenarioConfig, pfa_grid: Iterable[float]) -> list[float]:
     """The target false-alarm probabilities as floats, checked before any
-    trial runs: each in (0, 1), ascending, the smallest one leaving at
-    least 100 calibration trials above its threshold, and each within the
-    budget of a band rule when one of `names` is banded."""
+    trial runs: each in (0, 1), ascending, and the smallest one leaving at
+    least 100 calibration trials above its threshold."""
     grid = [float(p) for p in pfa_grid]
     if any(not (0.0 < p < 1.0) for p in grid):
         raise ConfigError("pfa targets must lie in (0, 1)")
@@ -285,55 +269,23 @@ def _target_grid(cfg: sig.ScenarioConfig, names: Sequence[str],
         raise ConfigError("pfa targets must be ascending")
     if grid and min(grid) * cfg.trials < 100:
         raise ConfigError("not enough trials for the smallest pfa target")
-    if any(_banded(cfg, name) for name in names):
-        for p in grid:
-            if (1 + _UPPER_SHARE) * Fraction(repr(p)) >= 1:
-                raise ConfigError(
-                    f"target false-alarm probability {p:g} too large for a band "
-                    f"rule (need below {float(1 / (1 + _UPPER_SHARE)):.4g})")
     return grid
 
 
-def _calibrated(cfg: sig.ScenarioConfig, grid: list[float],
-                cdfs: Mapping[str, EmpiricalCdf]) -> dict[str, list[det.ThresholdSpec]]:
-    """Thresholds per detector at each target of a `_target_grid` grid,
-    read off calibration CDFs computed beforehand.
-
-    GLR detectors use the one-sided rule unless cfg.glr_two_sided is
-    set, in which case the band rule of `_thresholds` is read, with one
-    warning per detector when some band misses the likelihood peak.  The
-    warning names the caller of the public function that called this one.
-    """
-    specs = {}
-    for name, cdf in cdfs.items():
-        banded = _banded(cfg, name)
-        specs[name] = [_thresholds(cdf, p, banded) for p in grid]
-        if not banded or cfg.signal.snr_linear == 0.0:  # no peak without signal
-            continue
-        peak = det.detector(name).peak(cfg)
-        missed = [f"{p:g}" for p, spec in zip(grid, specs[name])
-                  if not spec.eta1 < peak < spec.eta2]
-        if missed:
-            warnings.warn(
-                f"{name}: two-sided thresholds at targets {', '.join(missed)} "
-                f"do not bracket the likelihood peak at {peak:.4g}; the band "
-                f"rule is not operating in its intended regime", stacklevel=3)
-    return specs
-
-
 def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
-              pfa_grid: Iterable[float]) -> dict[str, list[det.ThresholdSpec]]:
+              pfa_grid: Iterable[float]) -> dict[str, list[float]]:
     """Thresholds per detector at each target false-alarm probability,
     calibrated on the shared H0 calibration trials (`calibration_cdfs`).
 
     A target grid that no calibration could meet is a `ConfigError`
-    raised before any trial runs (`_target_grid`).  GLR detectors use the
-    one-sided rule unless cfg.glr_two_sided is set, in which case the
-    band rule of `_thresholds` is calibrated, with one warning per
-    detector when some band misses the likelihood peak.
+    raised before any trial runs (`_target_grid`).  The threshold at
+    target p is the calibration statistic of rank ceil((1 - p) * n): it
+    leaves floor(p * n) of the n statistics above it, with p * n taken
+    exactly from the decimal p (in floats, 1.0 - 0.7 overshoots).
     """
-    grid = _target_grid(cfg, names, pfa_grid)
-    return _calibrated(cfg, grid, calibration_cdfs(cfg, names))
+    grid = _target_grid(cfg, pfa_grid)
+    return {name: [cdf.quantile(1 - Fraction(repr(p))) for p in grid]
+            for name, cdf in calibration_cdfs(cfg, names).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +315,13 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     three phases use disjoint random streams.  Calibration and H0
     evaluation read no channel field, so they run once for every
     channel; only the H1 phase runs per channel.  Thresholds are those of
-    `calibrate`, which rejects the same target grids before any trial
-    runs; a band rule reports its lower edge.
+    `calibrate`, which rejects a bad target grid before any trial runs,
+    and a trial decides H1 when its statistic exceeds the threshold.
     """
-    grid = _target_grid(cfg, detector_names, pfa_grid)
-    specs = _calibrated(cfg, grid, calibration_cdfs(cfg, detector_names))
+    grid = _target_grid(cfg, pfa_grid)
+    thresholds = calibrate(cfg, detector_names, grid)
     s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
-    pfa = {name: [float(np.mean(spec.decide(s0[name]))) for spec in specs[name]]
+    pfa = {name: [float(np.mean(s0[name] > eta)) for eta in thresholds[name]]
            for name in detector_names}
 
     sweeps = []
@@ -379,12 +331,12 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
         out: dict[str, list[RocPoint]] = {}
         for name in detector_names:
             points = []
-            for p, spec, pfa_emp in zip(grid, specs[name], pfa[name]):
-                k = int(np.sum(spec.decide(s1[name])))
+            for p, eta, pfa_emp in zip(grid, thresholds[name], pfa[name]):
+                k = int(np.count_nonzero(s1[name] > eta))
                 lo, hi = wilson_interval(k, cfg.trials)
                 points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
                                        pd_empirical=k / cfg.trials, pd_ci_low=lo,
-                                       pd_ci_high=hi, threshold=spec.eta1))
+                                       pd_ci_high=hi, threshold=eta))
             out[name] = points
         sweeps.append(out)
     return sweeps

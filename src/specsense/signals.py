@@ -107,7 +107,9 @@ class ScenarioConfig:
     It names no hypothesis: the trial phase decides whether the channel
     is idle or occupied.  `noise_power` pins the noise power instead of
     drawing it from the prior.  `source` selects direct model sampling
-    ("model") or the shaped-waveform path ("waveform").
+    ("model") or the shaped-waveform path ("waveform").  `glr_two_sided`
+    makes the GLR detectors' statistics their log-GLRs, which needs a
+    nonzero SNR.
     """
 
     n_samples: int
@@ -131,6 +133,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown observation source {self.source!r}")
         if self.noise_power is not None and self.noise_power <= 0:
             raise ConfigError("pinned noise power must be positive")
+        if self.glr_two_sided and self.signal.snr_linear == 0.0:
+            raise ConfigError("glr_two_sided needs a nonzero linear SNR, but snr_db "
+                              "gives 0: the log-GLR is then identically 0")
 
     @cached_property
     def geometry(self) -> BandGeometry:

@@ -24,7 +24,7 @@ from .analysis import (
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
-from .detectors import lr_glrd1_value, lr_glrd2_value, mu_glrd1, rho_glrd2
+from .detectors import log_glrd1, log_glrd2, mu_glrd1, rho_glrd2
 from .signals import NoisePrior
 
 DEFAULT_SEED = 20260809
@@ -193,7 +193,7 @@ def check_moments(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResul
     x = rng.exponential(scale * (1.0 + snr), size=(trials, l))
     y = rng.exponential(scale, size=(trials, p))
     phi = x.sum(axis=1) - eta * y.sum(axis=1)
-    refp = proposed_statistic_moments(l, p, n, alpha, snr, eta).derived
+    refp = proposed_statistic_moments(l, p, n, alpha, snr, eta)
     worst_se = max(worst_se, _moment_gap_in_se(phi, refp.mean, refp.variance))
 
     passed = worst_se < 4.0
@@ -226,20 +226,22 @@ def check_glr_unimodality(seed: int = DEFAULT_SEED, n_configs: int = 10) -> Chec
         snr = float(rng.uniform(0.1, 4.0))
 
         mu = mu_glrd1(n, k, snr)
-        if not _single_peak(lambda t: lr_glrd1_value(t, n, k, snr), mu):
+        if not _single_peak(lambda t: log_glrd1(t, n, k, snr), mu):
             ok, detail = False, f"time-domain GLR not unimodal at N={n}, k={k}"
             break
         rho = rho_glrd2(n, p, k, snr)
-        if not _single_peak(lambda t: lr_glrd2_value(t, n, p, k, snr), rho):
+        if not _single_peak(lambda t: log_glrd2(t, n, p, k, snr), rho):
             ok, detail = False, f"frequency-domain GLR not unimodal at L={n}, P={p}"
             break
     return CheckResult("glr_unimodality", ok, detail)
 
 
 def _single_peak(fn, extremum: float) -> bool:
+    """Whether the elementwise `fn` rises to one maximum, at `extremum`
+    to within one grid step, and falls, on a grid up to 4 * extremum."""
     step = 1e-3 * extremum
     grid = np.arange(0.0, 4.0 * extremum, step)
-    vals = np.array([fn(t) for t in grid])
+    vals = fn(grid)
     diffs = np.diff(vals)
     signs = np.sign(diffs)
     signs[signs == 0] = 1

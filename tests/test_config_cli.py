@@ -19,7 +19,7 @@ from specsense.config import (
     load_experiment,
     parse_config_text,
 )
-from specsense.detectors import DETECTORS
+from specsense.detectors import DETECTORS, log_glrd1, mu_glrd1
 from specsense.errors import ConfigError
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -92,6 +92,16 @@ class TestParsing:
                 "detectors = alrd1, alrd2", f"detectors = {listed}")
                 + "glr_two_sided = true\n")
             assert experiment_from_mapping(raw).scenarios[0].glr_two_sided
+
+    def test_glr_two_sided_rejects_zero_linear_snr(self):
+        # -4000 dB underflows to a linear SNR of 0, where the log-GLR is
+        # identically 0 and no level could separate the hypotheses
+        text = MINIMAL.replace("detectors = alrd1, alrd2", "detectors = glrd1").replace(
+            "snr_db = 3", "snr_db = -4000")
+        assert experiment_from_mapping(parse_config_text(text)).snr_linear == 0.0
+        raw = parse_config_text(text + "glr_two_sided = true\n")
+        with pytest.raises(ConfigError, match="glr_two_sided.*snr_db"):
+            experiment_from_mapping(raw)
 
     def test_duplicate_detector(self):
         raw = parse_config_text(MINIMAL.replace("detectors = alrd1, alrd2",
@@ -264,12 +274,15 @@ class TestCliRoc:
         assert done.value.code == 0
         assert "--svg" in capsys.readouterr().out
 
-    def test_band_rule_target_too_large_exit_code(self, tmp_path):
+    def test_two_sided_target_095_exits_zero(self, tmp_path, capsys):
         conf = write_config(tmp_path, ROC_CONF.replace(
             "detectors = alrd1, alrd2", "detectors = glrd1").replace(
             "pfa_targets = 0.05, 0.1, 0.3", "pfa_targets = 0.1, 0.95")
             + "glr_two_sided = true\n")
-        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 1
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        assert not capsys.readouterr().err
+        lines = (tmp_path / "exp_roc.csv").read_text().splitlines()
+        assert [line.split(",")[4] for line in lines[2:]] == ["0.1", "0.95"]
 
     def test_negative_seed_exit_code(self, tmp_path):
         conf = write_config(tmp_path, ROC_CONF)
@@ -360,6 +373,22 @@ class TestCliCdf:
             assert pts[-1][1] == 1.0
             cdfs = [c for _, c in pts]
             assert all(a <= b for a, b in zip(cdfs, cdfs[1:]))
+
+    def test_two_sided_tabulates_the_log_glr(self, tmp_path):
+        # a two-sided glrd1 is calibrated on its log-GLR, so cdf tabulates that
+        text = CDF_CONF.replace("alrd1, alrd2", "alrd1, glrd1")
+        tables = {}
+        for stem, line in (("one", ""), ("two", "glr_two_sided = true\n")):
+            conf = write_config(tmp_path, text + line, name=f"{stem}.conf")
+            assert main(["cdf", str(conf), "--out", str(tmp_path)]) == 0
+            lines = (tmp_path / f"{stem}_cdf.csv").read_text().splitlines()[2:]
+            rows = [line.split(",") for line in lines]
+            tables[stem] = {name: [row[1:] for row in rows if row[0] == name]
+                            for name in ("alrd1", "glrd1")}
+        assert tables["two"]["alrd1"] == tables["one"]["alrd1"] == tables["one"]["glrd1"]
+        values = np.array([float(value) for value, _ in tables["two"]["glrd1"]])
+        peak = log_glrd1(mu_glrd1(20, 3, 1.0), 20, 3, 1.0)
+        assert values.min() < 0 < values.max() <= peak + 1e-5 * peak
 
     def test_requires_single_block_size(self, tmp_path):
         conf = write_config(tmp_path, CDF_CONF.replace(

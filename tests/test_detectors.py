@@ -10,10 +10,9 @@ from specsense.detectors import (
     DETECTORS,
     FREQ,
     TIME,
-    ThresholdSpec,
     detector,
-    lr_glrd1_value,
-    lr_glrd2_value,
+    log_glrd1,
+    log_glrd2,
     mu_glrd1,
     rho_glrd2,
 )
@@ -27,24 +26,6 @@ def statistic(name, obs, alpha=1.0, prior=PRIOR):
     """Detector `name`'s statistic of the sums `obs`: sum(r), or the pair
     (sum(x), sum(y))."""
     return DETECTORS[name].statistic(obs, alpha, prior)
-
-
-class TestThresholdSpec:
-    def test_single_is_upper_open_band(self):
-        t = ThresholdSpec(eta1=2.0)
-        assert t.eta1 == 2.0 and t.eta2 == math.inf
-        assert t.decide(3.0) and not t.decide(1.0)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ThresholdSpec(eta1=2.0, eta2=1.0)
-
-    def test_decide_on_array_matches_scalar_verdicts(self):
-        s = np.array([-1.0, 2.0, 2.5, 9.999, 10.0, 40.0, math.inf])
-        for spec in (ThresholdSpec(eta1=2.0), ThresholdSpec(eta1=2.0, eta2=10.0)):
-            verdicts = spec.decide(s)
-            assert verdicts.dtype == bool
-            assert verdicts.tolist() == [bool(spec.decide(float(v))) for v in s]
 
 
 class TestEnergyStatistics:
@@ -103,8 +84,13 @@ class TestExcessBandStatistics:
 
 def grid_argmax(fn, hi, step):
     grid = np.arange(step, hi, step)
-    vals = np.array([fn(t) for t in grid])
-    return grid[np.argmax(vals)]
+    return grid[np.argmax(fn(grid))]
+
+
+def scenario(snr=1.0, prior=PRIOR):
+    """N 20, critically sampled: L 16 in-band and P 4 excess bins."""
+    return ScenarioConfig(20, prior, SignalSpec.critically_sampled(54_000.0, 0.25, snr),
+                          ChannelSpec(), trials=1, master_seed=1)
 
 
 class TestGlrExtrema:
@@ -114,7 +100,7 @@ class TestGlrExtrema:
     def test_mu_is_argmax(self):
         for n, k, g in [(20, 4, 1.0), (40, 2, 0.5), (12, 8, 2.0)]:
             mu = mu_glrd1(n, k, g)
-            star = grid_argmax(lambda t: lr_glrd1_value(t, n, k, g), 4 * mu, 1e-3)
+            star = grid_argmax(lambda t: log_glrd1(t, n, k, g), 4 * mu, 1e-3)
             assert abs(star - mu) < 2e-3
 
     def test_mu_increases_with_snr(self):
@@ -128,7 +114,7 @@ class TestGlrExtrema:
     def test_rho_is_argmax(self):
         for l, p, k, g in [(16, 4, 4, 1.0), (32, 8, 2, 0.7), (10, 3, 6, 2.5)]:
             rho = rho_glrd2(l, p, k, g)
-            star = grid_argmax(lambda t: lr_glrd2_value(t, l, p, k, g), 4 * rho, 1e-3)
+            star = grid_argmax(lambda t: log_glrd2(t, l, p, k, g), 4 * rho, 1e-3)
             assert abs(star - rho) < 2e-3
 
     def test_rho_reduces_to_mu_without_excess(self):
@@ -137,7 +123,7 @@ class TestGlrExtrema:
         for l, p, k, g in [(16, 4, 4, 1.0), (32, 8, 2, 0.7), (102, 26, 3, 2.5)]:
             assert rho_glrd2(l, p, k, g) == mu_glrd1(l, k + p, g)
             for t in (0.0, 0.5 * l, 3.0 * l):
-                assert lr_glrd2_value(t, l, p, k, g) == lr_glrd1_value(t, l, k + p, g)
+                assert log_glrd2(t, l, p, k, g) == log_glrd1(t, l, k + p, g)
 
     def test_rho_increases_with_snr(self):
         rhos = [rho_glrd2(16, 4, 4, g) for g in np.linspace(0.05, 4.0, 25)]
@@ -146,49 +132,62 @@ class TestGlrExtrema:
 
 class TestLikelihoodValues:
     def test_origin_value(self):
-        n, g = 20, 1.0
-        assert lr_glrd1_value(0.0, n, 4, g) == pytest.approx((1 / (1 + g)) ** n)
+        for n, g in ((20, 1.0), (2000, 1.0)):
+            assert log_glrd1(0.0, n, 4, g) == pytest.approx(n * math.log(1 / (1 + g)))
+        # the log form stays finite where the GLR itself underflows
+        assert (1 / 2) ** 2000 == 0.0
 
     def test_zero_snr_flat(self):
         for t in (0.0, 1.0, 7.7, 30.0):
-            assert lr_glrd1_value(t, 20, 4, 0.0) == 1.0
-            assert lr_glrd2_value(t, 16, 4, 4, 0.0) == 1.0
+            assert log_glrd1(t, 20, 4, 0.0) == 0.0
+            assert log_glrd2(t, 16, 4, 4, 0.0) == 0.0
 
     def test_unimodal(self):
         mu = mu_glrd1(20, 4, 1.0)
         grid = np.arange(0.0, 4 * mu, 1e-3 * mu)
-        vals = np.array([lr_glrd1_value(t, 20, 4, 1.0) for t in grid])
-        signs = np.sign(np.diff(vals))
+        signs = np.sign(np.diff(log_glrd1(grid, 20, 4, 1.0)))
         signs[signs == 0] = 1
         assert np.count_nonzero(np.diff(signs)) == 1
 
+    def test_log_lr_on_array_matches_scalar_calls(self):
+        t = np.array([0.0, 0.5, 2.0, 16.3, 40.0, 1e6])
+        for vals, one in ((log_glrd1(t, 20, 4, 1.0), lambda v: log_glrd1(v, 20, 4, 1.0)),
+                          (log_glrd2(t, 16, 4, 4, 2.0),
+                           lambda v: log_glrd2(v, 16, 4, 4, 2.0))):
+            assert vals.shape == t.shape
+            assert vals.tolist() == [float(one(float(v))) for v in t]
+
 
 class TestDecisionRules:
+    """A two-sided GLR detector decides H1 when its log-GLR exceeds a level."""
+
     def test_glrd1_cases(self):
-        thr = ThresholdSpec(eta1=2.0, eta2=10.0)
-        prior = NoisePrior(k=1, theta=1.0)
-        verdicts = [thr.decide(statistic("glrd1", np.full(20, v).sum(), prior=prior))
-                    for v in (0.05, 0.25, 1.0)]             # stat = 1, 5, 20
-        assert verdicts == [False, True, False]
+        # a positive level cuts a band around the peak: H0 below and far above
+        cfg = scenario()
+        row, mu = DETECTORS["glrd1"], mu_glrd1(20, PRIOR.k, 1.0)
+        gamma = row.log_lr(cfg, mu) / 2
+        assert gamma > 0
+        stats = [statistic("glrd1", s) for s in (0.0, mu * PRIOR.theta, 1e6)]
+        assert [bool(row.log_lr(cfg, t) > gamma) for t in stats] == [False, True, False]
 
     def test_glrd2_above_band_is_h0(self):
-        thr = ThresholdSpec(eta1=1.0, eta2=4.0)
-        prior = NoisePrior(k=1, theta=1.0)
+        cfg = scenario()
+        row, rho = DETECTORS["glrd2"], rho_glrd2(16, 4, PRIOR.k, 1.0)
+        gamma = row.log_lr(cfg, rho) / 2
         xy = np.full(16, 100.0).sum(), np.full(4, 1.0).sum()
-        assert not thr.decide(statistic("glrd2", xy, prior=prior))
+        t = statistic("glrd2", xy)
+        assert t > rho and not row.log_lr(cfg, t) > gamma
 
     def test_one_sided_reduction_exact(self):
-        rng = stream_seeker(405)[0]
-        eta = 4.0
-        band = ThresholdSpec(eta1=eta)
-        prior = PRIOR
-        for _ in range(1000):
-            r = rng.exponential(1.0, 20)
-            x = rng.exponential(20.0, 16)
-            y = rng.exponential(20.0, 4)
-            for t in (statistic("alrd1", r.sum(), prior=prior),
-                      statistic("alrd2", (x.sum(), y.sum()), prior=prior)):
-                assert band.decide(t) == (t > eta)
+        # the GLR tends to 1 from above as t grows, so a level at or below
+        # log 1 = 0 leaves only a lower edge t1: the ALR twin's one-sided rule
+        t = stream_seeker(405)[0].exponential(2.0, 10_000)
+        cfg, t1 = scenario(), 1.0
+        for name in ("glrd1", "glrd2"):
+            row = DETECTORS[name]
+            gamma = row.log_lr(cfg, t1)
+            assert gamma < 0
+            assert np.array_equal(row.log_lr(cfg, t) > gamma, t > t1), name
 
 
 class TestDetectionBeatsFalseAlarm:
@@ -235,13 +234,20 @@ class TestDetectorTable:
         assert DETECTORS["optimal"].statistic(40.0, 2.0, PRIOR) == 20.0
 
     def test_peaks_only_on_glr_rows(self):
-        cfg = ScenarioConfig(20, PRIOR, SignalSpec.critically_sampled(54_000.0, 0.25, 1.0),
-                             ChannelSpec(), trials=1, master_seed=1)
+        # only the GLR rows carry a log-GLR, and each peaks where its
+        # extremum formula says, at the scenario's N, L, P, k and SNR
+        cfg = scenario()
         assert (cfg.geometry.l_inband, cfg.geometry.p_excess) == (16, 4)
-        peaks = {name: row.peak(cfg)
-                 for name, row in DETECTORS.items() if row.peak is not None}
-        assert peaks == {"glrd1": mu_glrd1(20, 4, 1.0),
-                         "glrd2": rho_glrd2(16, 4, 4, 1.0)}
+        grid = np.linspace(0.0, 60.0, 7)
+        assert {name for name, row in DETECTORS.items() if row.log_lr} == {"glrd1", "glrd2"}
+        assert np.array_equal(DETECTORS["glrd1"].log_lr(cfg, grid),
+                              log_glrd1(grid, 20, 4, 1.0))
+        assert np.array_equal(DETECTORS["glrd2"].log_lr(cfg, grid),
+                              log_glrd2(grid, 16, 4, 4, 1.0))
+        for name, peak in (("glrd1", mu_glrd1(20, 4, 1.0)),
+                           ("glrd2", rho_glrd2(16, 4, 4, 1.0))):
+            star = grid_argmax(lambda t: DETECTORS[name].log_lr(cfg, t), 4 * peak, 1e-3)
+            assert abs(star - peak) < 2e-3, name
 
     def test_block_statistic_equals_row_by_row(self):
         rng = stream_seeker(407)[0]

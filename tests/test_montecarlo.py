@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 from scipy.special import betainc, gammainc
 
 from specsense import montecarlo
 from specsense.analysis import pd_alrd1, pfa_alrd2_exact
-from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
+from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1, rho_glrd2
 from specsense.errors import ConfigError, NumericFailure
 from specsense.montecarlo import (
     KIND_BINS,
@@ -23,7 +24,6 @@ from specsense.montecarlo import (
     PHASE_EVAL_H1,
     TRIAL_CHUNK,
     EmpiricalCdf,
-    _thresholds,
     calibrate,
     calibration_cdfs,
     observe,
@@ -545,10 +545,10 @@ class TestBlockEngine:
             for name in names:
                 cdf = EmpiricalCdf.from_samples(cal[name])
                 for p, point in zip(grid, sweep[name], strict=True):
-                    spec = _thresholds(cdf, p, banded=False)
-                    assert point.threshold == spec.eta1
-                    assert point.pfa_empirical == np.mean(spec.decide(s0[name]))
-                    assert point.pd_empirical == np.mean(spec.decide(s1[name]))
+                    eta = cdf.quantile(1 - Fraction(repr(p)))
+                    assert point.threshold == eta
+                    assert point.pfa_empirical == np.mean(s0[name] > eta)
+                    assert point.pd_empirical == np.mean(s1[name] > eta)
 
 
 class TestStreamLayout:
@@ -678,8 +678,8 @@ class TestEmpiricalCdf:
         cfg = make_cfg(trials=5000)
         cdf = calibration_cdfs(cfg, ["alrd1"])["alrd1"]
         grid = [0.02, 0.1, 0.5]
-        for p, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
-            assert spec.eta1 == cdf.quantile(1 - p)
+        for p, eta in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
+            assert eta == cdf.quantile(1 - p)
 
     def test_one_run_for_every_detector(self):
         # every detector's CDF comes from the same trials as a joint run
@@ -694,29 +694,30 @@ class TestEmpiricalCdf:
 class TestCalibration:
     def test_median_threshold(self):
         cfg = make_cfg(trials=4000)
-        thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0].eta1
+        thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0]
         stats = trial_statistics(cfg, ["alrd1"], PHASE_CALIBRATION)["alrd1"]
         assert thr == np.sort(stats)[math.ceil(0.5 * stats.size) - 1]
 
-    @pytest.mark.filterwarnings("ignore:glrd1. two-sided thresholds")
     @pytest.mark.parametrize("trials", [1000, 10_000, 40_000])
     def test_threshold_leaves_floor_p_n_samples_above(self, trials):
         # the presets' target grid, as far as the trial count admits it;
-        # in floats, 1.0 - 0.7 = 0.30000000000000004 took one rank too many
-        grid = [p for p in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+        # in floats, 1.0 - 0.7 = 0.30000000000000004 took one rank too many.
+        # A two-sided glrd1's calibration values are its log-GLRs, and its
+        # level leaves the same count above it.
+        grid = [p for p in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95)
                 if p * trials >= 100]
         cfg = replace(make_cfg(trials=trials), glr_two_sided=True)
         cdfs = calibration_cdfs(cfg, ["alrd1", "glrd1"])
-        specs = calibrate(cfg, ["alrd1", "glrd1"], grid)
+        thresholds = calibrate(cfg, ["alrd1", "glrd1"], grid)
 
         def above(name, eta):
             return int(np.sum(cdfs[name].values > eta))
 
-        for p, one, band in zip(grid, specs["alrd1"], specs["glrd1"], strict=True):
+        for p, eta, gamma in zip(grid, thresholds["alrd1"], thresholds["glrd1"],
+                                 strict=True):
             mass = Fraction(str(p))
-            assert above("alrd1", one.eta1) == math.floor(mass * trials), p
-            assert above("glrd1", band.eta1) == math.floor(mass * 11 / 10 * trials), p
-            assert above("glrd1", band.eta2) == math.floor(mass / 10 * trials), p
+            assert above("alrd1", eta) == math.floor(mass * trials), p
+            assert above("glrd1", gamma) == math.floor(mass * trials), p
 
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigError):
@@ -724,7 +725,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("grid, match", [
         ([0.5, 0.1], "ascending"), ([0.0, 0.5], r"\(0, 1\)"),
-        ([0.01], "not enough trials"), ([0.1, 0.95], "band rule")])
+        ([0.01], "not enough trials")])
     def test_bad_grid_rejected_before_any_trial(self, monkeypatch, grid, match):
         def no_trials(*args):
             raise AssertionError("a trial ran")
@@ -740,7 +741,7 @@ class TestCalibration:
     def test_matches_analytic_inversion_at_fixed_alpha(self):
         cfg = make_cfg(trials=100_000, noise_power=1.0)
         target = 0.1
-        thr = calibrate(cfg, ["optimal"], [target])["optimal"][0].eta1
+        thr = calibrate(cfg, ["optimal"], [target])["optimal"][0]
         # invert the closed form by bisection
         lo, hi = 0.0, 100.0
         for _ in range(80):
@@ -758,7 +759,7 @@ class TestCalibration:
 
     def test_holdout_pfa_reproduces_target(self):
         cfg = make_cfg(trials=100_000)
-        thr = calibrate(cfg, ["alrd2"], [0.1])["alrd2"][0].eta1
+        thr = calibrate(cfg, ["alrd2"], [0.1])["alrd2"][0]
         fresh = replace(cfg, master_seed=cfg.master_seed + 1)
         stats = trial_statistics(fresh, ["alrd2"], PHASE_EVAL_H0)["alrd2"]
         assert abs(np.mean(stats > thr) - 0.1) < 0.01
@@ -766,8 +767,7 @@ class TestCalibration:
     def test_independent_seed_within_ten_percent(self):
         cfg = make_cfg(trials=100_000)
         grid = [0.05, 0.2]
-        for target, spec in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
-            thr = spec.eta1
+        for target, thr in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
             fresh = replace(cfg, master_seed=12345)
             stats = trial_statistics(fresh, ["alrd1"], PHASE_EVAL_H0)["alrd1"]
             emp = float(np.mean(stats > thr))
@@ -775,32 +775,42 @@ class TestCalibration:
 
     def test_two_sided_band_mass(self):
         cfg = replace(make_cfg(trials=100_000), glr_two_sided=True)
-        thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
-        assert thr.eta1 < thr.eta2
+        gamma = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
+        assert gamma > 0  # above log 1, so the band has two finite edges
         fresh = replace(cfg, master_seed=777)
         stats = trial_statistics(fresh, ["glrd1"], PHASE_EVAL_H0)["glrd1"]
-        band = np.mean((stats > thr.eta1) & (stats < thr.eta2))
-        assert abs(band - 0.1) < 0.01
+        assert abs(np.mean(stats > gamma) - 0.1) < 0.01
 
-    def test_two_sided_brackets_peak_under_vague_prior(self):
-        # with a vague prior the H0 statistic is heavy tailed and the
-        # calibrated band straddles the likelihood peak
-        cfg = replace(make_cfg(trials=100_000), glr_two_sided=True)
-        thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
-        mu = mu_glrd1(20, PRIOR.k, 1.0)
-        assert thr.eta1 < mu < thr.eta2
+    @pytest.mark.parametrize("name", ["glrd1", "glrd2"])
+    def test_two_sided_rule_is_the_likelihood_band(self, name):
+        # On fresh H0 trials, a log-GLR above the calibrated level gamma is
+        # a statistic inside the band (t1, t2) where the GLR exceeds
+        # exp(gamma): t1 and t2 are the roots of log_lr - gamma on each side
+        # of the peak.  The GLR tends to 1 from above as t grows, so a level
+        # at or below 0 leaves t2 infinite, and one below the GLR at t = 0
+        # leaves t1 at -inf.
+        cfg = replace(make_cfg(trials=20_000), glr_two_sided=True)
+        row, geom = DETECTORS[name], cfg.geometry
+        peak = (mu_glrd1(cfg.n_samples, PRIOR.k, 1.0) if name == "glrd1" else
+                rho_glrd2(geom.l_inband, geom.p_excess, PRIOR.k, 1.0))
+        raw = trial_statistics(replace(cfg, glr_two_sided=False), [name],
+                               PHASE_EVAL_H0)[name]
+        mapped = trial_statistics(cfg, [name], PHASE_EVAL_H0)[name]
+        assert np.array_equal(mapped, row.log_lr(cfg, raw))
+        grid = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9]
+        for p, gamma in zip(grid, calibrate(cfg, [name], grid)[name], strict=True):
+            def excess(t):
+                return float(row.log_lr(cfg, t)) - gamma
 
-    def test_two_sided_warns_when_peak_unreachable(self):
-        # with an informative prior the peak sits so deep in the H0 tail
-        # that no calibrated band reaches it; the band degenerates to a
-        # one-sided rule in practice and calibration says so
-        prior = NoisePrior(k=16, theta=16.0)
-        cfg = replace(make_cfg(trials=50_000, prior=prior, noise_power=1.0),
-                      glr_two_sided=True)
-        mu = mu_glrd1(20, prior.k, 1.0)
-        with pytest.warns(UserWarning, match="do not bracket"):
-            thr = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
-        assert thr.eta1 < thr.eta2 < mu
+            t1 = brentq(excess, 0.0, peak, xtol=1e-13) if excess(0.0) < 0 else -math.inf
+            t2 = math.inf
+            if gamma > 0:
+                hi = 2.0 * peak
+                while excess(hi) > 0:
+                    hi *= 2.0
+                t2 = brentq(excess, peak, hi, xtol=1e-13)
+            assert t1 < peak < t2, p
+            assert np.array_equal(mapped > gamma, (t1 < raw) & (raw < t2)), p
 
 
 class TestRocSweep:
@@ -861,38 +871,49 @@ class TestRocSweep:
 
     def test_two_sided_flag_calibrates_band(self):
         cfg = replace(make_cfg(trials=50_000), glr_two_sided=True)
-        # at target 0.3 the band's upper edge falls below the peak
-        with pytest.warns(UserWarning, match="glrd1: .* at targets 0.3 do not bracket"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             banded = roc_sweep(cfg, ["glrd1"], [0.1, 0.3])["glrd1"]
         plain = roc_sweep(replace(cfg, glr_two_sided=False), ["glrd1"],
-                                [0.1, 0.3])["glrd1"]
-        for b, o in zip(banded, plain):
+                          [0.1, 0.3])["glrd1"]
+        for b in banded:
             assert abs(b.pfa_empirical - b.pfa_target) < 0.01
-            # the band gives up its upper-tail share of detections
-            assert b.pd_empirical <= o.pd_empirical + 0.01
+        # at 0.1 the level lies above log 1, so the band has an upper edge;
+        # at 0.3 it lies below, and the rule is the one-sided rule
+        assert banded[0].threshold > 0 > banded[1].threshold
+        assert banded[1].threshold == DETECTORS["glrd1"].log_lr(cfg, plain[1].threshold)
+        assert banded[1].pd_empirical == plain[1].pd_empirical
 
-    def test_two_sided_warns_once_per_detector(self):
-        # an informative prior puts the peak beyond every calibrated band:
-        # one warning names the banded detector and each missed target
+    def test_two_sided_is_one_sided_below_a_deep_peak(self):
+        # an informative prior puts the peak deep in the H0 tail: every
+        # calibrated level lies below log 1, so the rule keeps only its
+        # lower edge and decides as the one-sided rule does, silently
         prior = NoisePrior(k=16, theta=16.0)
         cfg = replace(make_cfg(trials=5000, prior=prior, noise_power=1.0),
                       glr_two_sided=True)
-        with pytest.warns(UserWarning) as caught:
-            roc_sweep(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 1
-        assert messages[0].startswith("glrd1: two-sided thresholds at targets 0.1, 0.2")
-        assert "do not bracket" in messages[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            two = roc_sweep(cfg, ["alrd1", "glrd1"], [0.1, 0.2])
+        one = roc_sweep(replace(cfg, glr_two_sided=False), ["glrd1"], [0.1, 0.2])
+        assert two["alrd1"] == one["glrd1"]
+        for b, o in zip(two["glrd1"], one["glrd1"], strict=True):
+            assert b.threshold < 0
+            assert b.threshold == DETECTORS["glrd1"].log_lr(cfg, o.threshold)
+            assert (b.pfa_empirical, b.pd_empirical) == (o.pfa_empirical, o.pd_empirical)
 
-    def test_band_rule_rejects_target_above_budget(self):
-        # a band rule spends (1 + 0.1) * target below its lower edge, so a
-        # target of 1/1.1 or more has no lower quantile to place
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_two_sided_pd_non_decreasing_along_the_grid(self, source):
+        # the level falls as the target grows, so each H1 region holds the
+        # last one and every count can only grow
+        cfg = replace(make_cfg(n=100, trials=5000, source=source), glr_two_sided=True)
+        grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        for name, points in roc_sweep(cfg, ["glrd1", "glrd2"], grid).items():
+            pd = [p.pd_empirical for p in points]
+            assert pd == sorted(pd), (name, pd)
+
+    def test_two_sided_accepts_target_095(self):
+        # the rule has no budget to split, so any target in (0, 1) calibrates
         cfg = replace(make_cfg(trials=2000), glr_two_sided=True)
-        with pytest.raises(ConfigError, match="band rule"):
-            roc_sweep(cfg, ["glrd1"], [0.1, 0.95])
-        with pytest.raises(ConfigError, match="band rule"):
-            calibrate(cfg, ["glrd1"], [0.95])
-        # the one-sided rule of the same detector accepts the target
-        plain = roc_sweep(replace(cfg, glr_two_sided=False), ["glrd1"],
-                                [0.1, 0.95])["glrd1"]
-        assert abs(plain[1].pfa_empirical - 0.95) < 0.03
+        points = roc_sweep(cfg, ["glrd1"], [0.1, 0.95])["glrd1"]
+        assert abs(points[1].pfa_empirical - 0.95) < 0.03
+        assert calibrate(cfg, ["glrd1"], [0.95])["glrd1"] == [points[1].threshold]
