@@ -812,6 +812,22 @@ class TestCalibration:
             assert t1 < peak < t2, p
             assert np.array_equal(mapped > gamma, (t1 < raw) & (raw < t2)), p
 
+    def test_two_sided_level_below_a_deep_peak_is_one_sided(self):
+        # with an informative prior the peak sits deep in the H0 tail, above
+        # the one-sided threshold; the calibrated level then lies below
+        # log 1, the band has no upper edge, and its lower edge is that
+        # threshold, so calibration has nothing to warn about
+        prior = NoisePrior(k=16, theta=16.0)
+        cfg = replace(make_cfg(trials=50_000, prior=prior, noise_power=1.0),
+                      glr_two_sided=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = calibrate(cfg, ["glrd1"], [0.1])["glrd1"][0]
+        eta = calibrate(replace(cfg, glr_two_sided=False), ["glrd1"], [0.1])["glrd1"][0]
+        assert gamma < 0
+        assert eta < mu_glrd1(20, prior.k, 1.0)
+        assert gamma == DETECTORS["glrd1"].log_lr(cfg, eta)
+
 
 class TestRocSweep:
     def test_points_and_monotonicity(self):
