@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__, montecarlo, svgplot
 from .config import ExperimentConfig, load_experiment
@@ -109,6 +108,7 @@ def _run(args, command: str, header: list[str],
                                 comment=f"manifest: {digest}")
     # not hashed: the hash names the experiment, not the machine that ran it
     manifest["duration_seconds"] = round(time.perf_counter() - started, 3)
+    import scipy  # here, not at the top: only the manifest reads it
     manifest["versions"] = {"python": platform.python_version(),
                             "numpy": np.__version__, "scipy": scipy.__version__}
     (out_dir / f"{stem}_manifest.json").write_text(
@@ -122,10 +122,6 @@ def _run(args, command: str, header: list[str],
 # ---------------------------------------------------------------------------
 
 def cmd_roc(args) -> int:
-    def check(exp):
-        if not exp.pfa_targets:
-            raise ConfigError("roc requires pfa_targets")
-
     def rows(exp):
         table, series = [], []
         for cfg in exp.scenarios:
@@ -149,8 +145,7 @@ def cmd_roc(args) -> int:
     return _run(args, "roc",
                 ["detector", "n_samples", "snr_db", "channel", "pfa_target",
                  "pfa_emp", "pd_emp", "pd_ci_low", "pd_ci_high", "threshold"],
-                rows, check,
-                ("false-alarm probability", "detection probability", "ROC"))
+                rows, plot=("false-alarm probability", "detection probability", "ROC"))
 
 
 def cmd_cdf(args) -> int:
@@ -161,9 +156,10 @@ def cmd_cdf(args) -> int:
     def rows(exp):
         cdfs = montecarlo.calibration_cdfs(exp.scenarios[0], exp.detectors)
         table, series = [], []
-        for name, cdf in cdfs.items():
-            grid = np.linspace(cdf.values[0], cdf.values[-1], exp.cdf_points)
-            vals = cdf.evaluate(grid)
+        for name, cal in cdfs.items():
+            grid = np.linspace(cal[0], cal[-1], exp.cdf_points)
+            # the fraction of calibration statistics at or below each point
+            vals = np.searchsorted(cal, grid, side="right") / cal.size
             table.extend(map(f"{name},%.6g,%.6g".__mod__,
                              zip(grid.tolist(), vals.tolist())))
             series.append((name, list(grid), vals.tolist()))

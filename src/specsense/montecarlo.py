@@ -1,5 +1,5 @@
 """Monte Carlo trial engine: observations, statistic sampling, threshold
-calibration, empirical CDFs and ROC sweeps.
+calibration on sorted H0 samples, and ROC sweeps.
 
 `observe` is the library's one observation model.  Trials run in blocks
 of `TRIAL_CHUNK`, and each (phase, block, kind of variate) owns its own
@@ -23,8 +23,9 @@ waveform source, whose shaping makes the bins' signal powers unequal.
 The blocks of a call run in order, in the calling thread.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
-trials of a whole detector list at once and `calibrate` reads the
-thresholds off those CDFs, for `roc_sweep_channels` too; the `roc`,
+trials of a whole detector list at once and sorts each detector's
+statistics, and `calibrate` reads the thresholds off those sorted
+arrays at exact ranks, for `roc_sweep_channels` too; the `roc`,
 `calibrate` and `cdf` commands all go through it.  Every detector has
 one decision rule, H1 when its statistic exceeds the threshold.  With
 cfg.glr_two_sided set, `trial_statistics` maps each GLR detector's
@@ -71,9 +72,9 @@ _BLOCK_BITS = 38
 _KIND_BITS = 2
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the standard normal 97.5% quantile
     if trials < 1:
         raise ValueError("trials must be positive")
     phat = successes / trials
@@ -223,51 +224,30 @@ def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Empirical CDF and calibration
+# Calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Empirical distribution of a decision statistic."""
-
-    values: np.ndarray  # sorted ascending
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "EmpiricalCdf":
-        return cls(values=np.sort(np.asarray(samples, dtype=float)))
-
-    def evaluate(self, t):
-        """Fraction of samples <= t, elementwise over an array of t."""
-        return np.searchsorted(self.values, t, side="right") / self.values.size
-
-    def quantile(self, q: float | Fraction) -> float:
-        """Smallest sample value v with evaluate(v) >= q.  A `Fraction`
-        level is exact: the rank ceil(q * n) is then not rounded."""
-        if not (0 < q <= 1):
-            raise ValueError("quantile level must lie in (0, 1]")
-        n = self.values.size
-        idx = max(0, math.ceil(q * n) - 1)
-        return float(self.values[idx])
-
-
 def calibration_cdfs(cfg: sig.ScenarioConfig,
-                     names: Sequence[str]) -> dict[str, EmpiricalCdf]:
+                     names: Sequence[str]) -> dict[str, np.ndarray]:
     """H0 distributions of several decision statistics, all read off the
-    same calibration-phase trials."""
+    same calibration-phase trials: per detector, its cfg.trials
+    calibration statistics sorted ascending."""
     cal = trial_statistics(cfg, names, PHASE_CALIBRATION)
-    return {name: EmpiricalCdf.from_samples(vals) for name, vals in cal.items()}
+    return {name: np.sort(vals) for name, vals in cal.items()}
 
 
 def _target_grid(cfg: sig.ScenarioConfig, pfa_grid: Iterable[float]) -> list[float]:
     """The target false-alarm probabilities as floats, checked before any
-    trial runs: each in (0, 1), ascending, and the smallest one leaving at
-    least 100 calibration trials above its threshold."""
+    trial runs: at least one, each in (0, 1), ascending, and the smallest
+    one leaving at least 100 calibration trials above its threshold."""
     grid = [float(p) for p in pfa_grid]
+    if not grid:
+        raise ConfigError("pfa targets must not be empty")
     if any(not (0.0 < p < 1.0) for p in grid):
         raise ConfigError("pfa targets must lie in (0, 1)")
     if grid != sorted(grid):
         raise ConfigError("pfa targets must be ascending")
-    if grid and min(grid) * cfg.trials < 100:
+    if grid[0] * cfg.trials < 100:
         raise ConfigError("not enough trials for the smallest pfa target")
     return grid
 
@@ -284,8 +264,9 @@ def calibrate(cfg: sig.ScenarioConfig, names: Sequence[str],
     exactly from the decimal p (in floats, 1.0 - 0.7 overshoots).
     """
     grid = _target_grid(cfg, pfa_grid)
-    return {name: [cdf.quantile(1 - Fraction(repr(p))) for p in grid]
-            for name, cdf in calibration_cdfs(cfg, names).items()}
+    ranks = [math.ceil((1 - Fraction(repr(p))) * cfg.trials) for p in grid]
+    return {name: [float(cal[r - 1]) for r in ranks]
+            for name, cal in calibration_cdfs(cfg, names).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +301,14 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
     """
     grid = _target_grid(cfg, pfa_grid)
     thresholds = calibrate(cfg, detector_names, grid)
+
+    def exceedances(stats: dict[str, np.ndarray], name: str) -> list[int]:
+        """Per threshold of `name`, how many of its statistics exceed it:
+        one 1-D comparison at a time, never a (threshold, trial) array."""
+        return [int(np.count_nonzero(stats[name] > eta)) for eta in thresholds[name]]
+
     s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
-    pfa = {name: [float(np.mean(s0[name] > eta)) for eta in thresholds[name]]
+    pfa = {name: [k / cfg.trials for k in exceedances(s0, name)]
            for name in detector_names}
 
     sweeps = []
@@ -331,8 +318,8 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
         out: dict[str, list[RocPoint]] = {}
         for name in detector_names:
             points = []
-            for p, eta, pfa_emp in zip(grid, thresholds[name], pfa[name]):
-                k = int(np.count_nonzero(s1[name] > eta))
+            for p, eta, pfa_emp, k in zip(grid, thresholds[name], pfa[name],
+                                          exceedances(s1, name)):
                 lo, hi = wilson_interval(k, cfg.trials)
                 points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
                                        pd_empirical=k / cfg.trials, pd_ci_low=lo,

@@ -18,18 +18,11 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class BandGeometry:
-    """Counts of retained bins: l_inband in band, p_excess in the excess band."""
+    """Counts of retained bins: l_inband in band, p_excess in the excess
+    band, each at least 1 as `band_split_indices` returns them."""
 
     l_inband: int
     p_excess: int
-
-    def __post_init__(self):
-        if self.l_inband < 1:
-            raise ConfigError("in-band bin count must be at least 1")
-        if self.p_excess < 1:
-            raise ConfigError(
-                "excess band is empty; the excess-band detectors are undefined"
-            )
 
 
 def band_split_indices(n_bins: int, spec) -> tuple[np.ndarray, np.ndarray]:

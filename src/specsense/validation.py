@@ -3,7 +3,7 @@
 Each check recomputes a closed-form result by an independent route
 (quadrature, grid search, an exact finite sum, or direct Monte Carlo
 from the bin model) and compares at a fixed tolerance.  Tolerances
-include a guard band over the Monte Carlo noise at the default trial
+include a guard band over the Monte Carlo noise at the battery's trial
 counts so that verdicts are stable across seeds; genuine formula errors
 exceed them by orders of magnitude.
 """
@@ -28,6 +28,7 @@ from .detectors import log_glrd1, log_glrd2, mu_glrd1, rho_glrd2
 from .signals import NoisePrior
 
 DEFAULT_SEED = 20260809
+MC_TRIALS = 200_000  # per check that samples the bin model
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class CheckResult:
 # Conjugacy of the precision posterior
 # ---------------------------------------------------------------------------
 
-def check_conjugacy(seed: int = DEFAULT_SEED, n_configs: int = 20) -> CheckResult:
+def check_conjugacy(seed: int = DEFAULT_SEED) -> CheckResult:
     """Grid-quadrature Bayes posterior vs the closed conjugate form.
 
     Compares densities in total variation and the cumulative
@@ -51,7 +52,7 @@ def check_conjugacy(seed: int = DEFAULT_SEED, n_configs: int = 20) -> CheckResul
     rng = np.random.default_rng(seed)
     worst_tv = 0.0
     worst_cdf = 0.0
-    for _ in range(n_configs):
+    for _ in range(20):
         k = int(rng.integers(1, 12))
         theta = float(rng.uniform(0.3, 8.0))
         p = int(rng.integers(1, 12))
@@ -109,10 +110,10 @@ def _grid_argmax_freq(l: int, p: int, k: int, c: float) -> float:
     return 1.0 / float(lams[np.argmax(log_obj)])
 
 
-def check_map_estimates(seed: int = DEFAULT_SEED, n_configs: int = 20) -> CheckResult:
+def check_map_estimates(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_configs):
+    for _ in range(20):
         k = int(rng.integers(1, 10))
         theta = float(rng.uniform(0.5, 6.0))
         n = int(rng.integers(8, 48))
@@ -142,7 +143,7 @@ def check_map_estimates(seed: int = DEFAULT_SEED, n_configs: int = 20) -> CheckR
 # Gaussian approximations vs direct bin-model Monte Carlo
 # ---------------------------------------------------------------------------
 
-def check_clt(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
+def check_clt(seed: int = DEFAULT_SEED) -> CheckResult:
     """The Gaussian performance form against the exact idle-channel law
     and against direct bin-model sampling with a pinned signal.
 
@@ -161,10 +162,10 @@ def check_clt(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
     worst = np.max(np.abs(pfa_alrd2_exact(l, p, n, alpha, theta, etas) - cf))
 
     s, snr = 6.0 + 2.0j, 2.0  # per-bin power |s|^2 = 40 = N*alpha*snr
-    v = math.sqrt(scale / 2.0) * (rng.standard_normal((trials, l))
-                                  + 1j * rng.standard_normal((trials, l)))
+    v = math.sqrt(scale / 2.0) * (rng.standard_normal((MC_TRIALS, l))
+                                  + 1j * rng.standard_normal((MC_TRIALS, l)))
     x = np.abs(s + v) ** 2
-    y = rng.exponential(scale, size=(trials, p))
+    y = rng.exponential(scale, size=(MC_TRIALS, p))
     etas = np.array([1.2, 2.0, 6.0])  # one column per threshold
     phi = x.sum(axis=1)[:, None] - etas * y.sum(axis=1)[:, None]
     cf = pd_alrd2_clt(l, p, n, alpha, theta, snr, etas)
@@ -173,7 +174,7 @@ def check_clt(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
     return CheckResult("clt_vs_monte_carlo", passed, f"max |emp - cf| {worst:.4f}")
 
 
-def check_moments(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResult:
+def check_moments(seed: int = DEFAULT_SEED) -> CheckResult:
     """Empirical H1 moments vs the closed moment formulas.
 
     Uses a 4-standard-error band (rather than 3) so the verdict is
@@ -183,15 +184,15 @@ def check_moments(seed: int = DEFAULT_SEED, trials: int = 200_000) -> CheckResul
     n, alpha, snr = 20, 1.0, 1.0
     worst_se = 0.0
 
-    r = rng.exponential(alpha * (1.0 + snr), size=(trials, n))
+    r = rng.exponential(alpha * (1.0 + snr), size=(MC_TRIALS, n))
     stat = r.sum(axis=1)
     ref = traditional_statistic_moments(n, alpha, snr)
     worst_se = max(worst_se, _moment_gap_in_se(stat, ref.mean, ref.variance))
 
     l, p, eta = 16, 4, 4.0
     scale = n * alpha
-    x = rng.exponential(scale * (1.0 + snr), size=(trials, l))
-    y = rng.exponential(scale, size=(trials, p))
+    x = rng.exponential(scale * (1.0 + snr), size=(MC_TRIALS, l))
+    y = rng.exponential(scale, size=(MC_TRIALS, p))
     phi = x.sum(axis=1) - eta * y.sum(axis=1)
     refp = proposed_statistic_moments(l, p, n, alpha, snr, eta)
     worst_se = max(worst_se, _moment_gap_in_se(phi, refp.mean, refp.variance))
@@ -215,11 +216,11 @@ def _moment_gap_in_se(samples: np.ndarray, mean: float, variance: float) -> floa
 # GLR unimodality
 # ---------------------------------------------------------------------------
 
-def check_glr_unimodality(seed: int = DEFAULT_SEED, n_configs: int = 10) -> CheckResult:
+def check_glr_unimodality(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     ok = True
     detail = "all extremum locations confirmed"
-    for _ in range(n_configs):
+    for _ in range(10):
         n = int(rng.integers(8, 64))
         k = int(rng.integers(1, 16))
         p = int(rng.integers(1, 12))

@@ -82,19 +82,19 @@ def test_criterion_01_optimal_closed_forms():
 
 
 def test_criterion_02_posterior_conjugacy():
-    res = check_conjugacy(SEED, n_configs=20)
+    res = check_conjugacy(SEED)
     print(f"criterion 2: {res.detail} (tol TV 1e-3)")
     assert res.passed
 
 
 def test_criterion_03_map_estimates():
-    res = check_map_estimates(SEED, n_configs=20)
+    res = check_map_estimates(SEED)
     print(f"criterion 3: {res.detail} (tol 1e-3 relative)")
     assert res.passed
 
 
 def test_criterion_04_glr_unimodality():
-    res = check_glr_unimodality(SEED, n_configs=10)
+    res = check_glr_unimodality(SEED)
     print(f"criterion 4: {res.detail}")
     assert res.passed
 

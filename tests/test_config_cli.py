@@ -12,7 +12,7 @@ import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specsense import analysis
+from specsense import analysis, montecarlo
 from specsense.cli import main
 from specsense.config import (
     experiment_from_mapping,
@@ -321,8 +321,6 @@ class TestCliRoc:
     def test_h0_phases_run_once_per_n_samples(self, tmp_path, monkeypatch):
         # every block the engine draws, keyed by (N, phase, channel, block):
         # calibration and H0 blocks once per N, H1 blocks once per channel
-        from specsense import montecarlo
-
         calls = Counter()
         observe = montecarlo.observe
 
@@ -373,6 +371,23 @@ class TestCliCdf:
             assert pts[-1][1] == 1.0
             cdfs = [c for _, c in pts]
             assert all(a <= b for a, b in zip(cdfs, cdfs[1:]))
+
+    def test_rows_are_the_fraction_at_or_below(self, tmp_path):
+        # every line, rebuilt from the sorted calibration sample: at each of
+        # cdf_points evenly spaced values from its least to its greatest
+        # statistic, the fraction of statistics at or below that value
+        conf = write_config(tmp_path, CDF_CONF)
+        assert main(["cdf", str(conf), "--out", str(tmp_path)]) == 0
+        exp = load_experiment(conf)
+        expected = []
+        for name, cal in montecarlo.calibration_cdfs(exp.scenarios[0],
+                                                     exp.detectors).items():
+            assert np.all(np.diff(cal) >= 0)
+            for t in np.linspace(cal[0], cal[-1], exp.cdf_points):
+                expected.append("%s,%.6g,%.6g" % (name, t, np.count_nonzero(cal <= t)
+                                                   / cal.size))
+        lines = (tmp_path / "exp_cdf.csv").read_text().splitlines()
+        assert lines[2:] == expected
 
     def test_two_sided_tabulates_the_log_glr(self, tmp_path):
         # a two-sided glrd1 is calibrated on its log-GLR, so cdf tabulates that

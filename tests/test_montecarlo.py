@@ -23,7 +23,6 @@ from specsense.montecarlo import (
     PHASE_EVAL_H0,
     PHASE_EVAL_H1,
     TRIAL_CHUNK,
-    EmpiricalCdf,
     calibrate,
     calibration_cdfs,
     observe,
@@ -32,7 +31,7 @@ from specsense.montecarlo import (
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import complex_gaussian, reg_upper_gamma, stream_seeker
+from specsense.numerics import complex_gaussian, reg_upper_gamma
 from specsense.observation import band_split_indices
 from specsense.signals import (
     AWGN,
@@ -543,9 +542,9 @@ class TestBlockEngine:
             s1 = reference_statistics(replace(cfg, channel=channel), names,
                                       PHASE_EVAL_H1)
             for name in names:
-                cdf = EmpiricalCdf.from_samples(cal[name])
+                ordered = np.sort(cal[name])
                 for p, point in zip(grid, sweep[name], strict=True):
-                    eta = cdf.quantile(1 - Fraction(repr(p)))
+                    eta = ordered[math.ceil((1 - Fraction(repr(p))) * cfg.trials) - 1]
                     assert point.threshold == eta
                     assert point.pfa_empirical == np.mean(s0[name] > eta)
                     assert point.pd_empirical == np.mean(s1[name] > eta)
@@ -655,43 +654,17 @@ class TestExactH0Laws:
         assert res.pvalue > 0.001
 
 
-class TestEmpiricalCdf:
-    def test_bounds(self):
-        cdf = EmpiricalCdf.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert cdf.evaluate(0.5) == 0.0
-        assert cdf.evaluate(4.0) == 1.0
-        assert cdf.evaluate(2.0) == 0.5
-
-    def test_evaluate_is_elementwise(self):
-        cdf = EmpiricalCdf.from_samples(stream_seeker(540)[0].standard_normal(999))
-        ts = np.linspace(-4.0, 4.0, 301)
-        assert np.array_equal(cdf.evaluate(ts), [cdf.evaluate(t) for t in ts])
-        assert cdf.evaluate(ts.reshape(7, 43)).shape == (7, 43)
-
-    def test_quantile_definition(self):
-        cdf = EmpiricalCdf.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert cdf.quantile(0.5) == 2.0
-        assert cdf.quantile(0.75) == 3.0
-        assert cdf.quantile(1.0) == 4.0
-
-    def test_quantile_equals_calibration(self):
-        cfg = make_cfg(trials=5000)
-        cdf = calibration_cdfs(cfg, ["alrd1"])["alrd1"]
-        grid = [0.02, 0.1, 0.5]
-        for p, eta in zip(grid, calibrate(cfg, ["alrd1"], grid)["alrd1"]):
-            assert eta == cdf.quantile(1 - p)
-
+class TestCalibration:
     def test_one_run_for_every_detector(self):
-        # every detector's CDF comes from the same trials as a joint run
+        # every detector's sorted sample comes from the same trials as a
+        # joint run
         names = ["optimal", "alrd1", "alrd2"]
         cfg = make_cfg(trials=500)
         cdfs = calibration_cdfs(cfg, names)
         joint = trial_statistics(cfg, names, PHASE_CALIBRATION)
         for name in names:
-            assert np.array_equal(cdfs[name].values, np.sort(joint[name]))
+            assert np.array_equal(cdfs[name], np.sort(joint[name]))
 
-
-class TestCalibration:
     def test_median_threshold(self):
         cfg = make_cfg(trials=4000)
         thr = calibrate(cfg, ["alrd1"], [0.5])["alrd1"][0]
@@ -711,7 +684,7 @@ class TestCalibration:
         thresholds = calibrate(cfg, ["alrd1", "glrd1"], grid)
 
         def above(name, eta):
-            return int(np.sum(cdfs[name].values > eta))
+            return int(np.sum(cdfs[name] > eta))
 
         for p, eta, gamma in zip(grid, thresholds["alrd1"], thresholds["glrd1"],
                                  strict=True):
@@ -725,7 +698,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("grid, match", [
         ([0.5, 0.1], "ascending"), ([0.0, 0.5], r"\(0, 1\)"),
-        ([0.01], "not enough trials")])
+        ([0.01], "not enough trials"), ([], "must not be empty")])
     def test_bad_grid_rejected_before_any_trial(self, monkeypatch, grid, match):
         def no_trials(*args):
             raise AssertionError("a trial ran")

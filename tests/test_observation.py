@@ -6,7 +6,7 @@ from scipy import stats
 
 from specsense.errors import ConfigError
 from specsense.numerics import complex_gaussian, stream_seeker
-from specsense.observation import BandGeometry, band_split_indices
+from specsense.observation import band_split_indices
 from specsense.signals import AWGN, ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 from test_montecarlo import spectrum_bins, squared_envelope
 
@@ -109,7 +109,19 @@ class TestSplitBands:
         res = stats.ks_2samp(w[:, inband].ravel(), w[:, excess].ravel())
         assert res.pvalue > 0.01
 
-    def test_empty_excess_rejected(self):
-        with pytest.raises(ConfigError):
-            BandGeometry(l_inband=4, p_excess=0)
+    @given(n=st.integers(1, 128),
+           rolloff=st.floats(0.0, 1.0, exclude_min=True),
+           oversampling=st.floats(1.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_empty_excess_rejected(self, n, rolloff, oversampling):
+        # critically sampled up to 4x oversampled: a split either fails or
+        # keeps at least one bin on each side, so no band comes out empty
+        spec = SignalSpec(54_000.0, rolloff,
+                          oversampling * (1.0 + rolloff) * 54_000.0, 1.0)
+        try:
+            inband, excess = band_split_indices(n, spec)
+        except ConfigError:
+            return
+        assert inband.size >= 1 and excess.size >= 1
+        assert np.intersect1d(inband, excess).size == 0
 
