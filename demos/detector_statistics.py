@@ -14,7 +14,7 @@ import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
 from specsense.detectors import DETECTORS, mu_glrd1, rho_glrd2
-from specsense.numerics import complex_gaussian, stream_seeker
+from specsense.numerics import stream_seeker
 from specsense.signals import (
     ChannelSpec,
     NoisePrior,
@@ -31,16 +31,15 @@ def main():
                          channel=ChannelSpec("awgn"), trials=1, master_seed=7)
     n, geom = cfg.n_samples, cfg.geometry
 
-    # the trial, drawn here: a noise power from the prior, then N time
-    # samples (noise plus a white signal of power alpha * snr), and L
-    # in-band bins carrying noise and signal and P noise-only excess bins
+    # the trial, drawn here: a noise power from the prior, then N squared
+    # envelopes of noise plus a Gaussian signal of power alpha * snr, which
+    # are exponential of mean alpha * (1 + snr), L in-band bins of mean
+    # N * alpha * (1 + snr) and P noise-only excess bins of mean N * alpha
     gen = stream_seeker(cfg.master_seed)[0]
     alpha = float(draw_noise_power(prior, gen, 1)[0])
-    r = np.abs(complex_gaussian(alpha, gen, n)
-               + complex_gaussian(alpha * spec.snr_linear, gen, n)) ** 2
-    x = np.abs(complex_gaussian(n * alpha, gen, geom.l_inband)
-               + complex_gaussian(n * alpha * spec.snr_linear, gen,
-                                  geom.l_inband)) ** 2
+    g = 1.0 + spec.snr_linear
+    r = alpha * g * gen.standard_exponential(n)
+    x = n * alpha * g * gen.standard_exponential(geom.l_inband)
     y = n * alpha * gen.standard_exponential(geom.p_excess)
     # the detector table reads the sums
     sum_r, xy = r.sum(), (x.sum(), y.sum())

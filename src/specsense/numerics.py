@@ -1,12 +1,13 @@
-"""Special functions and seeded sampling primitives.
+"""Special functions and seeded random streams.
 
 Everything downstream (signal generation, closed-form performance, the
 Monte Carlo engine) is built on the routines here.  Random sampling goes
 through the counter-based streams of `stream_seeker`, so that trials are
 reproducible and order-independent: the same (master_seed, stream_index)
 yields bit-identical draws, and distinct stream indices give
-statistically independent sequences.  The samplers take the
-`numpy.random.Generator` to draw from.
+statistically independent sequences.  This module holds no samplers:
+each caller draws its variates from the `numpy.random.Generator` a
+stream gives it.
 
 `scipy.special` is imported inside the functions that call it, not at
 module level: the Monte Carlo engine imports this module for its
@@ -76,7 +77,7 @@ def q_function(z):
 
 
 # ---------------------------------------------------------------------------
-# Seeded streams and samplers
+# Seeded streams
 # ---------------------------------------------------------------------------
 
 def stream_seeker(master_seed: int):
@@ -114,20 +115,3 @@ def stream_seeker(master_seed: int):
 
     return np.random.Generator(bitgen), seek
 
-
-def complex_gaussian(variance: float, gen: np.random.Generator, size) -> np.ndarray:
-    """Circular complex Gaussian samples with E[|z|^2] = variance, an
-    array of shape `size`.
-
-    Real and imaginary parts are independent N(0, variance / 2); the
-    squared magnitude is exponential with mean `variance` and the phase
-    is uniform.
-    """
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return np.zeros(size, dtype=complex)
-    sd = math.sqrt(variance / 2.0)
-    n = size if isinstance(size, (int, np.integer)) else int(np.prod(size))
-    z = gen.standard_normal(2 * n).view(np.complex128)
-    return sd * z.reshape(size)

@@ -1,7 +1,11 @@
 """Minimal, dependency-free SVG line plots for ROC and CDF figures.
 
 Output is a deterministic function of the input data, so emitted files
-are byte-stable for a fixed configuration and seed.
+are byte-stable for a fixed configuration and seed.  Title and labels
+are XML-escaped: the CLI builds the title from the config file's name.
+The escaper is imported inside `write_line_plot`, because
+`xml.sax.saxutils` loads `urllib.request` (about 20 ms) and the CLI
+imports this module for every command.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ def _fmt(v: float) -> str:
 
 
 def write_line_plot(path: str | Path, series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                    xlabel: str, ylabel: str, title: str,
-                    comment: str | None = None) -> None:
+                    xlabel: str, ylabel: str, title: str, comment: str) -> None:
     """Write labelled polylines with linear axes to an SVG file."""
+    from xml.sax.saxutils import escape
+
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
@@ -42,13 +47,10 @@ def write_line_plot(path: str | Path, series: Sequence[tuple[str, Sequence[float
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-    ]
-    if comment is not None:
-        parts.append(f"<!-- {comment} -->")
-    parts += [
+        f"<!-- {comment} -->",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
     # axes
     parts.append(
@@ -68,11 +70,11 @@ def write_line_plot(path: str | Path, series: Sequence[tuple[str, Sequence[float
             f'font-family="sans-serif" font-size="11">{_fmt(fy)}</text>')
     parts.append(
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>')
     parts.append(
         f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{ylabel}</text>')
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">{escape(ylabel)}</text>')
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
@@ -84,6 +86,6 @@ def write_line_plot(path: str | Path, series: Sequence[tuple[str, Sequence[float
                      f'x2="{_WIDTH - _MARGIN - 108}" y2="{ly}" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN - 102}" y="{ly + 4}" '
-                     f'font-family="sans-serif" font-size="11">{label}</text>')
+                     f'font-family="sans-serif" font-size="11">{escape(label)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

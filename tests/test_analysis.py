@@ -19,7 +19,7 @@ from specsense.analysis import (
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
-from specsense.numerics import complex_gaussian, stream_seeker
+from specsense.numerics import stream_seeker
 from specsense.signals import (
     AWGN,
     NAKAGAMI,
@@ -363,39 +363,30 @@ class TestExactPfaAlrd2:
             pfa_alrd2_exact(16, 0, 20, 1.0, 1.0, 4.0)
 
 
-def _power(z):
-    """|z|^2 as re*re + im*im, which rounds the same for a Python complex
-    and for an array; abs(z) ** 2 need not (numpy's vectorized complex abs
-    and libm's pow can each differ from the other path in the last bit)."""
-    return z.real * z.real + z.imag * z.imag
-
-
-def per_draw_reference(point_fn, prior, mc_draws, gen, channel=None,
-                       draw_signal=False):
+def per_draw_reference(point_fn, prior, mc_draws, gen, channel):
     """Reference: the per-draw loop, one `point_fn` call per prior draw
     on Python scalars, over the same draws in the same order; the channel
-    amplitudes are the square roots of the power gains."""
+    amplitudes are the square roots of the power gains, and the third
+    argument is 0."""
     alphas = draw_noise_power(prior, gen, size=mc_draws)
-    gains = (np.sqrt(power_gain(channel, gen, mc_draws)) if channel is not None
-             else np.ones(mc_draws))
-    amps = (complex_gaussian(1.0, gen, size=mc_draws) if draw_signal
-            else np.zeros(mc_draws, dtype=complex))
-    vals = np.array([point_fn(float(a), float(g), complex(s))
-                     for a, g, s in zip(alphas, gains, amps)])
+    gains = np.sqrt(power_gain(channel, gen, mc_draws))
+    vals = np.array([point_fn(float(a), float(g), 0.0) for a, g in zip(alphas, gains)])
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(mc_draws))
 
 
 class TestAverageOverPrior:
     def test_constant_function(self):
-        shapes = []
+        calls = []
 
         def fn(a, h, s):
-            shapes.append((a.shape, h.shape, s.shape))
+            calls.append((a, h, s))
             return 0.37  # a scalar counts for every draw
 
         res = average_over_prior(fn, NoisePrior(k=2, theta=2.0),
                                  mc_draws=500, seed=508)
-        assert shapes == [((500,), (500,), (500,))]
+        [(a, h, s)] = calls
+        assert a.shape == h.shape == s.shape == (500,)
+        assert np.all(h == 1.0) and np.all(s == 0.0)  # AWGN by default
         assert res.value == pytest.approx(0.37)
         assert res.stderr == pytest.approx(0.0, abs=1e-15)
 
@@ -429,27 +420,37 @@ class TestAverageOverPrior:
         prior = NoisePrior(k=4, theta=4.0)
         seen = []
         fn = lambda a, h, s: seen.append((h, s)) or 0.5
-        average_over_prior(fn, prior, 10, 514,
-                           channel=ChannelSpec(RAYLEIGH), draw_signal=True)
+        average_over_prior(fn, prior, 10, 514, channel=ChannelSpec(RAYLEIGH))
         [(h, s)] = seen  # one call with every draw
         assert h.shape == s.shape == (10,)
-        assert np.all(np.abs(h) > 0) and np.all(np.abs(s) > 0)
+        assert np.all(h > 0) and np.all(s == 0.0)  # no signal is drawn
 
-    @pytest.mark.parametrize("channel, draw_signal", [
-        (None, False),
-        (ChannelSpec(AWGN), False),
-        (ChannelSpec(RAYLEIGH), False),
-        (ChannelSpec(NAKAGAMI, nakagami_m=2.0), False),
-        (ChannelSpec(RAYLEIGH), True),
-    ])
-    def test_matches_per_draw_loop_bit_for_bit(self, channel, draw_signal):
+    def test_benchmark_call(self):
+        # the call of the benchmark's closed_forms workload: a three-argument
+        # function that ignores its third, a fading channel and an int seed
+        prior, n, snr, eta = NoisePrior(k=3, theta=3.0), 20, 1.0, 20.0
+        res = average_over_prior(
+            lambda a, h, s: pd_alrd1(n, a, prior, snr * abs(h) ** 2, eta),
+            prior, 2000, 20260809, channel=ChannelSpec(RAYLEIGH))
+        assert res.draws == 2000
+        assert 0.0 <= res.value <= 1.0
+        assert res.stderr > 0.0
+
+    @pytest.mark.parametrize("channel", [
+        None,  # the default argument
+        ChannelSpec(AWGN),
+        ChannelSpec(RAYLEIGH),
+        ChannelSpec(NAKAGAMI, nakagami_m=2.0),
+    ], ids=["default", "awgn", "rayleigh", "nakagami"])
+    def test_matches_per_draw_loop_bit_for_bit(self, channel):
         prior = NoisePrior(k=3, theta=3.0)
-        fn = lambda a, h, s: pd_alrd1(20, a, prior, 1.5 * _power(h) * (1.0 + _power(s)),
-                                      16.0)
-        res = average_over_prior(fn, prior, 3_000, 517, channel=channel,
-                                 draw_signal=draw_signal)
-        value, stderr = per_draw_reference(fn, prior, 3_000, stream_seeker(517)[0], channel,
-                                           draw_signal)
+        fn = lambda a, h, s: pd_alrd1(20, a, prior, 1.5 * h * h, 16.0)
+        if channel is None:
+            res = average_over_prior(fn, prior, 3_000, 517)
+            channel = ChannelSpec(AWGN)
+        else:
+            res = average_over_prior(fn, prior, 3_000, 517, channel=channel)
+        value, stderr = per_draw_reference(fn, prior, 3_000, stream_seeker(517)[0], channel)
         assert (res.value, res.stderr, res.draws) == (value, stderr, 3_000)
         assert 0.0 < value < 1.0
 

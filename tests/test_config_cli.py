@@ -5,6 +5,7 @@ import re
 import warnings
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -404,6 +405,14 @@ class TestCliCdf:
         values = np.array([float(value) for value, _ in tables["two"]["glrd1"]])
         peak = log_glrd1(mu_glrd1(20, 3, 1.0), 20, 3, 1.0)
         assert values.min() < 0 < values.max() <= peak + 1e-5 * peak
+
+    def test_svg_title_from_any_config_name_parses(self, tmp_path):
+        # the title carries the config file's name, which is outside input
+        conf = write_config(tmp_path, CDF_CONF, name="a&b<c>.conf")
+        assert main(["cdf", str(conf), "--out", str(tmp_path), "--svg"]) == 0
+        root = ElementTree.parse(tmp_path / "a&b<c>_cdf.svg").getroot()
+        title = root.find("{http://www.w3.org/2000/svg}text")
+        assert title.text == "H0 statistic CDF (a&b<c>)"
 
     def test_requires_single_block_size(self, tmp_path):
         conf = write_config(tmp_path, CDF_CONF.replace(

@@ -31,6 +31,15 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert done.stdout.strip() == ""
 
 
+def test_cli_import_loads_no_xml_module():
+    # the SVG writer imports its escaper, which pulls in urllib.request,
+    # only when it writes a figure
+    done = _run("import sys, specsense.cli; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'xml'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 def test_validate_loads_no_scipy_stats():
     # the battery evaluates closed forms, so it may load scipy.special,
     # but none of the others

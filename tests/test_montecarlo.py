@@ -31,7 +31,7 @@ from specsense.montecarlo import (
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import complex_gaussian, reg_upper_gamma
+from specsense.numerics import reg_upper_gamma, stream_seeker
 from specsense.observation import band_split_indices
 from specsense.signals import (
     AWGN,
@@ -77,6 +77,15 @@ def kind_generator(seed, phase, block, kind):
 def squared_envelope(z):
     """Elementwise |z(n)|^2 of a complex sample block."""
     return np.abs(z) ** 2
+
+
+def complex_gaussian(variance, gen, size):
+    """Circular complex Gaussian samples with E[|z|^2] = variance, an
+    array of shape `size`: real and imaginary parts are independent
+    N(0, variance / 2), so |z|^2 is exponential with mean `variance` and
+    the phase is uniform."""
+    z = gen.standard_normal(2 * int(np.prod(size))).view(complex)
+    return math.sqrt(variance / 2.0) * z.reshape(size)
 
 
 def spectrum_bins(z):
@@ -317,6 +326,31 @@ def assert_same_statistics(got, want):
     assert got.keys() == want.keys()
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+class TestComplexGaussian:
+    def test_zero_variance(self):
+        z = complex_gaussian(0.0, stream_seeker(1)[0], size=(2, 5))
+        assert z.shape == (2, 5) and z.dtype == complex
+        assert np.all(z == 0)
+
+    def test_power(self):
+        z = complex_gaussian(2.0, stream_seeker(105)[0], size=1_000_000)
+        p = np.abs(z) ** 2
+        # |z|^2 exponential with mean 2, sd 2
+        assert abs(p.mean() - 2.0) < 3 * 2.0 / math.sqrt(p.size)
+
+    def test_phase_uniform(self):
+        z = complex_gaussian(1.0, stream_seeker(106)[0], size=200_000)
+        phases = np.angle(z)
+        counts, _ = np.histogram(phases, bins=16, range=(-math.pi, math.pi))
+        res = stats.chisquare(counts)
+        assert res.pvalue > 0.01
+
+    def test_magnitude_exponential(self):
+        z = complex_gaussian(3.0, stream_seeker(107)[0], size=100_000)
+        res = stats.kstest(np.abs(z) ** 2, "expon", args=(0, 3.0))
+        assert res.pvalue > 0.01
 
 
 class TestWilson:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate
 from scipy.special import gammaincc
 
-from specsense.numerics import complex_gaussian, q_function, reg_upper_gamma, stream_seeker
+from specsense.numerics import q_function, reg_upper_gamma, stream_seeker
 
 
 def quad_upper_gamma(s: float, x: float) -> float:
@@ -109,38 +109,13 @@ class TestQFunction:
             q_function(float("nan"))
 
 
-class TestComplexGaussian:
-    def test_zero_variance(self):
-        z = complex_gaussian(0.0, stream_seeker(1)[0], size=(2, 5))
-        assert z.shape == (2, 5) and z.dtype == complex
-        assert np.all(z == 0)
-
-    def test_power(self):
-        z = complex_gaussian(2.0, stream_seeker(105)[0], size=1_000_000)
-        p = np.abs(z) ** 2
-        # |z|^2 exponential with mean 2, sd 2
-        assert abs(p.mean() - 2.0) < 3 * 2.0 / math.sqrt(p.size)
-
-    def test_phase_uniform(self):
-        z = complex_gaussian(1.0, stream_seeker(106)[0], size=200_000)
-        phases = np.angle(z)
-        counts, _ = np.histogram(phases, bins=16, range=(-math.pi, math.pi))
-        res = stats.chisquare(counts)
-        assert res.pvalue > 0.01
-
-    def test_magnitude_exponential(self):
-        z = complex_gaussian(3.0, stream_seeker(107)[0], size=100_000)
-        res = stats.kstest(np.abs(z) ** 2, "expon", args=(0, 3.0))
-        assert res.pvalue > 0.01
-
-
 def stream(seed: int, index: int) -> np.random.Generator:
     gen, seek = stream_seeker(seed)
     seek(index)
     return gen
 
 
-class TestRngStream:
+class TestStreamSeeker:
     """The counter-based streams of `stream_seeker`."""
 
     def test_reproducible(self):

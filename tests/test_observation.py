@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from specsense.errors import ConfigError
-from specsense.numerics import complex_gaussian, stream_seeker
+from specsense.numerics import stream_seeker
 from specsense.observation import band_split_indices
 from specsense.signals import AWGN, ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
-from test_montecarlo import spectrum_bins, squared_envelope
+from test_montecarlo import complex_gaussian, spectrum_bins, squared_envelope
 
 
 def critical_spec(n=None, bandwidth=54_000.0, rolloff=0.25):
