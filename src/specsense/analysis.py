@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import q_function, reg_upper_gamma, stream_seeker
+from .numerics import stream_seeker
 from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
 
 
@@ -79,8 +79,8 @@ def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> Posteri
     precision posterior Gamma(P + k + 1, theta + P*y_mean)."""
     if p_excess < 1:
         raise ValueError("need at least one excess-band bin")
-    if y_mean < 0:
-        raise ValueError("bin mean must be nonnegative")
+    if not 0.0 <= y_mean < math.inf:
+        raise ValueError(f"bin mean must be finite and nonnegative, got {y_mean}")
     return PosteriorPrecision(shape=p_excess + prior.k + 1.0,
                               rate=prior.theta + p_excess * float(y_mean))
 
@@ -93,10 +93,13 @@ def map_noise_power(prior: NoisePrior, snr: float, *,
 
     Time-domain envelopes r give (theta + sum(r)/(1+snr)) / (N + k);
     in-band and excess-band bins x, y give
-    (theta + sum(y) + sum(x)/(1+snr)) / (L + k + P).
+    (theta + sum(y) + sum(x)/(1+snr)) / (L + k + P).  Giving both forms
+    is a `ValueError`.
     """
     gain = 1.0 + snr
     if r is not None:
+        if x is not None or y is not None:
+            raise ValueError("give time samples r or bins x and y, not both")
         return (prior.theta + float(np.sum(r)) / gain) / (np.size(r) + prior.k)
     if x is None or y is None:
         raise ValueError("need time samples r or bins x and y")
@@ -110,8 +113,22 @@ def map_noise_power(prior: NoisePrior, snr: float, *,
 
 def pd_opt(n_samples: int, alpha: float, snr: float, eta: float) -> float:
     """Detection probability of the energy sum at threshold eta; at
-    snr = 0 the false-alarm probability."""
-    return reg_upper_gamma(n_samples, eta / (alpha * (1.0 + snr)))
+    snr = 0 the false-alarm probability.
+
+    The energy sum is Gamma(N, alpha*(1+snr)), so this is the regularized
+    upper incomplete gamma Q(N, eta/(alpha*(1+snr))), `scipy.special.gammaincc`.
+    A tail argument that is non-finite or negative is a `ValueError`.
+    """
+    from scipy.special import gammaincc
+
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    x = np.asarray(eta / (alpha * (1.0 + snr)), dtype=float)
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if bad.any():
+        raise ValueError(f"tail argument must be finite and >= 0, got {x[bad][0]}")
+    out = gammaincc(n_samples, x)
+    return float(out) if out.ndim == 0 else out
 
 
 def pd_alrd1(n_samples: int, alpha: float, prior: NoisePrior, snr: float,
@@ -122,7 +139,7 @@ def pd_alrd1(n_samples: int, alpha: float, prior: NoisePrior, snr: float,
     The statistic is the energy sum scaled by 1/theta, so the tail
     argument is eta*theta/(alpha*(1+snr)).
     """
-    return reg_upper_gamma(n_samples, eta * prior.theta / (alpha * (1.0 + snr)))
+    return pd_opt(n_samples, alpha, snr, eta * prior.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +186,20 @@ def pd_alrd2_clt(l_inband: int, p_excess: int, n_samples: int, alpha: float,
     mean N*alpha*(1 + snr) and variance (N*alpha)^2*(1 + 2*snr).  At
     snr = 0 it is the Gaussian approximation of the false-alarm
     probability, with mean N*alpha*(L - P*eta) and variance
-    (N*alpha)^2*(L + P*eta^2).
+    (N*alpha)^2*(L + P*eta^2).  The tail is the standard Gaussian
+    Q(z) = erfc(z/sqrt(2))/2; a non-finite z is a `ValueError`.
     """
+    from scipy.special import erfc
+
     na = n_samples * alpha
     ps = na * snr
     mean = l_inband * (ps + na) - eta * p_excess * na
     var = l_inband * (na * na + 2.0 * na * ps) + p_excess * (eta * eta) * (na * na)
-    return q_function((theta * eta - mean) / np.sqrt(var))
+    z = np.asarray((theta * eta - mean) / np.sqrt(var))
+    if not np.isfinite(z).all():
+        raise ValueError("the Gaussian tail needs a finite argument")
+    out = 0.5 * erfc(z / math.sqrt(2.0))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

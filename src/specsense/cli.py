@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # say, trials or threshold_points too large
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
+        return 1
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

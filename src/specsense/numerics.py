@@ -1,84 +1,19 @@
-"""Special functions and seeded random streams.
+"""Seeded random streams.
 
-Everything downstream (signal generation, closed-form performance, the
-Monte Carlo engine) is built on the routines here.  Random sampling goes
-through the counter-based streams of `stream_seeker`, so that trials are
-reproducible and order-independent: the same (master_seed, stream_index)
-yields bit-identical draws, and distinct stream indices give
-statistically independent sequences.  This module holds no samplers:
-each caller draws its variates from the `numpy.random.Generator` a
-stream gives it.
-
-`scipy.special` is imported inside the functions that call it, not at
-module level: the Monte Carlo engine imports this module for its
-streams, so `roc`, `cdf` and `calibrate` never load a scipy submodule.
-`tests/test_imports.py` holds `import specsense.cli` to that.
+The Monte Carlo engine, the prior averaging in `analysis` and the demos
+draw their variates from the streams of `stream_seeker`, so that trials
+are reproducible and order-independent: the same (master_seed,
+stream_index) yields bit-identical draws, and distinct stream indices
+give statistically independent sequences.  This module holds no
+samplers: each caller draws its variates from the
+`numpy.random.Generator` a stream gives it.  The closed forms in
+`analysis` call `scipy.special` themselves.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma
-# ---------------------------------------------------------------------------
-
-def _gamma_args(s, x) -> tuple[np.ndarray, np.ndarray]:
-    s, x = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(s) & (s > 0.0))
-    if bad.any():
-        raise ValueError(f"shape must be finite and positive, got {s[bad][0]}")
-    bad = ~(np.isfinite(x) & (x >= 0.0))
-    if bad.any():
-        raise ValueError(f"integration limit must be finite and >= 0, got {x[bad][0]}")
-    return s, x
-
-
-def reg_upper_gamma(s, x):
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
-
-    Evaluated elementwise by `scipy.special.gammaincc`: arrays broadcast,
-    scalars give a Python float.  Nonincreasing in x with Q(s, 0) = 1.
-
-    Parameters
-    ----------
-    s : positive shape parameter(s)
-    x : nonnegative lower integration limit(s)
-
-    Raises
-    ------
-    ValueError : if any element is non-finite, has s <= 0 or has x < 0
-    """
-    from scipy.special import gammaincc
-
-    out = gammaincc(*_gamma_args(s, x))
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian tail
-# ---------------------------------------------------------------------------
-
-def q_function(z):
-    """Standard Gaussian upper tail probability Q(z) = P(Z > z).
-
-    Accepts scalars or arrays; computed as erfc(z / sqrt(2)) / 2.
-    """
-    from scipy.special import erfc
-
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("q_function requires finite input")
-    out = 0.5 * erfc(z / math.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Seeded streams
-# ---------------------------------------------------------------------------
 
 def stream_seeker(master_seed: int):
     """One generator over the streams of `master_seed`, and a function

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import gammaincc
 from scipy.stats import gamma, norm
 
@@ -35,6 +36,11 @@ class TestPosteriorUpdate:
     def test_reference_mapping(self):
         post = posterior_update(NoisePrior(k=2, theta=1.0), y_mean=0.5, p_excess=4)
         assert (post.shape, post.rate) == (7.0, 3.0)
+
+    @pytest.mark.parametrize("y_mean", [-0.5, math.nan, math.inf])
+    def test_rejects_a_bin_mean_it_cannot_use(self, y_mean):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            posterior_update(NoisePrior(k=2, theta=1.0), y_mean, 4)
 
     def test_zero_energy_adds_count_only(self):
         prior = NoisePrior(k=3, theta=2.0)
@@ -128,6 +134,12 @@ class TestMapEstimates:
         with pytest.raises(ValueError):
             map_noise_power(NoisePrior(k=3, theta=1.0), 0.0, x=np.ones(16))
 
+    def test_rejects_both_forms(self):
+        # the time samples would silently win over the bins
+        with pytest.raises(ValueError, match="not both"):
+            map_noise_power(NoisePrior(k=3, theta=1.0), 0.0, r=np.ones(20),
+                            x=np.ones(16), y=np.ones(4))
+
 
 class TestZeroSignal:
     def test_matches_the_h0_oracles(self):
@@ -145,7 +157,42 @@ class TestZeroSignal:
             pd_alrd2_clt(l, p, n, alpha, theta, 0.0, eta), h0, rtol=0, atol=1e-13)
 
 
+def quad_upper_gamma(s: float, x: float) -> float:
+    """Independent oracle: adaptive quadrature of the tail integral."""
+    val, err = integrate.quad(lambda t: t ** (s - 1) * math.exp(-t), x, np.inf,
+                              epsabs=0, epsrel=1e-12, limit=200)
+    return val / math.gamma(s)
+
+
 class TestIncompleteGammaForms:
+    def test_shape_one_closed_form(self):
+        # Q(1, x) = exp(-x), at the tail argument eta/(alpha*(1+snr)) = ln 2
+        assert pd_opt(1, 1.0, 0.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
+        assert pd_opt(1, 2.0, 1.0, 4 * math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
+
+    def test_against_quadrature(self):
+        for n, x in [(20, 20.0), (1, 0.2), (3, 7.5), (35, 20.0), (2, 40.0),
+                     (12, 12.0)]:
+            assert pd_opt(n, 1.0, 0.0, x) == pytest.approx(
+                quad_upper_gamma(n, x), rel=1e-10)
+
+    @given(n=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_monotone_in_eta_and_bounded(self, n):
+        vals = pd_opt(n, 1.0, 0.0, np.linspace(0.0, 5 * n + 10, 60))
+        assert np.all((0.0 <= vals) & (vals <= 1.0))
+        assert np.all(np.diff(vals) <= 1e-12)
+        assert vals[0] == 1.0
+        assert vals[-1] < 0.05
+
+    def test_domain_errors(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="at least one sample"):
+                pd_opt(n, 1.0, 0.0, 1.0)
+        for eta in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tail argument"):
+                pd_opt(1, 1.0, 0.0, eta)
+
     def test_zero_threshold(self):
         assert pd_opt(20, 1.0, 0.0, 0.0) == 1.0
         assert pd_opt(20, 1.0, 1.0, 0.0) == 1.0

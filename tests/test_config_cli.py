@@ -419,6 +419,15 @@ class TestCliCdf:
             "n_samples = 20", "n_samples = 20, 40"))
         assert main(["cdf", str(conf), "--out", str(tmp_path)]) == 1
 
+    def test_oversized_trials_are_a_config_error(self, tmp_path, capsys):
+        # 10^14 float64 statistics are 800 TB, past the 128 TiB x86-64
+        # user address space, so the allocation fails at once
+        conf = write_config(tmp_path, CDF_CONF)
+        out = tmp_path / "out"
+        assert main(["cdf", str(conf), "--trials", str(10**14), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: the run does not fit")
+        assert not out.exists()
+
 
 CURVES_CONF = """
 detectors = optimal, alrd1, alrd2
@@ -568,6 +577,16 @@ class TestCliCurves:
         assert main(["curves", str(conf), "--out", str(tmp_path)]) == 1
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "exp_curves.csv").exists()
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
+        # a grid of 10^14 thresholds is 800 TB, past the 128 TiB x86-64
+        # user address space, so the allocation fails at once
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "threshold_points = 81", f"threshold_points = {10**14}"))
+        out = tmp_path / "out"
+        assert main(["curves", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: the run does not fit")
+        assert not out.exists()
 
     def test_rejects_negative_threshold_min(self, tmp_path, capsys):
         # every statistic is nonnegative; the gamma forms reject eta < 0

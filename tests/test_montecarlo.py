@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, gammainc, gammaincc
 
 from specsense import montecarlo
 from specsense.analysis import pd_alrd1, pfa_alrd2_exact
@@ -31,7 +31,7 @@ from specsense.montecarlo import (
     trial_statistics,
     wilson_interval,
 )
-from specsense.numerics import reg_upper_gamma, stream_seeker
+from specsense.numerics import stream_seeker
 from specsense.observation import band_split_indices
 from specsense.signals import (
     AWGN,
@@ -753,7 +753,7 @@ class TestCalibration:
         lo, hi = 0.0, 100.0
         for _ in range(80):
             mid = (lo + hi) / 2
-            if reg_upper_gamma(20, mid) > target:
+            if gammaincc(20, mid) > target:
                 lo = mid
             else:
                 hi = mid
