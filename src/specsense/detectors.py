@@ -103,8 +103,8 @@ class Detector:
     the false-alarm probability), elementwise.  A GLR row's `log_lr(cfg,
     t)` is its log-GLR at statistic values t at the scenario's SNR,
     elementwise; it peaks at `mu_glrd1` or `rho_glrd2`.  With
-    cfg.glr_two_sided set, `montecarlo.trial_statistics` maps the row's
-    statistic through it.
+    cfg.glr_two_sided set, the Monte Carlo engine's block loop maps the
+    row's statistic through it.
     """
 
     domain: str

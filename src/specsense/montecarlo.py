@@ -11,7 +11,10 @@ picks the hypothesis: only `PHASE_EVAL_H1` trials see an occupied
 channel.  Calibration and H0 evaluation trials draw no channel gain and
 read no channel field, so they are the same for every channel, and
 `roc_sweep_channels` runs them once for all the channels of one
-`n_samples` value.
+`n_samples` value.  Its H1 trials differ between channels only in the
+channel power gains, so each H1 block is drawn once (`draw_block`) and
+only the gains, the scaling and the statistics run per channel
+(`scale_block`); `observe` is the two steps on one channel.
 
 Every buffer of a block is one whole-array draw, and the scaling, sums
 and statistics run on the whole block, one row per trial.  The
@@ -20,7 +23,10 @@ variates: one per sum on the model source, at a cost that does not grow
 with the block size N, and one per group of equal-gain bins on the
 waveform source, whose shaping makes the bins' signal powers unequal.
 
-The blocks of a call run in order, in the calling thread.
+The blocks of a phase run in order, in the calling thread, on one
+stream seeker.  Only calibration keeps its statistics: the evaluation
+phases reduce each block at once to one exceedance count per (detector,
+threshold) and drop it.
 
 Calibration has one path: `calibration_cdfs` runs the H0 calibration
 trials of a whole detector list at once and sorts each detector's
@@ -28,7 +34,7 @@ statistics, and `calibrate` reads the thresholds off those sorted
 arrays at exact ranks, for `roc_sweep_channels` too; the `roc`,
 `calibrate` and `cdf` commands all go through it.  Every detector has
 one decision rule, H1 when its statistic exceeds the threshold.  With
-cfg.glr_two_sided set, `trial_statistics` maps each GLR detector's
+cfg.glr_two_sided set, the block loop maps each GLR detector's
 statistic through its log-GLR (`detectors.Detector.log_lr`), so that
 rule is the GLRT's band around the likelihood peak, calibrated like
 every other detector: the threshold is the log-GLR level.
@@ -37,7 +43,7 @@ every other detector: the threshold is the log-GLR level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -56,10 +62,10 @@ PHASE_EVAL_H1 = 3
 # its variates for TRIAL_CHUNK trials, so changing it moves every output.
 # It is fixed, never derived from the trial count, so trial i does not
 # depend on the trial count and the block buffers stay the same size as
-# trials grow.  Peak memory still grows: `trial_statistics` returns one
-# float64 per detector and trial, and `roc_sweep_channels` keeps a leg's
-# H0 and H1 statistics, so `roc fig4` (three detectors) peaks about 48
-# bytes higher per trial.
+# trials grow.  Peak memory still grows with calibration:
+# `trial_statistics` returns one float64 per detector and trial, which
+# `calibration_cdfs` sorts in place, so `roc fig6` (three detectors)
+# peaks about 24 bytes higher per trial, whatever its channel count.
 TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
@@ -102,36 +108,45 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
             block: int) -> tuple[dict, np.ndarray]:
     """Observations of block `block` of `phase`, trials block * TRIAL_CHUNK
     up to the next block or cfg.trials, one entry per trial, plus their
-    noise powers alpha.
+    noise powers alpha: the block's channel-free draws (`draw_block`) on
+    a stream seeker of its own, scaled on cfg.channel (`scale_block`).
 
     The detectors read an observation only through its sums, so that is
     what `observe` returns, for each domain of `domains`: `obs[TIME]` is
     sum(r), the sum of the squared envelopes, and `obs[FREQ]` the pair
-    (sum(x), sum(y)) of in-band and excess-band bin sums.  Each kind of
-    variate reads its own stream (`stream_index`), in this order:
+    (sum(x), sum(y)) of in-band and excess-band bin sums.  The engine's
+    block loop calls the two steps itself, with one seeker per phase and
+    one draw per block for every channel.
+    """
+    gen, seek = stream_seeker(cfg.master_seed)
+    drawn = draw_block(cfg, domains, phase, block, gen, seek)
+    return scale_block(cfg, domains, drawn, cfg.channel, gen)
 
-    - `KIND_PRIOR`: the noise precisions (unless the noise power is
-      pinned), then the channel power gains |h|^2 (occupied channel);
+
+def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: int,
+               gen: np.random.Generator, seek) -> tuple:
+    """The variates of block `block` of `phase` that no channel changes,
+    drawn by `gen` and `seek` of `numerics.stream_seeker(cfg.master_seed)`:
+    (rows, alpha, prior_state, gammas), with rows the block's trial count.
+
+    Each kind of variate reads its own stream (`stream_index`), in this
+    order:
+
+    - `KIND_PRIOR`: the noise powers alpha (unless the noise power is
+      pinned); on occupied trials with a nonzero SNR the channel power
+      gains |h|^2 follow them, and `prior_state` is the generator state
+      from which `scale_block` draws them (else None);
     - `KIND_TIME`: on the model source, the Gamma(N) variate G_N of
-      sum(r) = alpha * g * G_N; on the waveform source, the discarded
-      bins' groups (`cfg.bin_groups`; there are none unless the block is
-      oversampled);
+      sum(r); on the waveform source, the discarded bins' groups
+      (`cfg.bin_groups`; there are none unless the block is oversampled);
     - `KIND_BINS`: on the model source, the Gamma(P) variate G_P of
-      sum(y) = N * alpha * G_P, then the Gamma(L) variate G_L of
-      sum(x) = N * alpha * g * G_L; on the waveform source, the
-      excess-band groups, then the in-band groups.
+      sum(y), then the Gamma(L) variate G_L of sum(x); on the waveform
+      source, the excess-band groups, then the in-band groups.
 
-    Here g = 1 + snr * |h|^2 on occupied trials with a nonzero SNR, and
-    1 otherwise.  These are the model source's laws exactly: given alpha
-    and |h|^2 its envelopes and bins are independent exponentials.
-
-    The waveform source's forward DFT undoes the inverse DFT that shaped
-    its signal (`cfg.shaping`), and white noise has white bins, so given
-    alpha and |h|^2 its bins are independent: |Z_k|^2 ~ N * alpha * g_k *
-    Exp(1), g_k = 1 + snr * |h|^2 * c_k (`cfg.bin_groups`) where g is not
-    1, and 1 where it is.  Each group is a column of Gamma(count) variates
-    scaled by its g_k; a band's row sum times N * alpha is its bin sum,
-    and sum(r) is alpha times all three bands' row sums (Parseval).
+    `gammas` maps TIME to G_N and FREQ to (G_P, G_L) on the model source,
+    one entry per domain of `domains`; on the waveform source it is the
+    (in-band, excess-band, discarded) triple of group matrices, one
+    Gamma(count) column per group of `cfg.bin_groups`.
 
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
@@ -144,82 +159,149 @@ def observe(cfg: sig.ScenarioConfig, domains: set[str], phase: int,
     start = block * TRIAL_CHUNK
     if not 0 <= start < cfg.trials:
         raise ConfigError("block index out of range")
-    rows = min(TRIAL_CHUNK, cfg.trials - start)
-    gen, seek = stream_seeker(cfg.master_seed)
-    occupied = phase == PHASE_EVAL_H1
-    n, snr = cfg.n_samples, cfg.signal.snr_linear
-    signal = occupied and snr != 0.0
-
     seek(stream_index(phase, block, KIND_PRIOR))
     alpha = (np.full(TRIAL_CHUNK, cfg.noise_power) if cfg.noise_power is not None
              else sig.draw_noise_power(cfg.prior, gen, TRIAL_CHUNK))
-    if occupied:
-        h2 = sig.channel_gain(cfg.channel, gen, TRIAL_CHUNK)
+    signal = phase == PHASE_EVAL_H1 and cfg.signal.snr_linear != 0.0
+    prior_state = gen.bit_generator.state if signal else None
+
+    if cfg.source == sig.WAVEFORM:
+        inband, excess, discarded = (counts for counts, _ in cfg.bin_groups)
+        seek(stream_index(phase, block, KIND_TIME))
+        gam_d = gen.standard_gamma(discarded, (TRIAL_CHUNK, discarded.size))
+        seek(stream_index(phase, block, KIND_BINS))
+        gam_y = gen.standard_gamma(excess, (TRIAL_CHUNK, excess.size))
+        gam_x = gen.standard_gamma(inband, (TRIAL_CHUNK, inband.size))
+        gammas = gam_x, gam_y, gam_d
+    else:
+        gammas = {}
+        if det.TIME in domains:
+            seek(stream_index(phase, block, KIND_TIME))
+            gammas[det.TIME] = gen.standard_gamma(cfg.n_samples, TRIAL_CHUNK)
+        if det.FREQ in domains:
+            seek(stream_index(phase, block, KIND_BINS))
+            geom = cfg.geometry
+            g_p = gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
+            gammas[det.FREQ] = g_p, gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
+    return min(TRIAL_CHUNK, cfg.trials - start), alpha, prior_state, gammas
+
+
+def scale_block(cfg: sig.ScenarioConfig, domains: set[str], drawn: tuple,
+                channel: sig.ChannelSpec,
+                gen: np.random.Generator) -> tuple[dict, np.ndarray]:
+    """The sums of a block drawn by `draw_block` on `channel`, and its
+    noise powers, as `observe` returns them.
+
+    With a signal in the block, `gen` is set to the saved `KIND_PRIOR`
+    state and draws the channel power gains |h|^2 there, so each channel
+    reads the stream positions it would read alone.  The shared variates
+    are scaled into new arrays, never in place.  Here g = 1 + snr * |h|^2
+    on occupied trials with a nonzero SNR, and 1 otherwise.
+
+    On the model source sum(r) = alpha * g * G_N, sum(y) = N * alpha *
+    G_P and sum(x) = N * alpha * g * G_L.  These are the model source's
+    laws exactly: given alpha and |h|^2 its envelopes and bins are
+    independent exponentials.
+
+    The waveform source's forward DFT undoes the inverse DFT that shaped
+    its signal (`cfg.shaping`), and white noise has white bins, so given
+    alpha and |h|^2 its bins are independent: |Z_k|^2 ~ N * alpha * g_k *
+    Exp(1), g_k = 1 + snr * |h|^2 * c_k (`cfg.bin_groups`) where g is not
+    1, and 1 where it is.  Each group is a column of Gamma(count) variates
+    scaled by its g_k; a band's row sum times N * alpha is its bin sum,
+    and sum(r) is alpha times all three bands' row sums (Parseval).
+    """
+    rows, alpha, prior_state, gammas = drawn
+    n, snr = cfg.n_samples, cfg.signal.snr_linear
+    h2 = None
+    if prior_state is not None:
+        gen.bit_generator.state = prior_state
+        h2 = sig.channel_gain(channel, gen, TRIAL_CHUNK)
 
     obs = {}
     if cfg.source == sig.WAVEFORM:
-        def band_total(counts, gains):
+        def band_total(gam, gains):
             """Per trial, a band's bin sum in units of N * alpha."""
-            gam = gen.standard_gamma(counts, (TRIAL_CHUNK, counts.size))
-            if signal:
-                gam *= 1.0 + snr * h2[:, None] * gains
+            if h2 is not None:
+                gam = gam * (1.0 + snr * h2[:, None] * gains)
             return gam.sum(axis=1)
 
-        inband, excess, discarded = cfg.bin_groups
-        seek(stream_index(phase, block, KIND_TIME))
-        u_d = band_total(*discarded)
-        seek(stream_index(phase, block, KIND_BINS))
-        u_y = band_total(*excess)
-        u_x = band_total(*inband)
+        u_x, u_y, u_d = (band_total(gam, gains)
+                         for gam, (_, gains) in zip(gammas, cfg.bin_groups))
         if det.TIME in domains:
             obs[det.TIME] = (alpha * (u_x + u_y + u_d))[:rows]
         if det.FREQ in domains:
             obs[det.FREQ] = (n * alpha * u_x)[:rows], (n * alpha * u_y)[:rows]
         return obs, alpha[:rows]
 
-    g = 1.0 + snr * h2 if signal else 1.0
+    g = 1.0 + snr * h2 if h2 is not None else 1.0
     if det.TIME in domains:
-        seek(stream_index(phase, block, KIND_TIME))
-        obs[det.TIME] = (alpha * g * gen.standard_gamma(n, TRIAL_CHUNK))[:rows]
+        obs[det.TIME] = (alpha * g * gammas[det.TIME])[:rows]
     if det.FREQ in domains:
-        seek(stream_index(phase, block, KIND_BINS))
-        geom, scale = cfg.geometry, n * alpha
-        sum_y = scale * gen.standard_gamma(geom.p_excess, TRIAL_CHUNK)
-        sum_x = scale * g * gen.standard_gamma(geom.l_inband, TRIAL_CHUNK)
-        obs[det.FREQ] = sum_x[:rows], sum_y[:rows]
+        g_p, g_l = gammas[det.FREQ]
+        scale = n * alpha
+        obs[det.FREQ] = (scale * g * g_l)[:rows], (scale * g_p)[:rows]
     return obs, alpha[:rows]
+
+
+def _detector_rows(cfg: sig.ScenarioConfig,
+                   names: Sequence[str]) -> dict[str, det.Detector]:
+    """The detector table rows of `names`.  A trial count beyond the
+    stream layout is a `ConfigError`, raised before anything is drawn or
+    allocated."""
+    if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
+        raise ConfigError("trial index out of range")
+    return {name: det.detector(name) for name in names}
+
+
+def _block_statistics(cfg: sig.ScenarioConfig, rows: Mapping[str, det.Detector],
+                      phase: int, channels: Sequence[sig.ChannelSpec]):
+    """The engine's one block loop: per block of `phase`, in order, one
+    {name: statistics} per channel of `channels`.
+
+    One stream seeker serves the whole phase.  Each block is drawn once
+    (`draw_block`), then scaled on each channel (`scale_block`) and
+    reduced by the detector table; with cfg.glr_two_sided set, each GLR
+    row's statistics are mapped through its log-GLR
+    (`detectors.Detector.log_lr`).  A non-finite statistic is a
+    `NumericFailure`.
+    """
+    gen, seek = stream_seeker(cfg.master_seed)
+    domains = {row.domain for row in rows.values()}
+    for block in range(-(-cfg.trials // TRIAL_CHUNK)):
+        drawn = draw_block(cfg, domains, phase, block, gen, seek)
+        per_channel = []
+        for channel in channels:
+            obs, alpha = scale_block(cfg, domains, drawn, channel, gen)
+            stats = {}
+            for name, row in rows.items():
+                v = row.statistic(obs[row.domain], alpha, cfg.prior)
+                if cfg.glr_two_sided and row.log_lr is not None:
+                    v = row.log_lr(cfg, v)
+                if not np.all(np.isfinite(v)):
+                    raise NumericFailure(f"non-finite statistic produced by {name!r}")
+                stats[name] = v
+            per_channel.append(stats)
+        yield per_channel
 
 
 def trial_statistics(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                      phase: int) -> dict[str, np.ndarray]:
     """Statistic samples for several detectors over the same trials:
     trials 0 .. cfg.trials - 1 of `phase`, one array of length cfg.trials
-    per detector name.
+    per detector name, filled block by block by the engine's block loop
+    (`_block_statistics`) on cfg.channel.
 
-    The blocks of `TRIAL_CHUNK` trials run in order: each is observed
-    (`observe`) and reduced by the detector table into its slice of the
-    output.  With cfg.glr_two_sided set, each GLR detector's samples are
-    then mapped through its log-GLR (`detectors.Detector.log_lr`).
     A trial count beyond the stream layout is a `ConfigError` raised
     before anything is allocated, and a non-finite statistic a
     `NumericFailure`.
     """
-    if cfg.trials > TRIAL_CHUNK << _BLOCK_BITS:
-        raise ConfigError("trial index out of range")
-    rows = {name: det.detector(name) for name in detector_names}
-    domains = {row.domain for row in rows.values()}
+    rows = _detector_rows(cfg, detector_names)
     out = {name: np.empty(cfg.trials) for name in rows}
-    for block in range(-(-cfg.trials // TRIAL_CHUNK)):
-        obs, alpha = observe(cfg, domains, phase, block)
+    for block, (stats,) in enumerate(_block_statistics(cfg, rows, phase, [cfg.channel])):
         start = block * TRIAL_CHUNK
-        for name, row in rows.items():
-            out[name][start:start + alpha.size] = row.statistic(
-                obs[row.domain], alpha, cfg.prior)
-    for name, row in rows.items():
-        if cfg.glr_two_sided and row.log_lr is not None:
-            out[name] = row.log_lr(cfg, out[name])
-        if not np.all(np.isfinite(out[name])):
-            raise NumericFailure(f"non-finite statistic produced by {name!r}")
+        for name, v in stats.items():
+            out[name][start:start + v.size] = v
     return out
 
 
@@ -231,9 +313,11 @@ def calibration_cdfs(cfg: sig.ScenarioConfig,
                      names: Sequence[str]) -> dict[str, np.ndarray]:
     """H0 distributions of several decision statistics, all read off the
     same calibration-phase trials: per detector, its cfg.trials
-    calibration statistics sorted ascending."""
+    calibration statistics sorted ascending, in place."""
     cal = trial_statistics(cfg, names, PHASE_CALIBRATION)
-    return {name: np.sort(vals) for name, vals in cal.items()}
+    for vals in cal.values():
+        vals.sort()
+    return cal
 
 
 def _target_grid(cfg: sig.ScenarioConfig, pfa_grid: Iterable[float]) -> list[float]:
@@ -288,43 +372,48 @@ def roc_sweep_channels(cfg: sig.ScenarioConfig, detector_names: Sequence[str],
                        channels: Sequence[sig.ChannelSpec]
                        ) -> list[Mapping[str, list[RocPoint]]]:
     """ROC points for several detectors over shared trials, one mapping
-    per channel of `channels` (cfg with its channel replaced).
+    per channel of `channels`.
 
     Per target false-alarm probability: calibrate the threshold on H0
     calibration trials, measure the realized Pfa on fresh H0 trials, and
     the detection probability (with Wilson interval) on H1 trials.  The
     three phases use disjoint random streams.  Calibration and H0
     evaluation read no channel field, so they run once for every
-    channel; only the H1 phase runs per channel.  Thresholds are those of
-    `calibrate`, which rejects a bad target grid before any trial runs,
-    and a trial decides H1 when its statistic exceeds the threshold.
+    channel, and each H1 block is drawn once for every channel: only the
+    |h|^2 draw, the scaling and the counts run per channel.  Thresholds
+    are those of `calibrate`, which rejects a bad target grid before any
+    trial runs, and a trial decides H1 when its statistic exceeds the
+    threshold.
     """
     grid = _target_grid(cfg, pfa_grid)
     thresholds = calibrate(cfg, detector_names, grid)
+    rows = _detector_rows(cfg, detector_names)
+    etas = {name: np.array(thresholds[name]) for name in rows}
 
-    def exceedances(stats: dict[str, np.ndarray], name: str) -> list[int]:
-        """Per threshold of `name`, how many of its statistics exceed it:
-        one 1-D comparison at a time, never a (threshold, trial) array."""
-        return [int(np.count_nonzero(stats[name] > eta)) for eta in thresholds[name]]
+    def exceedances(phase: int, phase_channels) -> list[dict[str, list[int]]]:
+        """Per channel, per detector, how many trials of `phase` exceed
+        each of its thresholds.  Each block's statistics are counted at
+        once, one sort per (detector, block), and dropped."""
+        counts = [{name: np.zeros(eta.size, dtype=np.int64) for name, eta in etas.items()}
+                  for _ in phase_channels]
+        for per_channel in _block_statistics(cfg, rows, phase, phase_channels):
+            for count, stats in zip(counts, per_channel):
+                for name, v in stats.items():
+                    count[name] += v.size - np.searchsorted(np.sort(v), etas[name],
+                                                            side="right")
+        return [{name: k.tolist() for name, k in count.items()} for count in counts]
 
-    s0 = trial_statistics(cfg, detector_names, PHASE_EVAL_H0)
-    pfa = {name: [k / cfg.trials for k in exceedances(s0, name)]
-           for name in detector_names}
-
+    (k0,) = exceedances(PHASE_EVAL_H0, [cfg.channel])
     sweeps = []
-    for channel in channels:
-        s1 = trial_statistics(replace(cfg, channel=channel), detector_names,
-                              PHASE_EVAL_H1)
+    for k1 in exceedances(PHASE_EVAL_H1, channels):
         out: dict[str, list[RocPoint]] = {}
         for name in detector_names:
             points = []
-            for p, eta, pfa_emp, k in zip(grid, thresholds[name], pfa[name],
-                                          exceedances(s1, name)):
-                lo, hi = wilson_interval(k, cfg.trials)
-                points.append(RocPoint(pfa_target=p, pfa_empirical=pfa_emp,
-                                       pd_empirical=k / cfg.trials, pd_ci_low=lo,
+            for p, eta, n0, n1 in zip(grid, thresholds[name], k0[name], k1[name]):
+                lo, hi = wilson_interval(n1, cfg.trials)
+                points.append(RocPoint(pfa_target=p, pfa_empirical=n0 / cfg.trials,
+                                       pd_empirical=n1 / cfg.trials, pd_ci_low=lo,
                                        pd_ci_high=hi, threshold=eta))
             out[name] = points
         sweeps.append(out)
     return sweeps
-

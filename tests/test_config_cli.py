@@ -320,29 +320,36 @@ class TestCliRoc:
         assert len(rows) == 2 * 3 * 2 * 2
 
     def test_h0_phases_run_once_per_n_samples(self, tmp_path, monkeypatch):
-        # every block the engine draws, keyed by (N, phase, channel, block):
-        # calibration and H0 blocks once per N, H1 blocks once per channel
+        # every block the engine draws, keyed by (N, phase, block): each
+        # block once per N, the H1 blocks once for all the channels, and
+        # one stream seeker per (N, phase)
         calls = Counter()
-        observe = montecarlo.observe
+        draw_block, stream_seeker = montecarlo.draw_block, montecarlo.stream_seeker
 
-        def counted(cfg, domains, phase, block):
-            calls[cfg.n_samples, phase, cfg.channel.kind, block] += 1
-            return observe(cfg, domains, phase, block)
+        def counted(cfg, domains, phase, block, gen, seek):
+            calls[cfg.n_samples, phase, block] += 1
+            return draw_block(cfg, domains, phase, block, gen, seek)
 
-        monkeypatch.setattr(montecarlo, "observe", counted)
+        def seeker(seed):
+            calls["seekers"] += 1
+            return stream_seeker(seed)
+
+        monkeypatch.setattr(montecarlo, "draw_block", counted)
+        monkeypatch.setattr(montecarlo, "stream_seeker", seeker)
         kinds = ("awgn", "rayleigh", "nakagami")
         conf = write_config(tmp_path, self.CHANNELS_CONF.replace(
             "channels = awgn", "channels = " + ", ".join(kinds))
             + "nakagami_m = 2\n")
         assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        phases = (montecarlo.PHASE_CALIBRATION, montecarlo.PHASE_EVAL_H0,
+                  montecarlo.PHASE_EVAL_H1)
         blocks = range(-(-1000 // montecarlo.TRIAL_CHUNK))
         for n in (20, 40):
-            for block in blocks:
-                for phase in (montecarlo.PHASE_CALIBRATION, montecarlo.PHASE_EVAL_H0):
-                    assert sum(calls[n, phase, kind, block] for kind in kinds) == 1
-                for kind in kinds:
-                    assert calls[n, montecarlo.PHASE_EVAL_H1, kind, block] == 1
-        assert sum(calls.values()) == 2 * (2 + len(kinds)) * len(blocks)
+            for phase in phases:
+                for block in blocks:
+                    assert calls[n, phase, block] == 1
+        assert calls.pop("seekers") == 2 * len(phases)
+        assert sum(calls.values()) == 2 * len(phases) * len(blocks)
 
 
 CDF_CONF = """
@@ -722,7 +729,7 @@ class TestConfigErrorStopsTheRun:
         def refuse(*args):
             raise AssertionError("a block was drawn")
 
-        monkeypatch.setattr(montecarlo, "observe", refuse)
+        monkeypatch.setattr(montecarlo, "draw_block", refuse)
         conf = _preset_with(tmp_path, "fig4", "n_samples", "20, 1")
         assert main(["roc", str(conf), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -545,14 +546,14 @@ class TestBlockEngine:
 
     def test_block_failure_reaches_the_caller(self, monkeypatch):
         failure = NumericFailure("block 1 failed")
-        observe = montecarlo.observe
+        draw_block = montecarlo.draw_block
 
-        def failing(cfg, domains, phase, block):
+        def failing(cfg, domains, phase, block, gen, seek):
             if block == 1:
                 raise failure
-            return observe(cfg, domains, phase, block)
+            return draw_block(cfg, domains, phase, block, gen, seek)
 
-        monkeypatch.setattr(montecarlo, "observe", failing)
+        monkeypatch.setattr(montecarlo, "draw_block", failing)
         cfg = make_cfg(trials=2500)
         names = ["optimal", "alrd1", "alrd2"]
         with pytest.raises(NumericFailure) as caught:
@@ -737,7 +738,7 @@ class TestCalibration:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(montecarlo, "observe", no_trials)
+        monkeypatch.setattr(montecarlo, "draw_block", no_trials)
         cfg = replace(make_cfg(trials=2000), glr_two_sided=True)
         names = ["alrd1", "glrd1"]
         with pytest.raises(ConfigError, match=match):
@@ -878,14 +879,45 @@ class TestRocSweep:
             roc_sweep(cfg, ["alrd1"], [0.0, 0.5])
 
     def test_shared_h0_phases_match_single_channel_sweeps(self):
-        cfg = make_cfg(trials=2000)
+        # 2500 trials: three blocks per phase, the last one short; each H1
+        # block is drawn once for all three channels, on both sources, and
+        # run two-sided too
         channels = [ChannelSpec(AWGN), ChannelSpec(RAYLEIGH),
                     ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
-        names, grid = ["optimal", "alrd2"], [0.05, 0.1, 0.3]
-        shared = roc_sweep_channels(cfg, names, grid, channels)
-        assert len(shared) == len(channels)
-        for channel, points in zip(channels, shared):
-            assert points == roc_sweep(replace(cfg, channel=channel), names, grid)
+        grid = [0.05, 0.1, 0.3]
+        for source in (MODEL, WAVEFORM):
+            for names, two_sided in ((["optimal", "alrd2"], False),
+                                     (["glrd1", "glrd2"], True)):
+                cfg = replace(make_cfg(trials=2500, source=source),
+                              glr_two_sided=two_sided)
+                shared = roc_sweep_channels(cfg, names, grid, channels)
+                assert len(shared) == len(channels)
+                for channel, points in zip(channels, shared):
+                    assert points == roc_sweep(replace(cfg, channel=channel),
+                                               names, grid), (source, names, channel)
+
+    @pytest.mark.parametrize("source", [MODEL, WAVEFORM])
+    def test_memory_does_not_grow_with_evaluation_trials_or_channels(self, source):
+        # Calibration holds one float64 per (detector, trial), sorted in
+        # place; the H0 and H1 phases keep only their counts, one block
+        # at a time, however many channels share the H1 blocks.  So the
+        # traced peak is 8 bytes per (detector, trial) plus the block
+        # buffers, which 2 more bytes cover at 100 000 trials (600 kB).
+        # Keeping each phase's statistics, or a sorted copy of the
+        # calibration arrays, costs 8 bytes more per (detector, trial).
+        names = ["optimal", "alrd1", "alrd2"]
+        channels = [ChannelSpec(AWGN), ChannelSpec(RAYLEIGH),
+                    ChannelSpec(NAKAGAMI, nakagami_m=2.0)]
+        grid = [0.01, 0.1, 0.5]
+        cfg = make_cfg(trials=100_000, source=source)
+        roc_sweep_channels(replace(cfg, trials=10_000), names, grid, channels)
+        tracemalloc.start()
+        try:
+            roc_sweep_channels(cfg, names, grid, channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * len(names) * cfg.trials, peak / (len(names) * cfg.trials)
 
     def test_fading_channels_run(self):
         cfg = make_cfg(trials=5000, channel=ChannelSpec(RAYLEIGH))
