@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: `roc`, `cdf`, `curves`, `calibrate`, `validate`.  Each
-file-emitting command writes CSV (6 significant digits, one `%` format
-string per row) whose first line references the manifest hash, plus a
-JSON manifest describing the run.
+file-emitting command writes CSV (6 significant digits, `%`-formatted)
+whose first line references the manifest hash, plus a JSON manifest
+describing the run.  `curves` evaluates and formats each distinct
+closed-form law once, and a detector sharing a law (a GLR row and its
+ALR twin) writes those rows under its own name.  `main` builds the
+argument parser on its first call and reuses it.
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric
 failure, 3 validation failure.
 """
@@ -11,6 +14,7 @@ failure, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -190,18 +194,24 @@ def cmd_curves(args) -> int:
                  else exp.prior.mean_noise_power)
         snr = exp.snr_linear * np.array([[0.0], [1.0]])  # rows: idle (Pfa), occupied (Pd)
         grid = np.linspace(*exp.threshold_grid)
-        table = []
+        thresholds = list(map("%.6g".__mod__, grid.tolist()))  # shared by every law
+        table, law_rows = [], {}
         for name in exp.detectors:
-            try:  # an overflow or a nan on the way would write a wrong value
-                with np.errstate(over="raise", invalid="raise"):
-                    cf = detector(name).law(cfg, alpha, snr, grid)
-            except FloatingPointError as exc:
-                raise NumericFailure(f"{name} closed form: {exc}") from None
-            if not np.isfinite(cf).all():
-                raise NumericFailure("non-finite value in command output")
-            pfa, pd = cf
-            table.extend(map(f"{name},%.6g,%.6g,%.6g".__mod__,
-                             zip(grid.tolist(), pfa.tolist(), pd.tolist())))
+            # a GLR row shares its twin's law: the first detector to use a
+            # law evaluates and formats it, the others reuse its rows
+            law = detector(name).law
+            if law not in law_rows:
+                try:  # an overflow or a nan on the way would write a wrong value
+                    with np.errstate(over="raise", invalid="raise"):
+                        cf = law(cfg, alpha, snr, grid)
+                except FloatingPointError as exc:
+                    raise NumericFailure(f"{name} closed form: {exc}") from None
+                if not np.isfinite(cf).all():
+                    raise NumericFailure("non-finite value in command output")
+                pfa, pd = cf
+                law_rows[law] = list(map("%s,%.6g,%.6g".__mod__,
+                                         zip(thresholds, pfa.tolist(), pd.tolist())))
+            table.extend(map(f"{name},".__add__, law_rows[law]))
         return table, []
 
     return _run(args, "curves", ["detector", "threshold", "pfa_cf", "pd_cf"],
@@ -258,6 +268,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built on the first `main` call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specsense",
                      description="Spectrum-sensing detector experiments")

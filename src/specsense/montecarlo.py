@@ -138,7 +138,8 @@ def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: in
       from which `scale_block` draws them (else None);
     - `KIND_TIME`: on the model source, the Gamma(N) variate G_N of
       sum(r); on the waveform source, the discarded bins' groups
-      (`cfg.bin_groups`; there are none unless the block is oversampled);
+      (`cfg.bin_groups`; there are none unless the block is oversampled),
+      which only sum(r) reads;
     - `KIND_BINS`: on the model source, the Gamma(P) variate G_P of
       sum(y), then the Gamma(L) variate G_L of sum(x); on the waveform
       source, the excess-band groups, then the in-band groups.
@@ -146,14 +147,17 @@ def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: in
     `gammas` maps TIME to G_N and FREQ to (G_P, G_L) on the model source,
     one entry per domain of `domains`; on the waveform source it is the
     (in-band, excess-band, discarded) triple of group matrices, one
-    Gamma(count) column per group of `cfg.bin_groups`.
+    Gamma(count) column per group of `cfg.bin_groups`, with None for the
+    discarded matrix unless `domains` holds TIME.
 
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
     candidates, so drawing fewer rows would shift every later buffer.
-    The waveform source draws every group whatever `domains` holds.  A
-    row thus depends on (cfg, phase, trial) alone, not on the trial count
-    or on the other domains observed.  A block holding none of the
+    The waveform source draws both bands' groups whatever `domains`
+    holds, since sum(r) reads them too, and the discarded groups, on
+    their own stream, only for TIME.  A row thus depends on (cfg, phase,
+    trial) alone, not on the trial count or on the other domains
+    observed.  A block holding none of the
     trials 0 .. cfg.trials - 1 is a `ConfigError`.
     """
     start = block * TRIAL_CHUNK
@@ -167,8 +171,10 @@ def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: in
 
     if cfg.source == sig.WAVEFORM:
         inband, excess, discarded = (counts for counts, _ in cfg.bin_groups)
-        seek(stream_index(phase, block, KIND_TIME))
-        gam_d = gen.standard_gamma(discarded, (TRIAL_CHUNK, discarded.size))
+        gam_d = None
+        if det.TIME in domains:
+            seek(stream_index(phase, block, KIND_TIME))
+            gam_d = gen.standard_gamma(discarded, (TRIAL_CHUNK, discarded.size))
         seek(stream_index(phase, block, KIND_BINS))
         gam_y = gen.standard_gamma(excess, (TRIAL_CHUNK, excess.size))
         gam_x = gen.standard_gamma(inband, (TRIAL_CHUNK, inband.size))
@@ -226,10 +232,10 @@ def scale_block(cfg: sig.ScenarioConfig, domains: set[str], drawn: tuple,
                 gam = gam * (1.0 + snr * h2[:, None] * gains)
             return gam.sum(axis=1)
 
-        u_x, u_y, u_d = (band_total(gam, gains)
-                         for gam, (_, gains) in zip(gammas, cfg.bin_groups))
+        (gam_x, gam_y, gam_d), ((_, g_x), (_, g_y), (_, g_d)) = gammas, cfg.bin_groups
+        u_x, u_y = band_total(gam_x, g_x), band_total(gam_y, g_y)
         if det.TIME in domains:
-            obs[det.TIME] = (alpha * (u_x + u_y + u_d))[:rows]
+            obs[det.TIME] = (alpha * (u_x + u_y + band_total(gam_d, g_d)))[:rows]
         if det.FREQ in domains:
             obs[det.FREQ] = (n * alpha * u_x)[:rows], (n * alpha * u_y)[:rows]
         return obs, alpha[:rows]

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specsense import analysis, montecarlo
-from specsense.cli import main
+from specsense.cli import _build_parser, main
 from specsense.config import (
     experiment_from_mapping,
     load_experiment,
@@ -542,6 +542,44 @@ class TestCliCurves:
         assert alrd1 == [r[1:] for r in rows if r[0] == "glrd1"]
         assert len(alrd1) == 81
 
+    def test_each_law_is_evaluated_once(self, tmp_path, monkeypatch):
+        # a GLR row shares its ALR twin's law: curves evaluates each law
+        # once and writes the twin's rows under the GLR name
+        calls = Counter()
+
+        def counted(form):
+            clean = getattr(analysis, form)
+
+            def call(*args):
+                calls[form] += 1
+                return clean(*args)
+            return call
+
+        for form in ("pd_alrd1", "pd_alrd2_clt"):
+            monkeypatch.setattr(analysis, form, counted(form))
+        conf = write_config(tmp_path, CURVES_CONF.replace(
+            "optimal, alrd1, alrd2", "alrd1, glrd1, alrd2, glrd2"))
+        assert main(["curves", str(conf), "--out", str(tmp_path)]) == 0
+        assert calls == {"pd_alrd1": 1, "pd_alrd2_clt": 1}
+        rows = {}
+        for line in (tmp_path / "exp_curves.csv").read_text().splitlines()[2:]:
+            name, rest = line.split(",", 1)
+            rows.setdefault(name, []).append(rest)
+        assert list(rows) == ["alrd1", "glrd1", "alrd2", "glrd2"]
+        assert len(rows["alrd1"]) == len(rows["alrd2"]) == 81
+        assert rows["glrd1"] == rows["alrd1"] and rows["glrd2"] == rows["alrd2"]
+
+    def test_failing_law_names_its_first_detector(self, tmp_path, capsys):
+        # the first detector to use a law evaluates it, so an overflow
+        # names it even when its twin comes later
+        conf = write_config(tmp_path, re.sub(
+            r"(?m)^detectors = .*$", "detectors = alrd1, glrd2, alrd2",
+            (PRESETS / "curves_awgn.conf").read_text()).replace(
+            "snr_db = 0", "snr_db = 3080"))
+        assert main(["curves", str(conf), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: glrd2 closed form:")
+        assert not (tmp_path / "out").exists()
+
     def test_requires_single_channel(self, tmp_path, capsys):
         # closed forms are conditional on h, so a fading list has no effect
         conf = write_config(tmp_path, CURVES_CONF.replace(
@@ -680,6 +718,41 @@ class TestCliValidate:
         captured = capsys.readouterr()
         assert "master seed must lie in [0, 2**128)" in captured.err
         assert "PASS" not in captured.out
+
+
+class TestCachedParser:
+    """`main` builds its parser once per process, and no call carries
+    state into the next."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        # a run without flags after one with them writes its defaults
+        conf = write_config(tmp_path, ROC_CONF)
+        plain, flagged, again = (tmp_path / d for d in ("plain", "flagged", "again"))
+        assert main(["roc", str(conf), "--out", str(plain)]) == 0
+        assert main(["roc", str(conf), "--out", str(flagged), "--seed", "99",
+                     "--trials", "2000", "--svg"]) == 0
+        assert main(["roc", str(conf), "--out", str(again)]) == 0
+        assert (flagged / "exp_roc.svg").exists()
+        assert not (again / "exp_roc.svg").exists()
+        csv = [(out / "exp_roc.csv").read_bytes() for out in (plain, flagged, again)]
+        assert csv[2] == csv[0] != csv[1]
+        manifest = json.loads((again / "exp_roc_manifest.json").read_text())
+        assert manifest["master_seed"] == 505
+
+    def test_errors_and_help_after_a_run(self, tmp_path, capsys):
+        conf = write_config(tmp_path, ROC_CONF)
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        assert main(["roc"]) == 1
+        assert "config error: the following arguments are required: config" in (
+            capsys.readouterr().err)
+        assert main(["roc", str(conf), "--bogus"]) == 1
+        with pytest.raises(SystemExit) as done:
+            main(["roc", "--help"])
+        assert done.value.code == 0
+        assert "--svg" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, preset, key, value", [

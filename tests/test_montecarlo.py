@@ -532,6 +532,39 @@ class TestBlockEngine:
                 for g, w in zip(obs[FREQ], longer[FREQ]):
                     assert np.array_equal(g, w[:rows])
 
+    def test_freq_only_waveform_skips_the_discarded_bins(self, monkeypatch):
+        # an oversampled block's discarded bins feed only sum(r): a FREQ-only
+        # list never seeks their KIND_TIME stream, and its values are the
+        # FREQ values of a TIME + FREQ run, bit for bit
+        cfg = make_cfg(n=37, rate=90_000.0, source=WAVEFORM, trials=TRIAL_CHUNK + 5,
+                       channel=ChannelSpec(RAYLEIGH))
+        assert cfg.bin_groups[2][0].size > 0
+        both = {phase: trial_statistics(cfg, ["alrd1", "alrd2", "glrd2"], phase)
+                for phase in PHASES}
+        kinds = []
+
+        def seeker(seed):
+            gen, seek = stream_seeker(seed)
+
+            def recorded(index):
+                kinds.append(index & 3)
+                return seek(index)
+            return gen, recorded
+
+        monkeypatch.setattr(montecarlo, "stream_seeker", seeker)
+        for phase in PHASES:
+            kinds.clear()
+            got = trial_statistics(cfg, ["alrd2", "glrd2"], phase)
+            assert kinds and KIND_TIME not in kinds
+            assert_same_statistics(got, {name: both[phase][name]
+                                         for name in ("alrd2", "glrd2")})
+            for block in blocks(cfg):
+                kinds.clear()
+                obs, alpha = observe(cfg, {FREQ}, phase, block)
+                assert kinds and KIND_TIME not in kinds
+                full, full_alpha = observe(cfg, {TIME, FREQ}, phase, block)
+                assert_same_block((obs, alpha), ({FREQ: full[FREQ]}, full_alpha))
+
     def test_trial_count_beyond_stream_layout_rejected(self):
         with pytest.raises(ConfigError, match="trial index"):
             trial_statistics(make_cfg(trials=(1 << 48) + 1), ["alrd1"],
