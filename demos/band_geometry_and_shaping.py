@@ -1,8 +1,10 @@
 """Band geometry and spectral shaping.
 
-Shows how a critically sampled block splits into in-band and excess-band
-bins, and that the shaped signal's averaged periodogram follows the
-raised-cosine profile while the excess band stays noise-dominated.
+A block is critically sampled, at (1 + rolloff) * bandwidth, so its DFT
+grid reaches exactly to the outer edge of the roll-off band.  Shows how
+its bins split into in-band and excess-band bins, and that the shaped
+signal's averaged periodogram follows the raised-cosine profile while
+the excess band stays noise-dominated.
 """
 
 import numpy as np
@@ -23,11 +25,11 @@ ROLLOFF = 0.25
 
 
 def main():
-    spec = SignalSpec.critically_sampled(BANDWIDTH, ROLLOFF, snr_linear=4.0)
+    spec = SignalSpec(BANDWIDTH, ROLLOFF, snr_linear=4.0)
     print(f"bandwidth {BANDWIDTH/1e3:.0f} kHz, rolloff {ROLLOFF}, "
-          f"sample rate {spec.sample_rate_hz/1e3:.2f} kHz")
+          f"sample rate (1 + rolloff) * bandwidth = {spec.sample_rate_hz/1e3:.2f} kHz")
     print(f"nominal band edge +-{BANDWIDTH/2/1e3:.2f} kHz, outer edge "
-          f"+-{(1+ROLLOFF)*BANDWIDTH/2/1e3:.2f} kHz")
+          f"+-{spec.sample_rate_hz/2/1e3:.2f} kHz: every bin is in one band")
     blocks = 4000
     scenario = {n: ScenarioConfig(n_samples=n, prior=NoisePrior(k=3, theta=3.0),
                                   signal=spec, channel=ChannelSpec("awgn"),

@@ -26,7 +26,7 @@ from specsense.signals import (
 
 def main():
     prior = NoisePrior(k=3, theta=3.0)
-    spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr_linear=1.0)
+    spec = SignalSpec(54_000.0, 0.25, snr_linear=1.0)
     cfg = ScenarioConfig(n_samples=20, prior=prior, signal=spec,
                          channel=ChannelSpec("awgn"), trials=1, master_seed=7)
     n, geom = cfg.n_samples, cfg.geometry

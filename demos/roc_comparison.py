@@ -16,7 +16,7 @@ GRID = [0.02, 0.05, 0.1, 0.2, 0.4]
 
 def sweep(channels, n=20, snr=1.0, trials=20_000):
     """One ROC sweep per channel; only the occupied-channel trials differ."""
-    spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
+    spec = SignalSpec(54_000.0, 0.25, snr)
     cfg = ScenarioConfig(n_samples=n, prior=NoisePrior(k=3, theta=3.0),
                          signal=spec, channel=channels[0], trials=trials,
                          master_seed=20260809)

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .detectors import FREQ, detector
+from .detectors import detector
 from .errors import ConfigError
 from .signals import (
     MODEL,
     NAKAGAMI,
-    WAVEFORM,
     ChannelSpec,
     NoisePrior,
     ScenarioConfig,
@@ -80,7 +79,6 @@ _KEYS = {
     "snr_db": (_float, REQUIRED),
     "bandwidth_hz": (_float, 54000.0),
     "rolloff": (_float, 0.25),
-    "sample_rate_hz": (_float, None),  # None: critically sampled
     "channels": (_list(_lower), REQUIRED),
     "nakagami_m": (_float, None),
     "prior_k": (_int, REQUIRED),
@@ -174,18 +172,13 @@ def experiment_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         snr = 10.0 ** (v["snr_db"] / 10.0)
     except OverflowError:
         raise ConfigError(f"snr_db: {v['snr_db']:g} dB overflows a float") from None
-    signal = (SignalSpec.critically_sampled(v["bandwidth_hz"], v["rolloff"], snr)
-              if v["sample_rate_hz"] is None else
-              SignalSpec(v["bandwidth_hz"], v["rolloff"], v["sample_rate_hz"], snr))
+    signal = SignalSpec(v["bandwidth_hz"], v["rolloff"], snr)
     scenarios = tuple(
         ScenarioConfig(n_samples=n, prior=prior, signal=signal, channel=channels[0],
                        trials=v["trials"], master_seed=v["master_seed"],
                        noise_power=v["noise_power"], source=v["source"],
                        glr_two_sided=v["glr_two_sided"])
         for n in v["n_samples"])
-    if v["source"] == WAVEFORM or any(row.domain == FREQ for row in rows):
-        for cfg in scenarios:
-            _ = cfg.geometry  # rejects a band split with too few bins
 
     return ExperimentConfig(
         detectors=detectors,

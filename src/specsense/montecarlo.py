@@ -22,6 +22,8 @@ detectors read only sums, so each trial's sums are drawn as Gamma
 variates: one per sum on the model source, at a cost that does not grow
 with the block size N, and one per group of equal-gain bins on the
 waveform source, whose shaping makes the bins' signal powers unequal.
+Blocks are critically sampled, so the in-band and excess-band groups
+hold every bin, and sum(r) is their total (Parseval).
 
 The blocks of a phase run in order, in the calling thread, on one
 stream seeker.  Only calibration keeps its statistics: the evaluation
@@ -70,7 +72,7 @@ TRIAL_CHUNK = 1024
 
 # The kinds of variate a block draws, each from its own stream.
 KIND_PRIOR = 0  # noise precision, then channel power gain
-KIND_TIME = 1   # model source: sum(r)'s G_N; waveform: the discarded bins
+KIND_TIME = 1   # model source: sum(r)'s G_N
 KIND_BINS = 2   # sum(y)'s G_P, then sum(x)'s G_L; waveform: their groups
 
 # Stream index bits below the phase: block, then kind.
@@ -137,28 +139,25 @@ def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: in
       gains |h|^2 follow them, and `prior_state` is the generator state
       from which `scale_block` draws them (else None);
     - `KIND_TIME`: on the model source, the Gamma(N) variate G_N of
-      sum(r); on the waveform source, the discarded bins' groups
-      (`cfg.bin_groups`; there are none unless the block is oversampled),
-      which only sum(r) reads;
+      sum(r);
     - `KIND_BINS`: on the model source, the Gamma(P) variate G_P of
       sum(y), then the Gamma(L) variate G_L of sum(x); on the waveform
-      source, the excess-band groups, then the in-band groups.
+      source, the excess-band groups (`cfg.bin_groups`), then the
+      in-band groups.
 
     `gammas` maps TIME to G_N and FREQ to (G_P, G_L) on the model source,
     one entry per domain of `domains`; on the waveform source it is the
-    (in-band, excess-band, discarded) triple of group matrices, one
-    Gamma(count) column per group of `cfg.bin_groups`, with None for the
-    discarded matrix unless `domains` holds TIME.
+    (in-band, excess-band) pair of group matrices, one Gamma(count)
+    column per group of `cfg.bin_groups`.
 
     Every buffer is one whole-array draw of TRIAL_CHUNK rows, also in a
     short last block: numpy's gamma sampler rejects a varying number of
     candidates, so drawing fewer rows would shift every later buffer.
     The waveform source draws both bands' groups whatever `domains`
-    holds, since sum(r) reads them too, and the discarded groups, on
-    their own stream, only for TIME.  A row thus depends on (cfg, phase,
-    trial) alone, not on the trial count or on the other domains
-    observed.  A block holding none of the
-    trials 0 .. cfg.trials - 1 is a `ConfigError`.
+    holds, since sum(r) reads them too.  A row thus depends on (cfg,
+    phase, trial) alone, not on the trial count or on the other domains
+    observed.  A block holding none of the trials 0 .. cfg.trials - 1 is
+    a `ConfigError`.
     """
     start = block * TRIAL_CHUNK
     if not 0 <= start < cfg.trials:
@@ -170,15 +169,11 @@ def draw_block(cfg: sig.ScenarioConfig, domains: set[str], phase: int, block: in
     prior_state = gen.bit_generator.state if signal else None
 
     if cfg.source == sig.WAVEFORM:
-        inband, excess, discarded = (counts for counts, _ in cfg.bin_groups)
-        gam_d = None
-        if det.TIME in domains:
-            seek(stream_index(phase, block, KIND_TIME))
-            gam_d = gen.standard_gamma(discarded, (TRIAL_CHUNK, discarded.size))
+        (inband, _), (excess, _) = cfg.bin_groups
         seek(stream_index(phase, block, KIND_BINS))
         gam_y = gen.standard_gamma(excess, (TRIAL_CHUNK, excess.size))
         gam_x = gen.standard_gamma(inband, (TRIAL_CHUNK, inband.size))
-        gammas = gam_x, gam_y, gam_d
+        gammas = gam_x, gam_y
     else:
         gammas = {}
         if det.TIME in domains:
@@ -215,7 +210,7 @@ def scale_block(cfg: sig.ScenarioConfig, domains: set[str], drawn: tuple,
     Exp(1), g_k = 1 + snr * |h|^2 * c_k (`cfg.bin_groups`) where g is not
     1, and 1 where it is.  Each group is a column of Gamma(count) variates
     scaled by its g_k; a band's row sum times N * alpha is its bin sum,
-    and sum(r) is alpha times all three bands' row sums (Parseval).
+    and sum(r) is alpha times both bands' row sums (Parseval).
     """
     rows, alpha, prior_state, gammas = drawn
     n, snr = cfg.n_samples, cfg.signal.snr_linear
@@ -232,10 +227,10 @@ def scale_block(cfg: sig.ScenarioConfig, domains: set[str], drawn: tuple,
                 gam = gam * (1.0 + snr * h2[:, None] * gains)
             return gam.sum(axis=1)
 
-        (gam_x, gam_y, gam_d), ((_, g_x), (_, g_y), (_, g_d)) = gammas, cfg.bin_groups
+        (gam_x, gam_y), ((_, g_x), (_, g_y)) = gammas, cfg.bin_groups
         u_x, u_y = band_total(gam_x, g_x), band_total(gam_y, g_y)
         if det.TIME in domains:
-            obs[det.TIME] = (alpha * (u_x + u_y + band_total(gam_d, g_d)))[:rows]
+            obs[det.TIME] = (alpha * (u_x + u_y))[:rows]
         if det.FREQ in domains:
             obs[det.FREQ] = (n * alpha * u_x)[:rows], (n * alpha * u_y)[:rows]
         return obs, alpha[:rows]

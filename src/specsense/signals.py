@@ -57,11 +57,12 @@ class NoisePrior:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Occupied-band description: bandwidth, roll-off and sampling."""
+    """Occupied-band description: bandwidth, roll-off and SNR.  Blocks
+    are critically sampled, at `sample_rate_hz` = (1 + rolloff) *
+    bandwidth, so every DFT bin lies in the occupied band."""
 
     bandwidth_hz: float
     rolloff: float
-    sample_rate_hz: float
     snr_linear: float
 
     def __post_init__(self):
@@ -69,16 +70,12 @@ class SignalSpec:
             raise ConfigError("bandwidth must be positive")
         if not (0.0 < self.rolloff <= 1.0):
             raise ConfigError(f"rolloff must lie in (0, 1], got {self.rolloff}")
-        if self.sample_rate_hz < (1.0 + self.rolloff) * self.bandwidth_hz * (1 - 1e-12):
-            raise ConfigError("sample rate must cover the occupied band "
-                              "(at least (1 + rolloff) * bandwidth)")
         if self.snr_linear < 0:
             raise ConfigError("snr must be nonnegative")
 
-    @classmethod
-    def critically_sampled(cls, bandwidth_hz: float, rolloff: float,
-                           snr_linear: float) -> "SignalSpec":
-        return cls(bandwidth_hz, rolloff, (1.0 + rolloff) * bandwidth_hz, snr_linear)
+    @property
+    def sample_rate_hz(self) -> float:
+        return (1.0 + self.rolloff) * self.bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -159,14 +156,13 @@ class ScenarioConfig:
     @cached_property
     def bin_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The waveform source's DFT bins grouped by signal gain: for the
-        in-band, excess-band and discarded bins in turn, the bin count of
-        each group and its gain c = N * mask^2 / sum(mask^2), by ascending
-        c.  A group holds the bins of one band with equal mask^2, so its
-        bins share the power law N * alpha * (1 + snr * |h|^2 * c) * Exp(1)."""
+        in-band and excess-band bins in turn, the bin count of each group
+        and its gain c = N * mask^2 / sum(mask^2), by ascending c.  A
+        group holds the bins of one band with equal mask^2, so its bins
+        share the power law N * alpha * (1 + snr * |h|^2 * c) * Exp(1)."""
         mask2 = self.shaping**2
-        discarded = np.setdiff1d(np.arange(self.n_samples), np.concatenate(self.bands))
         groups = []
-        for bins in (*self.bands, discarded):
+        for bins in self.bands:
             values, counts = np.unique(mask2[bins], return_counts=True)
             groups.append((counts, self.n_samples * values / mask2.sum()))
         return tuple(groups)

@@ -47,7 +47,7 @@ DETECTORS = ["optimal", "alrd1", "alrd2"]
 
 def scenario(snr=1.0, n=20, trials=100_000, seed=SEED,
              channel=ChannelSpec(AWGN), prior=PRIOR, noise_power=None):
-    spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
+    spec = SignalSpec(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec,
                           channel=channel, trials=trials, master_seed=seed,
                           noise_power=noise_power)

@@ -162,10 +162,12 @@ class TestParsing:
         assert cfg.noise_power is None
 
     @pytest.mark.parametrize("key", ["pinned_channel_re", "pinned_channel_im",
-                                     "pinned_signal_re", "pinned_signal_im"])
+                                     "pinned_signal_re", "pinned_signal_im",
+                                     "sample_rate_hz"])
     def test_pinned_keys_are_not_config_keys(self, tmp_path, key, capsys):
         # nothing pins a channel gain or a signal amplitude: curves
-        # evaluates at h = 1
+        # evaluates at h = 1; and blocks are critically sampled, at
+        # (1 + rolloff) * bandwidth, so no key sets the sample rate
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(MINIMAL + f"{key} = 0.1\n")
         conf = write_config(tmp_path, CURVES_CONF + f"{key} = 0.1\n")
@@ -251,6 +253,19 @@ class TestCliRoc:
         assert main(["roc", str(conf), "--out", str(tmp_path), "--svg"]) == 0
         svg = (tmp_path / "exp_roc.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("source", ["model", "waveform"])
+    def test_two_samples_leave_one_bin_per_band(self, tmp_path, source):
+        # the shortest block splits into one in-band and one excess-band
+        # bin, on either source
+        text = (ROC_CONF.replace("detectors = alrd1, alrd2", "detectors = alrd2, glrd2")
+                .replace("n_samples = 20", "n_samples = 2") + f"source = {source}\n")
+        exp = experiment_from_mapping(parse_config_text(text))
+        geom = exp.scenarios[0].geometry
+        assert (geom.l_inband, geom.p_excess) == (1, 1)
+        conf = write_config(tmp_path, text)
+        assert main(["roc", str(conf), "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "exp_roc.csv").read_text().splitlines()) == 2 + 2 * 3
 
     def test_config_error_exit_code(self, tmp_path):
         conf = write_config(tmp_path, "detectors = alrd1")
@@ -761,7 +776,6 @@ class TestCachedParser:
     ("roc", "fig6", "prior_theta", "-1"),
     ("roc", "fig6", "nakagami_m", "0.3"),
     ("roc", "fig6", "bandwidth_hz", "-5"),
-    ("roc", "fig6", "sample_rate_hz", "60000"),
     ("curves", "curves_awgn", "rolloff", "1.5"),
     ("roc", "fig4", "snr_db", "4000"),
 ])
@@ -841,31 +855,6 @@ class TestConfigErrorStopsTheRun:
                      "--out", str(tmp_path / "out")]) == 1
         assert "trials must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_calibrate_prints_nothing_before_a_bad_waveform_leg(self, tmp_path,
-                                                                capsys):
-        # the waveform source splits the bands for every detector list: at
-        # 200 kHz, N = 2 has only DC inside the sensed band
-        text = (PRESETS / "fig4.conf").read_text()
-        text = re.sub(r"(?m)^detectors = .*$", "detectors = alrd1", text)
-        text = re.sub(r"(?m)^n_samples = .*$", "n_samples = 20, 2", text)
-        conf = write_config(tmp_path, text + "sample_rate_hz = 200000\n"
-                                              "source = waveform\n")
-        assert main(["calibrate", str(conf), "--pfa", "0.1",
-                     "--out", str(tmp_path / "out")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "too few bins inside the sensed band" in captured.err
-        assert not (tmp_path / "out").exists()
-
-    def test_band_split_is_checked_only_for_excess_band_detectors(self):
-        # sampled at 1 MHz, 20 bins are 50 kHz apart: only DC is in the band
-        text = MINIMAL + "sample_rate_hz = 1000000\n"
-        with pytest.raises(ConfigError, match="too few bins"):
-            experiment_from_mapping(parse_config_text(text))
-        exp = experiment_from_mapping(parse_config_text(
-            text.replace("detectors = alrd1, alrd2", "detectors = alrd1")))
-        assert exp.scenarios[0].signal.sample_rate_hz == 1e6
 
 
 CROSS_CONF = """

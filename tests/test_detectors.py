@@ -89,7 +89,7 @@ def grid_argmax(fn, hi, step):
 
 def scenario(snr=1.0, prior=PRIOR):
     """N 20, critically sampled: L 16 in-band and P 4 excess bins."""
-    return ScenarioConfig(20, prior, SignalSpec.critically_sampled(54_000.0, 0.25, snr),
+    return ScenarioConfig(20, prior, SignalSpec(54_000.0, 0.25, snr),
                           ChannelSpec(), trials=1, master_seed=1)
 
 

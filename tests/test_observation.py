@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from specsense.errors import ConfigError
 from specsense.numerics import stream_seeker
 from specsense.observation import band_split_indices
 from specsense.signals import AWGN, ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
 from test_montecarlo import complex_gaussian, spectrum_bins, squared_envelope
 
 
-def critical_spec(n=None, bandwidth=54_000.0, rolloff=0.25):
-    return SignalSpec.critically_sampled(bandwidth, rolloff, snr_linear=1.0)
+def make_spec(rolloff=0.25):
+    return SignalSpec(54_000.0, rolloff, snr_linear=1.0)
 
 
 # The per-bin reference sampler's building blocks (test_montecarlo).
@@ -63,16 +62,16 @@ def scenario(n, spec):
 
 class TestSplitBands:
     def test_critical_n20(self):
-        geom = scenario(20, critical_spec()).geometry
+        geom = scenario(20, make_spec()).geometry
         assert (geom.l_inband, geom.p_excess) == (16, 4)
 
     def test_critical_n40(self):
-        inband, excess = band_split_indices(40, critical_spec())
+        inband, excess = band_split_indices(40, make_spec())
         assert (inband.size, excess.size) == (32, 8)
 
     def test_band_edges_reference_geometry(self):
         # 54 kHz band at rolloff 0.25: excess band spans 27 kHz..33.75 kHz
-        spec = critical_spec()
+        spec = make_spec()
         assert spec.bandwidth_hz / 2 == pytest.approx(27_000.0)
         assert (1 + spec.rolloff) * spec.bandwidth_hz / 2 == pytest.approx(33_750.0)
         inband, excess = band_split_indices(20, spec)
@@ -85,23 +84,14 @@ class TestSplitBands:
     @settings(max_examples=30, deadline=None)
     def test_partition_exact(self, n):
         # critically sampled: every bin lands in exactly one side
-        inband, excess = band_split_indices(n, critical_spec())
+        inband, excess = band_split_indices(n, make_spec())
         np.testing.assert_array_equal(np.sort(np.concatenate([inband, excess])),
                                       np.arange(n))
-        geom = scenario(n, critical_spec()).geometry
+        geom = scenario(n, make_spec()).geometry
         assert geom.l_inband + geom.p_excess == n
 
-    def test_oversampled_discards_outer_bins(self):
-        spec = SignalSpec(bandwidth_hz=54_000.0, rolloff=0.25,
-                          sample_rate_hz=2.0 * 54_000.0, snr_linear=1.0)
-        inband, excess = band_split_indices(40, spec)
-        geom = scenario(40, spec).geometry
-        assert geom.l_inband + geom.p_excess < 40
-        assert (geom.l_inband, geom.p_excess) == (inband.size, excess.size)
-        assert np.intersect1d(inband, excess).size == 0
-
     def test_h0_band_halves_identically_distributed(self):
-        spec = critical_spec()
+        spec = make_spec()
         gen = stream_seeker(204)[0]
         z = complex_gaussian(1.0, gen, size=(6000, 20))
         w = np.abs(np.fft.fft(z, axis=1)) ** 2
@@ -109,19 +99,17 @@ class TestSplitBands:
         res = stats.ks_2samp(w[:, inband].ravel(), w[:, excess].ravel())
         assert res.pvalue > 0.01
 
-    @given(n=st.integers(1, 128),
-           rolloff=st.floats(0.0, 1.0, exclude_min=True),
-           oversampling=st.floats(1.0, 4.0))
+    @given(n=st.integers(2, 300), rolloff=st.floats(0.0, 1.0, exclude_min=True))
     @settings(max_examples=200, deadline=None)
-    def test_empty_excess_rejected(self, n, rolloff, oversampling):
-        # critically sampled up to 4x oversampled: a split either fails or
-        # keeps at least one bin on each side, so no band comes out empty
-        spec = SignalSpec(54_000.0, rolloff,
-                          oversampling * (1.0 + rolloff) * 54_000.0, 1.0)
-        try:
-            inband, excess = band_split_indices(n, spec)
-        except ConfigError:
-            return
+    def test_empty_excess_rejected(self, n, rolloff):
+        # no band comes out empty: every bin lands in one band, and the
+        # in-band bins are the L = round(N / (1 + rolloff)) nearest DC,
+        # clamped to [1, N - 1], the negative frequency first on ties
+        inband, excess = band_split_indices(n, make_spec(rolloff=rolloff))
         assert inband.size >= 1 and excess.size >= 1
-        assert np.intersect1d(inband, excess).size == 0
-
+        assert inband.size == min(max(round(n / (1 + rolloff)), 1), n - 1)
+        np.testing.assert_array_equal(np.sort(np.concatenate([inband, excess])),
+                                      np.arange(n))
+        k = np.rint(np.fft.fftfreq(n) * n)  # signed bin frequencies
+        assert max((abs(k[i]), k[i]) for i in inband) < min((abs(k[i]), k[i])
+                                                               for i in excess)

@@ -29,7 +29,7 @@ from specsense.signals import (
 def make_cfg(snr=1.0, n=20, channel=ChannelSpec(AWGN),
              prior=NoisePrior(k=4, theta=4.0), trials=100, seed=7,
              noise_power=None, source=MODEL):
-    spec = SignalSpec.critically_sampled(54_000.0, 0.25, snr)
+    spec = SignalSpec(54_000.0, 0.25, snr)
     return ScenarioConfig(n_samples=n, prior=prior, signal=spec, channel=channel,
                           trials=trials, master_seed=seed,
                           noise_power=noise_power, source=source)
@@ -57,13 +57,6 @@ class TestPriorTypes:
             NoisePrior(k=0, theta=1.0)
         with pytest.raises(ValueError):
             NoisePrior(k=2, theta=0.0)
-
-    def test_signal_spec_rate_check(self):
-        with pytest.raises(ValueError):
-            SignalSpec(bandwidth_hz=54_000.0, rolloff=0.25,
-                       sample_rate_hz=54_000.0, snr_linear=1.0)
-        with pytest.raises(ValueError):
-            SignalSpec(54_000.0, 0.0, 67_500.0, 1.0)
 
     def test_master_seed_range(self):
         assert make_cfg(seed=2**128 - 1).master_seed == 2**128 - 1
@@ -200,15 +193,14 @@ class TestGenerateTimeBlock:
 class TestBinGroups:
     """The waveform source's bins, grouped by their signal gain."""
 
-    @pytest.mark.parametrize("n, rate", [(16, None), (20, None), (128, None),
-                                         (37, 90_000.0), (40, 108_000.0)])
-    def test_groups_count_every_bin_once(self, n, rate):
+    # the ids earlier versions of the suite reported, kept comparable
+    @pytest.mark.parametrize("n", [16, 20, 128], ids=["16-None", "20-None", "128-None"])
+    def test_groups_count_every_bin_once(self, n):
         cfg = make_cfg(n=n, source=WAVEFORM)
-        if rate is not None:
-            cfg = replace(cfg, signal=replace(cfg.signal, sample_rate_hz=rate))
         geom = cfg.geometry
         counts = [c.sum() for c, _ in cfg.bin_groups]
-        assert counts == [geom.l_inband, geom.p_excess, n - geom.l_inband - geom.p_excess]
+        assert counts == [geom.l_inband, geom.p_excess]
+        assert geom.l_inband + geom.p_excess == n
         # the gains average to 1 over the N bins: the signal keeps its power
         assert sum((c * g).sum() for c, g in cfg.bin_groups) == pytest.approx(n)
 
@@ -224,8 +216,8 @@ class TestBinGroups:
         # sum(y) carries no signal
         cfg = make_cfg(n=20, source=WAVEFORM)
         cfg.__dict__["shaping"] = np.ones(20)  # fills the cached property
-        (l_counts, l_gains), (p_counts, p_gains), (d_counts, _) = cfg.bin_groups
-        assert (l_counts.tolist(), p_counts.tolist(), d_counts.size) == ([16], [4], 0)
+        (l_counts, l_gains), (p_counts, p_gains) = cfg.bin_groups
+        assert (l_counts.tolist(), p_counts.tolist()) == ([16], [4])
         assert l_gains.tolist() == p_gains.tolist() == [1.0]
 
 
