@@ -13,7 +13,7 @@ one trial itself, from the model source's law on an unfaded channel.
 import numpy as np
 
 from specsense.analysis import map_noise_power, posterior_update
-from specsense.detectors import DETECTORS, mu_glrd1, rho_glrd2
+from specsense.detectors import DETECTORS, mu_glrd1
 from specsense.numerics import stream_seeker
 from specsense.signals import (
     ChannelSpec,
@@ -60,21 +60,24 @@ def main():
     print(f"  excess-normalized ratio {stat:9.3f}")
     print(f"  linearized form         {xy[0] - eta * xy[1]:9.3f} "
           f"(vs cutoff eta*theta = {eta * prior.theta:.1f})")
+    # the frequency-domain GLR is the time-domain one on the L in-band
+    # bins at the excess band's posterior, whose k is k + P
     print(f"  GLR peak location       "
-          f"{rho_glrd2(geom.l_inband, geom.p_excess, prior.k, spec.snr_linear):9.3f}")
+          f"{mu_glrd1(geom.l_inband, prior.k + geom.p_excess, spec.snr_linear):9.3f}")
 
-    post = posterior_update(prior, float(np.mean(y)), geom.p_excess)
+    # the posterior is the prior's own family, a NoisePrior at k + P
+    post = posterior_update(prior, float(np.sum(y)), geom.p_excess)
     print(f"\nprecision posterior after the excess band: "
-          f"Gamma({post.shape:.0f}, {post.rate:.2f})")
+          f"Gamma({post.precision_shape:.0f}, {post.theta:.2f})")
     # Bins carry power on the N*alpha scale (unnormalized DFT), so the
     # posterior tracks the bin-scale noise power, shrunk toward the
-    # prior; the detectors only ever use it through calibrated ratios.
-    print(f"posterior mean bin power {post.rate / (post.shape - 1):7.2f}   "
+    # prior, while the prior itself is on the sample scale alpha.
+    print(f"posterior mean bin power {post.mean_noise_power:7.2f}   "
           f"observed excess-bin mean {np.mean(y):7.2f}   "
           f"true bin-scale power {n * alpha:7.2f}")
 
     for hyp, snr in (("h0", 0.0), ("h1", spec.snr_linear)):
-        est = map_noise_power(prior, snr, x=x, y=y)
+        est = map_noise_power(post, snr, x)
         print(f"MAP bin-scale noise power assuming {hyp}: {est:7.2f}")
 
     # run two-sided, glrd2 decides H1 when its log-GLR at the design SNR

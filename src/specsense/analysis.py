@@ -54,57 +54,25 @@ from .signals import ChannelSpec, NoisePrior, channel_gain, draw_noise_power
 # Posterior and MAP estimation from the excess band
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PosteriorPrecision:
-    """Gamma posterior on the noise precision after seeing excess bins."""
-
-    shape: float
-    rate: float
-
-    def pdf(self, lam):
-        """Gamma(shape, rate) density at lam, zero for lam < 0; a scalar
-        gives a Python float.  Written in log space with `scipy.special`,
-        not `scipy.stats`, whose import costs more than the whole CLI's."""
-        from scipy.special import gammaln, xlogy
-
-        lam = np.asarray(lam, dtype=float)
-        x = self.rate * np.maximum(lam, 0.0)
-        dens = self.rate * np.exp(xlogy(self.shape - 1.0, x) - x - gammaln(self.shape))
-        out = np.where(lam < 0.0, 0.0, dens)
-        return out if out.ndim else float(out)
-
-
-def posterior_update(prior: NoisePrior, y_mean: float, p_excess: int) -> PosteriorPrecision:
-    """Conjugate update from P excess-band bins with sample mean y_mean:
-    precision posterior Gamma(P + k + 1, theta + P*y_mean)."""
+def posterior_update(prior: NoisePrior, y_sum: float, p_excess: int) -> NoisePrior:
+    """Conjugate update from P excess-band bins of sum y_sum: the
+    precision posterior Gamma(k + 1 + P, theta + y_sum), the prior's own
+    family at k + P and theta + y_sum."""
     if p_excess < 1:
         raise ValueError("need at least one excess-band bin")
-    if not 0.0 <= y_mean < math.inf:
-        raise ValueError(f"bin mean must be finite and nonnegative, got {y_mean}")
-    return PosteriorPrecision(shape=p_excess + prior.k + 1.0,
-                              rate=prior.theta + p_excess * float(y_mean))
+    if not 0.0 <= y_sum < math.inf:
+        raise ValueError(f"excess-band sum must be finite and nonnegative, got {y_sum}")
+    return NoisePrior(k=prior.k + p_excess, theta=prior.theta + y_sum)
 
 
-def map_noise_power(prior: NoisePrior, snr: float, *,
-                    r: np.ndarray | None = None, x: np.ndarray | None = None,
-                    y: np.ndarray | None = None) -> float:
-    """MAP estimate of the noise power when the signal has the given snr;
-    snr = 0 is the idle channel (H0).
-
-    Time-domain envelopes r give (theta + sum(r)/(1+snr)) / (N + k);
-    in-band and excess-band bins x, y give
-    (theta + sum(y) + sum(x)/(1+snr)) / (L + k + P).  Giving both forms
-    is a `ValueError`.
+def map_noise_power(prior: NoisePrior, snr: float, r: np.ndarray) -> float:
+    """MAP estimate of the noise power from N samples r of power
+    alpha*(1+snr), (theta + sum(r)/(1+snr)) / (N + k); snr = 0 is the
+    idle channel (H0).  The in-band bins' estimate is this at the
+    excess band's posterior: `map_noise_power(posterior_update(prior,
+    sum(y), P), snr, x)`, (theta + sum(y) + sum(x)/(1+snr)) / (L + k + P).
     """
-    gain = 1.0 + snr
-    if r is not None:
-        if x is not None or y is not None:
-            raise ValueError("give time samples r or bins x and y, not both")
-        return (prior.theta + float(np.sum(r)) / gain) / (np.size(r) + prior.k)
-    if x is None or y is None:
-        raise ValueError("need time samples r or bins x and y")
-    return ((prior.theta + float(np.sum(y)) + float(np.sum(x)) / gain)
-            / (np.size(x) + prior.k + np.size(y)))
+    return (prior.theta + float(np.sum(r)) / (1.0 + snr)) / (np.size(r) + prior.k)
 
 
 # ---------------------------------------------------------------------------

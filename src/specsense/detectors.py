@@ -20,7 +20,9 @@ All thresholds in this package live on these scales, or on the log-GLR
 scale of a two-sided GLR detector.  Each row also names its closed-form
 law in `analysis` (ALRD2's assumes a deterministic per-bin signal power;
 the engine draws a Gaussian one).  Each GLR detector is its ALR twin,
-statistic and law, plus its log-GLR.
+statistic and law, plus its log-GLR.  GLRD2 is GLRD1 on the L in-band
+bins at the excess band's posterior, a `NoisePrior` at k + P
+(`analysis.posterior_update`), so one log-GLR and one peak serve both.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .errors import ConfigError
 
 def mu_glrd1(n_samples: int, k: int, snr: float) -> float:
     """Location of the single maximum of the time-domain GLR in the
-    scaled statistic t = sum(r)/theta.
+    scaled statistic t = sum(r)/theta; at (L, k + P) it is the
+    frequency-domain GLR's in t = sum(x) / (theta + sum(y)).
 
     mu = [N(2+g) + sqrt((2+g)^2 N^2 + 4k(1+g)(2N+k))] / (2k)
     """
@@ -53,16 +56,6 @@ def mu_glrd1(n_samples: int, k: int, snr: float) -> float:
     return (n * (2.0 + g) + math.sqrt(disc)) / (2.0 * k)
 
 
-def rho_glrd2(l_inband: int, p_excess: int, k: int, snr: float) -> float:
-    """Location of the single maximum of the frequency-domain GLR in
-    t = sum(x) / (theta + sum(y)): `mu_glrd1` with L in place of N and
-    k+P in place of k.
-    """
-    if k + p_excess < 1:
-        raise ValueError("k + P must be >= 1")
-    return mu_glrd1(l_inband, k + p_excess, snr)
-
-
 def log_glrd1(t, n_samples: int, k: int, snr: float):
     """Log of the time-domain GLR at statistic value t = sum(r)/theta,
     elementwise over an array of t:
@@ -70,16 +63,11 @@ def log_glrd1(t, n_samples: int, k: int, snr: float):
     N log(1 - g/(1+g+t)) + g (N+k) t / ((1+t)(1+g+t)),
 
     which does not underflow where the GLR's factor ((1+t)/(1+g+t))^N does.
+    At (L, k + P) it is the frequency-domain GLR, at t = sum(x)/(theta + sum(y)).
     """
     g = float(snr)
     return (n_samples * np.log1p(-g / (1.0 + g + t))
             + g * (n_samples + k) * t / ((1.0 + t) * (1.0 + g + t)))
-
-
-def log_glrd2(t, l_inband: int, p_excess: int, k: int, snr: float):
-    """Log of the frequency-domain GLR at t = sum(x)/(theta + sum(y)):
-    `log_glrd1` with L in place of N and k+P in place of k."""
-    return log_glrd1(t, l_inband, k + p_excess, snr)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +90,7 @@ class Detector:
     is the closed-form P(statistic > eta) at noise power alpha (at snr = 0
     the false-alarm probability), elementwise.  A GLR row's `log_lr(cfg,
     t)` is its log-GLR at statistic values t at the scenario's SNR,
-    elementwise; it peaks at `mu_glrd1` or `rho_glrd2`.  With
+    elementwise; it peaks at `mu_glrd1`.  With
     cfg.glr_two_sided set, the Monte Carlo engine's block loop maps the
     row's statistic through it.
     """
@@ -131,8 +119,8 @@ DETECTORS = {
     "glrd1": replace(_ALRD1, log_lr=lambda cfg, t: log_glrd1(
         t, cfg.n_samples, cfg.prior.k, cfg.signal.snr_linear)),
     "alrd2": _ALRD2,
-    "glrd2": replace(_ALRD2, log_lr=lambda cfg, t: log_glrd2(
-        t, cfg.geometry.l_inband, cfg.geometry.p_excess, cfg.prior.k,
+    "glrd2": replace(_ALRD2, log_lr=lambda cfg, t: log_glrd1(
+        t, cfg.geometry.l_inband, cfg.prior.k + cfg.geometry.p_excess,
         cfg.signal.snr_linear)),
 }
 

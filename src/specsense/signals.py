@@ -34,7 +34,9 @@ WAVEFORM = "waveform"
 class NoisePrior:
     """Gamma prior on the noise precision: 1/alpha ~ Gamma(k+1, theta).
 
-    k >= 1 guarantees the prior mean noise power theta/k exists.
+    k >= 1 guarantees the prior mean noise power theta/k exists.  The
+    family is conjugate to the excess band, so the posterior after it
+    (`analysis.posterior_update`) is a `NoisePrior` too.
     """
 
     k: int
@@ -53,6 +55,21 @@ class NoisePrior:
     @property
     def mean_noise_power(self) -> float:
         return self.theta / self.k
+
+    def pdf(self, lam):
+        """Density of the precision, the prior or the posterior after the
+        excess band, Gamma(precision_shape, rate theta), at lam; zero for
+        lam < 0, and a scalar gives a Python float.  Written in log space
+        with `scipy.special`, not `scipy.stats`, whose import costs more
+        than the whole CLI's."""
+        from scipy.special import gammaln, xlogy
+
+        lam = np.asarray(lam, dtype=float)
+        shape = self.precision_shape
+        x = self.theta * np.maximum(lam, 0.0)
+        dens = self.theta * np.exp(xlogy(shape - 1.0, x) - x - gammaln(shape))
+        out = np.where(lam < 0.0, 0.0, dens)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

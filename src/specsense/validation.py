@@ -23,7 +23,7 @@ from .analysis import (
     proposed_statistic_moments,
     traditional_statistic_moments,
 )
-from .detectors import log_glrd1, log_glrd2, mu_glrd1, rho_glrd2
+from .detectors import log_glrd1, mu_glrd1
 from .signals import NoisePrior
 
 DEFAULT_SEED = 20260809
@@ -59,11 +59,12 @@ def check_conjugacy(seed: int = DEFAULT_SEED) -> CheckResult:
         p = int(rng.integers(1, 12))
         y_mean = float(rng.uniform(0.05, 30.0))
         prior = NoisePrior(k=k, theta=theta)
-        post = posterior_update(prior, y_mean, p)
+        post = posterior_update(prior, p * y_mean, p)
+        shape, rate = post.precision_shape, post.theta
 
         # quadrature posterior on the precision: prior pdf times the
         # exponential-bin likelihood, normalized on a dense grid
-        hi = (post.shape + 12.0 * math.sqrt(post.shape)) / post.rate
+        hi = (shape + 12.0 * math.sqrt(shape)) / rate
         lam = np.linspace(1e-12, hi, 40_001)
         log_unnorm = (k * np.log(lam) - theta * lam
                       + p * np.log(lam) - lam * p * y_mean)
@@ -81,7 +82,7 @@ def check_conjugacy(seed: int = DEFAULT_SEED) -> CheckResult:
         probe = np.linspace(0.1, 0.9, 9)
         idx = np.searchsorted(quad_cdf, probe)
         for i in np.clip(idx, 1, lam.size - 1):
-            closed_cdf = 1.0 - gammaincc(post.shape, post.rate * lam[i])
+            closed_cdf = 1.0 - gammaincc(shape, rate * lam[i])
             worst_cdf = max(worst_cdf, abs(closed_cdf - quad_cdf[i]))
     passed = worst_tv < 1e-3 and worst_cdf < 5e-4
     return CheckResult("posterior_conjugacy", passed,
@@ -122,7 +123,7 @@ def check_map_estimates(seed: int = DEFAULT_SEED) -> CheckResult:
 
         r = rng.exponential(rng.uniform(0.5, 2.0), size=n)
         for snr_i in (0.0, snr):  # idle and occupied
-            est = map_noise_power(prior, snr_i, r=r)
+            est = map_noise_power(prior, snr_i, r)
             ref = _grid_argmax_time(n, k, theta, float(np.sum(r)) / (1.0 + snr_i))
             worst = max(worst, abs(est - ref) / ref)
 
@@ -130,8 +131,9 @@ def check_map_estimates(seed: int = DEFAULT_SEED) -> CheckResult:
         p = int(rng.integers(1, 10))
         x = rng.exponential(rng.uniform(5.0, 40.0), size=l)
         y = rng.exponential(rng.uniform(5.0, 40.0), size=p)
+        post = posterior_update(prior, float(np.sum(y)), p)
         for snr_i in (0.0, snr):
-            est = map_noise_power(prior, snr_i, x=x, y=y)
+            est = map_noise_power(post, snr_i, x)
             c = theta + float(np.sum(y)) + float(np.sum(x)) / (1.0 + snr_i)
             ref = _grid_argmax_freq(l, p, k, c)
             worst = max(worst, abs(est - ref) / ref)
@@ -230,8 +232,9 @@ def check_glr_unimodality(seed: int = DEFAULT_SEED) -> CheckResult:
         if not _single_peak(lambda t: log_glrd1(t, n, k, snr), mu):
             ok, detail = False, f"time-domain GLR not unimodal at N={n}, k={k}"
             break
-        rho = rho_glrd2(n, p, k, snr)
-        if not _single_peak(lambda t: log_glrd2(t, n, p, k, snr), rho):
+        # the frequency-domain GLR: the time-domain one at (L, k + P)
+        rho = mu_glrd1(n, k + p, snr)
+        if not _single_peak(lambda t: log_glrd1(t, n, k + p, snr), rho):
             ok, detail = False, f"frequency-domain GLR not unimodal at L={n}, P={p}"
             break
     return CheckResult("glr_unimodality", ok, detail)

@@ -9,7 +9,6 @@ from scipy.special import gammaincc
 from scipy.stats import gamma, norm
 
 from specsense.analysis import (
-    PosteriorPrecision,
     average_over_prior,
     map_noise_power,
     pd_alrd1,
@@ -34,38 +33,39 @@ from test_montecarlo import power_gain
 
 class TestPosteriorUpdate:
     def test_reference_mapping(self):
-        post = posterior_update(NoisePrior(k=2, theta=1.0), y_mean=0.5, p_excess=4)
-        assert (post.shape, post.rate) == (7.0, 3.0)
+        post = posterior_update(NoisePrior(k=2, theta=1.0), y_sum=2.0, p_excess=4)
+        assert post == NoisePrior(k=6, theta=3.0)
+        assert post.precision_shape == 7.0
 
-    @pytest.mark.parametrize("y_mean", [-0.5, math.nan, math.inf])
-    def test_rejects_a_bin_mean_it_cannot_use(self, y_mean):
+    @pytest.mark.parametrize("y_sum", [-0.5, math.nan, math.inf])
+    def test_rejects_a_bin_mean_it_cannot_use(self, y_sum):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            posterior_update(NoisePrior(k=2, theta=1.0), y_mean, 4)
+            posterior_update(NoisePrior(k=2, theta=1.0), y_sum, 4)
 
     def test_zero_energy_adds_count_only(self):
         prior = NoisePrior(k=3, theta=2.0)
-        post = posterior_update(prior, y_mean=0.0, p_excess=5)
-        assert post.shape == 3 + 5 + 1
-        assert post.rate == prior.theta
+        post = posterior_update(prior, y_sum=0.0, p_excess=5)
+        assert post.precision_shape == 3 + 5 + 1
+        assert post.theta == prior.theta
 
     def test_sequential_equals_joint(self):
+        # the posterior is a NoisePrior, so it is the next update's prior
         prior = NoisePrior(k=2, theta=1.5)
-        y1, p1 = 0.8, 3
-        y2, p2 = 2.0, 5
-        first = posterior_update(prior, y1, p1)
-        chained = posterior_update(NoisePrior(k=2 + p1, theta=first.rate), y2, p2)
-        pooled_mean = (p1 * y1 + p2 * y2) / (p1 + p2)
-        joint = posterior_update(prior, pooled_mean, p1 + p2)
-        assert chained.shape == pytest.approx(joint.shape)
-        assert chained.rate == pytest.approx(joint.rate)
+        y1, p1 = 2.4, 3
+        y2, p2 = 10.0, 5
+        chained = posterior_update(posterior_update(prior, y1, p1), y2, p2)
+        joint = posterior_update(prior, y1 + y2, p1 + p2)
+        assert chained.k == joint.k
+        assert chained.theta == pytest.approx(joint.theta)
 
     def test_matches_grid_quadrature(self):
         prior = NoisePrior(k=3, theta=2.0)
-        y_mean, p = 4.0, 6
-        post = posterior_update(prior, y_mean, p)
-        hi = (post.shape + 12 * math.sqrt(post.shape)) / post.rate
+        y_sum, p = 24.0, 6
+        post = posterior_update(prior, y_sum, p)
+        shape, rate = post.precision_shape, post.theta
+        hi = (shape + 12 * math.sqrt(shape)) / rate
         lam = np.linspace(1e-12, hi, 40_001)
-        log_u = (prior.k + p) * np.log(lam) - (prior.theta + p * y_mean) * lam
+        log_u = (prior.k + p) * np.log(lam) - (prior.theta + y_sum) * lam
         u = np.exp(log_u - log_u.max())
         quad = u / np.trapezoid(u, lam)
         tv = 0.5 * np.trapezoid(np.abs(quad - post.pdf(lam)), lam)
@@ -73,21 +73,23 @@ class TestPosteriorUpdate:
 
     def test_pdf_scalar_and_support(self):
         # a scalar gives a Python float; the density is zero off lam > 0
-        post = posterior_update(NoisePrior(k=3, theta=2.0), 4.0, 6)
+        post = posterior_update(NoisePrior(k=3, theta=2.0), 24.0, 6)
+        shape, rate = post.precision_shape, post.theta
         at_one = post.pdf(1.0)
         assert type(at_one) is float
         assert at_one == pytest.approx(math.exp(
-            post.shape * math.log(post.rate) - post.rate - math.lgamma(post.shape)))
+            shape * math.log(rate) - rate - math.lgamma(shape)))
         assert post.pdf(0.0) == 0.0 and post.pdf(-1.0) == 0.0
         assert post.pdf(np.array([-1.0, 1.0]))[1] == at_one
 
     @pytest.mark.parametrize("shape, rate", [
-        (1.0, 1.0), (1.0 + 1e-9, 0.5), (1.5, 3.0), (9.0, 0.02),
-        (40.0, 2.5e4), (400.0, 7.0)])
+        (2.0, 1.0), (9.0, 0.02), (40.0, 2.5e4), (400.0, 7.0)])
     def test_pdf_matches_scipy_stats_gamma(self, shape, rate):
         # the log-space density against scipy.stats, a test-only oracle;
-        # the grid runs from below zero past the far tail
-        post = PosteriorPrecision(shape=shape, rate=rate)
+        # the grid runs from below zero past the far tail.  A NoisePrior's
+        # precision shape k + 1 is an integer >= 2.
+        post = NoisePrior(k=int(shape) - 1, theta=rate)
+        assert post.precision_shape == shape
         hi = (shape + 30.0 * math.sqrt(shape) + 30.0) / rate
         lam = np.concatenate([[-1.0, -1e-300, 0.0], np.linspace(0.0, hi, 4001)[1:]])
         ours = post.pdf(lam)
@@ -99,10 +101,15 @@ class TestPosteriorUpdate:
         assert np.all(ours[~live] <= 1e-240)
 
 
+def bin_map(prior, snr, x, y):
+    """The MAP noise power from in-band bins x and excess-band bins y: the
+    time-domain form on x at the excess band's posterior."""
+    return map_noise_power(posterior_update(prior, float(np.sum(y)), np.size(y)), snr, x)
+
+
 class TestMapEstimates:
     def test_reference_value(self):
-        est = map_noise_power(NoisePrior(k=2, theta=1.0), snr=0.0,
-                              x=np.full(16, 1.0), y=np.full(4, 0.5))
+        est = bin_map(NoisePrior(k=2, theta=1.0), 0.0, np.full(16, 1.0), np.full(4, 0.5))
         assert est == pytest.approx(19.0 / 22.0)
 
     def test_grid_argmax_time(self):
@@ -114,7 +121,7 @@ class TestMapEstimates:
             alphas = np.arange(1e-4, 2.0, 1e-4)
             objective = -(20 + prior.k) * np.log(alphas) - c / alphas
             ref = alphas[np.argmax(objective)]
-            est = map_noise_power(prior, snr, r=r)
+            est = map_noise_power(prior, snr, r)
             assert est == pytest.approx(ref, abs=1e-4)
 
     def test_grid_argmax_freq(self):
@@ -127,18 +134,21 @@ class TestMapEstimates:
             lams = np.linspace(1e-6, 4 * (16 + 3 + 4) / c, 400_001)
             objective = (16 + 3 + 4) * np.log(lams) - c * lams
             ref = 1.0 / lams[np.argmax(objective)]
-            est = map_noise_power(prior, snr, x=x, y=y)
+            est = bin_map(prior, snr, x, y)
             assert est == pytest.approx(ref, rel=1e-4)
 
-    def test_requires_time_samples_or_both_bands(self):
-        with pytest.raises(ValueError):
-            map_noise_power(NoisePrior(k=3, theta=1.0), 0.0, x=np.ones(16))
-
-    def test_rejects_both_forms(self):
-        # the time samples would silently win over the bins
-        with pytest.raises(ValueError, match="not both"):
-            map_noise_power(NoisePrior(k=3, theta=1.0), 0.0, r=np.ones(20),
-                            x=np.ones(16), y=np.ones(4))
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 50), theta=st.floats(1e-3, 1e3), snr=st.floats(0.0, 100.0),
+           x=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=64),
+           y=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=32))
+    def test_bin_estimate_is_the_posteriors_exactly(self, k, theta, snr, x, y):
+        # through the posterior the estimate is (theta + sum(y) +
+        # sum(x)/(1+snr)) / (L + k + P), bit for bit: theta + sum(y) is
+        # added first either way, and the counts add exactly
+        x, y = np.array(x), np.array(y)
+        direct = ((theta + float(np.sum(y)) + float(np.sum(x)) / (1.0 + snr))
+                  / (x.size + k + y.size))
+        assert bin_map(NoisePrior(k=k, theta=theta), snr, x, y) == direct
 
 
 class TestZeroSignal:

@@ -12,9 +12,7 @@ from specsense.detectors import (
     TIME,
     detector,
     log_glrd1,
-    log_glrd2,
     mu_glrd1,
-    rho_glrd2,
 )
 from specsense.numerics import stream_seeker
 from specsense.signals import ChannelSpec, NoisePrior, ScenarioConfig, SignalSpec
@@ -87,9 +85,10 @@ def grid_argmax(fn, hi, step):
     return grid[np.argmax(fn(grid))]
 
 
-def scenario(snr=1.0, prior=PRIOR):
-    """N 20, critically sampled: L 16 in-band and P 4 excess bins."""
-    return ScenarioConfig(20, prior, SignalSpec(54_000.0, 0.25, snr),
+def scenario(snr=1.0, prior=PRIOR, n_samples=20):
+    """By default N 20, critically sampled: L 16 in-band and P 4 excess
+    bins."""
+    return ScenarioConfig(n_samples, prior, SignalSpec(54_000.0, 0.25, snr),
                           ChannelSpec(), trials=1, master_seed=1)
 
 
@@ -111,22 +110,26 @@ class TestGlrExtrema:
         with pytest.raises(ValueError):
             mu_glrd1(20, 0, 1.0)
 
+    # the frequency-domain GLR is the time-domain one on the L in-band
+    # bins at the excess band's posterior: (L, k + P) in place of (N, k)
+
     def test_rho_is_argmax(self):
         for l, p, k, g in [(16, 4, 4, 1.0), (32, 8, 2, 0.7), (10, 3, 6, 2.5)]:
-            rho = rho_glrd2(l, p, k, g)
-            star = grid_argmax(lambda t: log_glrd2(t, l, p, k, g), 4 * rho, 1e-3)
+            rho = mu_glrd1(l, k + p, g)
+            star = grid_argmax(lambda t: log_glrd1(t, l, k + p, g), 4 * rho, 1e-3)
             assert abs(star - rho) < 2e-3
 
     def test_rho_reduces_to_mu_without_excess(self):
-        assert rho_glrd2(20, 0, 4, 1.3) == pytest.approx(mu_glrd1(20, 4, 1.3))
-        # with an excess band, k + P takes the place of k exactly
-        for l, p, k, g in [(16, 4, 4, 1.0), (32, 8, 2, 0.7), (102, 26, 3, 2.5)]:
-            assert rho_glrd2(l, p, k, g) == mu_glrd1(l, k + p, g)
-            for t in (0.0, 0.5 * l, 3.0 * l):
-                assert log_glrd2(t, l, p, k, g) == log_glrd1(t, l, k + p, g)
+        # the glrd2 row's log-GLR is log_glrd1 at (L, k + P), bit for bit
+        for n, k, g in [(20, 4, 1.0), (40, 2, 0.7), (128, 3, 2.5)]:
+            cfg = scenario(snr=g, prior=NoisePrior(k=k, theta=2.0), n_samples=n)
+            l, p = cfg.geometry.l_inband, cfg.geometry.p_excess
+            t = np.array([0.0, 0.5 * l, 3.0 * l, mu_glrd1(l, k + p, g)])
+            assert np.array_equal(DETECTORS["glrd2"].log_lr(cfg, t),
+                                  log_glrd1(t, l, k + p, g))
 
     def test_rho_increases_with_snr(self):
-        rhos = [rho_glrd2(16, 4, 4, g) for g in np.linspace(0.05, 4.0, 25)]
+        rhos = [mu_glrd1(16, 4 + 4, g) for g in np.linspace(0.05, 4.0, 25)]
         assert all(a < b for a, b in zip(rhos, rhos[1:]))
 
 
@@ -140,7 +143,7 @@ class TestLikelihoodValues:
     def test_zero_snr_flat(self):
         for t in (0.0, 1.0, 7.7, 30.0):
             assert log_glrd1(t, 20, 4, 0.0) == 0.0
-            assert log_glrd2(t, 16, 4, 4, 0.0) == 0.0
+            assert log_glrd1(t, 16, 4 + 4, 0.0) == 0.0
 
     def test_unimodal(self):
         mu = mu_glrd1(20, 4, 1.0)
@@ -152,8 +155,8 @@ class TestLikelihoodValues:
     def test_log_lr_on_array_matches_scalar_calls(self):
         t = np.array([0.0, 0.5, 2.0, 16.3, 40.0, 1e6])
         for vals, one in ((log_glrd1(t, 20, 4, 1.0), lambda v: log_glrd1(v, 20, 4, 1.0)),
-                          (log_glrd2(t, 16, 4, 4, 2.0),
-                           lambda v: log_glrd2(v, 16, 4, 4, 2.0))):
+                          (log_glrd1(t, 16, 4 + 4, 2.0),
+                           lambda v: log_glrd1(v, 16, 4 + 4, 2.0))):
             assert vals.shape == t.shape
             assert vals.tolist() == [float(one(float(v))) for v in t]
 
@@ -172,7 +175,7 @@ class TestDecisionRules:
 
     def test_glrd2_above_band_is_h0(self):
         cfg = scenario()
-        row, rho = DETECTORS["glrd2"], rho_glrd2(16, 4, PRIOR.k, 1.0)
+        row, rho = DETECTORS["glrd2"], mu_glrd1(16, PRIOR.k + 4, 1.0)
         gamma = row.log_lr(cfg, rho) / 2
         xy = np.full(16, 100.0).sum(), np.full(4, 1.0).sum()
         t = statistic("glrd2", xy)
@@ -243,9 +246,9 @@ class TestDetectorTable:
         assert np.array_equal(DETECTORS["glrd1"].log_lr(cfg, grid),
                               log_glrd1(grid, 20, 4, 1.0))
         assert np.array_equal(DETECTORS["glrd2"].log_lr(cfg, grid),
-                              log_glrd2(grid, 16, 4, 4, 1.0))
+                              log_glrd1(grid, 16, 4 + 4, 1.0))
         for name, peak in (("glrd1", mu_glrd1(20, 4, 1.0)),
-                           ("glrd2", rho_glrd2(16, 4, 4, 1.0))):
+                           ("glrd2", mu_glrd1(16, 4 + 4, 1.0))):
             star = grid_argmax(lambda t: DETECTORS[name].log_lr(cfg, t), 4 * peak, 1e-3)
             assert abs(star - peak) < 2e-3, name
 

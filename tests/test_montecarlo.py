@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from scipy.special import betainc, gammainc, gammaincc
 
 from specsense import montecarlo
 from specsense.analysis import pd_alrd1, pfa_alrd2_exact
-from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1, rho_glrd2
+from specsense.config import load_experiment
+from specsense.detectors import DETECTORS, FREQ, TIME, mu_glrd1
 from specsense.errors import ConfigError, NumericFailure
 from specsense.montecarlo import (
     KIND_BINS,
@@ -815,7 +817,7 @@ class TestCalibration:
         cfg = replace(make_cfg(trials=20_000), glr_two_sided=True)
         row, geom = DETECTORS[name], cfg.geometry
         peak = (mu_glrd1(cfg.n_samples, PRIOR.k, 1.0) if name == "glrd1" else
-                rho_glrd2(geom.l_inband, geom.p_excess, PRIOR.k, 1.0))
+                mu_glrd1(geom.l_inband, PRIOR.k + geom.p_excess, 1.0))
         raw = trial_statistics(replace(cfg, glr_two_sided=False), [name],
                                PHASE_EVAL_H0)[name]
         mapped = trial_statistics(cfg, [name], PHASE_EVAL_H0)[name]
@@ -987,3 +989,71 @@ class TestRocSweep:
         points = roc_sweep(cfg, ["glrd1"], [0.1, 0.95])["glrd1"]
         assert abs(points[1].pfa_empirical - 0.95) < 0.03
         assert calibrate(cfg, ["glrd1"], [0.95])["glrd1"] == [points[1].threshold]
+
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+
+def h0_count_law(target, trials):
+    """The exact law of a realized H0 count at `target`, given n = `trials`
+    calibration and n fresh H0 trials.  The threshold is the calibration
+    statistic of rank r = ceil((1 - p) * n), with p the exact decimal
+    target as `calibrate` takes it.  For any continuous H0 law F,
+    F(X_(r)) ~ Beta(r, n - r + 1) (David & Nagaraja, Order Statistics,
+    3rd ed., 2003, section 2.1), so the count of fresh trials above the
+    threshold is Beta-binomial(n, n - r + 1, r)."""
+    r = math.ceil((1 - Fraction(repr(target))) * trials)
+    return stats.betabinom(trials, trials - r + 1, r)
+
+
+class TestRealizedPfaLaw:
+    """Every realized false-alarm count follows its distribution-free law.
+
+    The law holds for every detector, source, channel and GLR rule, and
+    only if the H0-evaluation trials are independent of the calibration
+    trials.  The per-point part bounds each preset ROC count; it cannot
+    see a shared stream, since every count would then sit at the centre
+    of its law, floor(p * n).  The part over seeds tests the randomized
+    PITs of many counts for uniformity, which a shared stream fails.
+    """
+
+    FAMILY_LEVEL = 1e-3
+    POINTS = 324  # (fig4-fig7 + waveform fig4, fig6) x 2 legs x 3 detectors x 9 targets
+    POINT_LEVEL = FAMILY_LEVEL / POINTS  # Bonferroni: about 3.1e-6 per point
+    KS_LEVEL = 1e-3
+    SEEDS = range(1, 201)
+
+    def test_every_preset_roc_point_lies_inside_its_law(self):
+        # the calibration and H0 trials read no channel field, so one
+        # channel per leg gives the counts that every channel reports
+        runs = [({}, name) for name in ("fig4", "fig5", "fig6", "fig7")]
+        runs += [({"source": "waveform"}, name) for name in ("fig4", "fig6")]
+        p_values = []
+        for overrides, name in runs:
+            exp = load_experiment(PRESETS / f"{name}.conf", overrides)
+            for cfg in exp.scenarios:
+                sweep = roc_sweep(cfg, exp.detectors, exp.pfa_targets)
+                for det_name, points in sweep.items():
+                    for p in points:
+                        count = round(p.pfa_empirical * cfg.trials)
+                        law = h0_count_law(p.pfa_target, cfg.trials)
+                        two_sided = min(1.0, 2.0 * min(law.cdf(count), law.sf(count - 1)))
+                        p_values.append((two_sided, name, cfg.source, cfg.n_samples,
+                                         det_name, p.pfa_target, count))
+        assert len(p_values) == self.POINTS
+        worst = min(p_values, key=lambda point: point[0])
+        assert worst[0] > self.POINT_LEVEL, worst
+
+    def test_randomized_pits_over_seeds_are_uniform(self):
+        # alrd2 on AWGN at N 20, 2000 trials and target 0.1, one count per
+        # seed; the PIT of count k is F(k - 1) + v * P(k), v uniform
+        target, trials = 0.1, 2000
+        law = h0_count_law(target, trials)
+        v = stream_seeker(701)[0].uniform(size=len(self.SEEDS))
+        pits = []
+        for seed, v_i in zip(self.SEEDS, v, strict=True):
+            cfg = make_cfg(trials=trials, seed=seed)
+            (point,) = roc_sweep(cfg, ["alrd2"], [target])["alrd2"]
+            count = round(point.pfa_empirical * trials)
+            pits.append(law.cdf(count - 1) + v_i * law.pmf(count))
+        assert stats.kstest(pits, "uniform").pvalue > self.KS_LEVEL
